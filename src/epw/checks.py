@@ -17,7 +17,7 @@ from .lattices import (
     S2_STAR, S2_PRIME, S2_DPRIME, S4,
 )
 from .local_model import (
-    Chart, double_cover_ideal, local_sextic, make_chart, rank_f2,
+    Chart, LocalPencil, double_cover_ideal, local_sextic, make_chart, rank_f2,
     schur_complement, schur_identity_check, taylor_order_check,
 )
 from .poly import homogeneous_part, quadratic_form_rank
@@ -55,17 +55,40 @@ W123 = Subspace3([_unit(0), _unit(1), _unit(2)])
 # ---------------------------------------------------------------------
 
 
+def off_grid_points(seed):
+    """Two seeded chart points with non-integer coordinates (odd over
+    even), so they lie off every interpolation grid."""
+    rng = random.Random("off-grid:%d" % seed)
+    return [[Fraction(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 4)) for _ in range(5)]
+            for _ in range(2)]
+
+
+def sextic_matches_pencil(chart, f, points):
+    """f equals det(q_A + q_v) at each point, the determinant taken by
+    int_det of the integer-scaled chart pencil.
+
+    An interpolant at too low a degree bound still fits the grid values,
+    but not these points, so the certified bound stays falsifiable.
+    """
+    pencil = LocalPencil.of_chart(chart)
+    return all(f.evaluate(pt) == pencil.det(pt) for pt in points)
+
+
 def check_epw_degree_bound(seed=1, count=20):
     """Every sampled graph Lagrangian has deg det(q_A + q_v) <= 6, with
-    equality somewhere in the sample."""
+    equality somewhere in the sample, and each interpolated determinant
+    matches the pencil at two seeded off-grid points."""
     rng = random.Random(seed)
+    points = off_grid_points(seed)
     degrees = []
+    matches = True
     for _ in range(count):
         frame, _ = random_graph_lagrangian(rng, corank=rng.choice([0, 0, 0, 1]))
         chart = Chart(frame, _unit(0), standard_chart_basis()[1])
         ls = local_sextic(frame, chart)
         degrees.append(ls.degree())
-    ok = all(d <= 6 for d in degrees) and any(d == 6 for d in degrees)
+        matches = matches and sextic_matches_pencil(chart, ls.f, points)
+    ok = matches and all(d <= 6 for d in degrees) and any(d == 6 for d in degrees)
     detail = "instances=%d max-degree=%d degree-6-count=%d" % (
         count, max(degrees), sum(1 for d in degrees if d == 6))
     return CheckResult("epw-degree-bound", ok, detail)

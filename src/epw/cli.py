@@ -78,7 +78,7 @@ def _parse_lattice_vector(l, text):
     like 'e1+e2' or '2*e1-5*e2'."""
     text = text.strip()
     if "," in text:
-        coords = [int(p) for p in text.split(",")]
+        coords = [_parse_int(p, text) for p in text.split(",")]
         if len(coords) != l.rank:
             raise UsageError("vector needs %d coordinates" % l.rank)
         return coords
@@ -95,6 +95,13 @@ def _parse_lattice_vector(l, text):
     return total
 
 
+def _parse_int(text, context):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError("bad integer %r in vector %r" % (text, context)) from None
+
+
 def _add_named(total, l, chunk):
     sign = 1
     if chunk.startswith("-"):
@@ -102,7 +109,7 @@ def _add_named(total, l, chunk):
         chunk = chunk[1:]
     if "*" in chunk:
         c, name = chunk.split("*", 1)
-        coeff = sign * int(c)
+        coeff = sign * _parse_int(c, chunk)
     else:
         coeff, name = sign, chunk
     try:
@@ -298,6 +305,8 @@ def cmd_overlattices(cfg):
 
 
 def cmd_pell(cfg):
+    if cfg.args.bound < 0:
+        raise UsageError("--bound must be nonnegative")
     rows = hs.pell_square_two_classes(cfg.args.bound)
     if cfg.fmt == "json":
         return json.dumps({"seed": cfg.seed,

@@ -166,11 +166,10 @@ def delta_case_check() -> CaseReport:
     checks = []
     checks.append(("q(2mu - 5xi) = -10", ns.q(gen) == -10))
     checks.append(("(2mu - 5xi, mu - 2xi) = 0", ns.pair(gen, pol) == 0))
-    # squares in Z(2mu-5xi) are -10 k^2; -10 k^2 = -2 or -4 would force
-    # 5 k^2 = 1 or 5 k^2 = 2, impossible mod 5
-    no_small = all(
-        10 * k * k != 2 and 10 * k * k != 4 for k in range(1, 100)
-    ) and all(v % 5 != 0 for v in (1, 2))
+    # squares in Z(2mu-5xi) are q k^2 with q = q(2mu-5xi); a vector of
+    # square -2 or -4 would need q to divide -2 or -4
+    q = ns.q(gen)
+    no_small = all(m % q != 0 for m in (-2, -4))
     checks.append(("no -2/-4 vector in the span", no_small))
     emb = ns.embed(gen)
     checks.append(("embedded square agrees", bb_square(emb) == -10))

@@ -5,7 +5,17 @@ basis; through the volume identification of Lambda^3 V0 with the dual of
 Lambda^2 V0 the Lagrangian becomes the graph of a symmetric quadratic
 form q_A, the moving point contributes the variable quadratic form q_v,
 and the local equation of the degeneracy locus is det(q_A + q_v), a
-polynomial of degree at most six in the five chart coordinates.
+polynomial in the five chart coordinates.
+
+Its degree is bounded by a certificate, not assumed.  The Gram of q_v
+is the pencil M(t) = sum_a t_a B_a of universal sign matrices, and the
+degree-d part of det(G + M(t)) is a sum of d x d minors of M(t) times
+constant minors of G, so deg det(G + M(t)) <= rank M(t) over Q(t).
+pencil_rank_bound() certifies rank M(t) <= r exactly (r = 6): it solves
+M(t) K(t) = 0 for kernel vectors K(t) linear in t, and the rank of their
+span at one rational point bounds the kernel dimension from below.  The
+determinants are interpolated at that bound from integer evaluations of
+one integer-scaled pencil (LocalPencil).
 
 The Schur complement of the nondegenerate block of q_A is kept as an
 exact pair (M_hat, D) with M_J = M_hat / D; the analytic square root
@@ -18,6 +28,7 @@ by M_hat * xi and D^(k-1) * xi xi^t - cof(M_hat).
 """
 
 from fractions import Fraction
+from math import lcm
 import random
 
 from . import linalg, wedge
@@ -26,6 +37,7 @@ from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
 from .polymat import PolyMatrix, det_poly_matrix, det_fraction_matrix, \
     cofactor_matrix, interpolate_poly_map
+from .zlinalg import bareiss_solve, int_adjugate, int_det
 
 CHART_VARS = ("t1", "t2", "t3", "t4", "t5")
 
@@ -77,6 +89,15 @@ class Chart:
 
 
 _MOVING_GRAM = None
+_RANK_BOUND = None
+# Any rational point gives a valid certificate; a generic one gives the
+# sharpest.
+_CERT_POINT = (1, 2, 3, 5, 8)
+
+
+def moving_int_matrices():
+    """The five integer matrices -B_a of the moving pencil, from wedge._B5."""
+    return [[[-int(x) for x in row] for row in b] for b in wedge._B5]
 
 
 def moving_gram_matrix() -> PolyMatrix:
@@ -90,20 +111,95 @@ def moving_gram_matrix() -> PolyMatrix:
     global _MOVING_GRAM
     if _MOVING_GRAM is None:
         entries = []
-        for i in range(10):
+        for rows in zip(*moving_int_matrices()):
             row = []
-            for j in range(10):
+            for coeffs in zip(*rows):
                 terms = {}
-                for a in range(5):
-                    c = wedge._B5[a][i][j]
-                    if c != 0:
+                for a, c in enumerate(coeffs):
+                    if c:
                         e = [0] * 5
                         e[a] = 1
-                        terms[tuple(e)] = -c
+                        terms[tuple(e)] = c
                 row.append(MultiPoly(CHART_VARS, terms))
             entries.append(row)
         _MOVING_GRAM = PolyMatrix(entries)
     return _MOVING_GRAM
+
+
+def pencil_rank_bound() -> int:
+    """Certified bound r >= rank over Q(t) of M(t) = sum_a t_a B_a.
+
+    M(t) K(t) = 0 for K(t) = sum_a t_a K_a exactly when
+    B_a K_b + B_b K_a = 0 for all a <= b, a linear system over Q.  The
+    values at one rational point t0 of its solutions lie in ker M(t0)
+    and span a space of dimension r0; a rank over Q(t) is at least the
+    rank at any specialization, so dim ker M(t) >= r0 and r = 10 - r0.
+    Computed on first use and cached for the process.
+    """
+    global _RANK_BOUND
+    if _RANK_BOUND is None:
+        bs = wedge._B5
+        n = len(bs[0])
+        rows = []
+        for a in range(5):
+            for b in range(a, 5):
+                for i in range(n):
+                    row = [Fraction(0)] * (5 * n)
+                    for j in range(n):
+                        row[n * b + j] += bs[a][i][j]
+                        row[n * a + j] += bs[b][i][j]
+                    rows.append(row)
+        values = [[sum(t * sol[n * a + j] for a, t in enumerate(_CERT_POINT))
+                   for j in range(n)] for sol in linalg.nullspace(rows)]
+        _RANK_BOUND = n - rank(values)
+    return _RANK_BOUND
+
+
+class LocalPencil:
+    """Integer-scaled evaluations of a pencil G + sum_a t_a M_a.
+
+    G is a constant rational matrix and the M_a are integer matrices.
+    at(t) returns (s, m) with m = s * (G + sum_a t_a M_a) an integer
+    matrix, where s = den(G) * lcm(denominators of t); on the integer
+    interpolation grid s is den(G).  local_sextic, schur_complement and
+    the off-grid checks evaluate through this one class.
+    """
+
+    __slots__ = ("den", "base", "moves")
+
+    def __init__(self, gram, moves):
+        self.den = lcm(*(x.denominator for row in gram for x in row))
+        self.base = [[int(x * self.den) for x in row] for row in gram]
+        self.moves = [[(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
+                      for m in moves]
+
+    @classmethod
+    def of_chart(cls, chart):
+        """The chart pencil G_A - sum_a t_a B_a of det(q_A + q_v)."""
+        return cls(chart.gram_form, moving_int_matrices())
+
+    def at(self, pt):
+        q = lcm(*(t.denominator for t in pt))
+        s = self.den * q
+        m = [[x * q for x in row] for row in self.base]
+        for t, move in zip(pt, self.moves):
+            if t:
+                ts = int(t * s)
+                for i, j, c in move:
+                    m[i][j] += ts * c
+        return s, m
+
+    def det(self, pt):
+        """Exact determinant of the pencil at a rational point."""
+        s, m = self.at(pt)
+        return Fraction(int_det(m), s ** len(m))
+
+
+def _interpolated_det(pencil: LocalPencil) -> MultiPoly:
+    """det of the pencil as a polynomial in t, interpolated at the
+    certified degree bound pencil_rank_bound()."""
+    return interpolate_poly_map(lambda pt: (pencil.det(pt),), CHART_VARS,
+                                pencil_rank_bound(), 1)[0]
 
 
 def make_chart(frame: wedge.LagrangianFrame, v0, seed=0, attempts=40) -> Chart:
@@ -161,52 +257,18 @@ class LocalSextic:
 
 
 def local_sextic(frame: wedge.LagrangianFrame, chart: Chart, strategy="auto") -> LocalSextic:
-    """The local equation det(q_A + q_v) of the degeneracy locus in the chart."""
+    """The local equation det(q_A + q_v) of the degeneracy locus in the chart.
+
+    The default route interpolates at the certified degree bound
+    pencil_rank_bound() from integer determinants of the chart pencil.
+    """
     if strategy in ("auto", "interpolate"):
-        f = _det_gram_interpolated(chart)
+        f = _interpolated_det(LocalPencil.of_chart(chart))
     else:
         const = PolyMatrix.from_scalar_matrix(chart.gram_form, CHART_VARS)
         m = const.add(chart.gram_moving)
         f = det_poly_matrix(m, strategy=strategy)
     return LocalSextic(f)
-
-
-def _det_gram_interpolated(chart: Chart):
-    """Interpolated det(q_A + q_v): integer-scaled fast path.
-
-    The Gram of q_A is scaled to an integer matrix once; the moving form
-    has integer sign coefficients, so every grid evaluation is a plain
-    integer determinant.
-    """
-    from math import lcm
-    from .zlinalg import int_det
-
-    g = chart.gram_form
-    den = 1
-    for row in g:
-        for x in row:
-            den = lcm(den, x.denominator)
-    gi = [[int(x * den) for x in row] for row in g]
-    bs = [[[-int(x) for x in row] for row in b] for b in wedge._B5]
-    scale = Fraction(1, den ** 10)
-
-    def oracle(pt):
-        m = [row[:] for row in gi]
-        for a in range(5):
-            t = pt[a]
-            if t:
-                ba = bs[a]
-                td = t * den
-                for i in range(10):
-                    bai = ba[i]
-                    mi = m[i]
-                    for j in range(10):
-                        if bai[j]:
-                            mi[j] += td * bai[j]
-        return (int_det(m) * scale,)
-
-    f = interpolate_poly_map(oracle, CHART_VARS, 10, 1)[0]
-    return f
 
 
 class TaylorReport:
@@ -341,12 +403,16 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
     k_basis optionally fixes the basis of ker q_A (rows in bivector
     coordinates), e.g. to put a decomposable kernel direction first;
     supplied rows are cleared of denominators.  The grid evaluations run
-    on integer-scaled data: per point one fraction-free solve gives both
-    det(N + Q) and adj(N + Q) R^t.
-    """
-    from math import lcm
-    from .zlinalg import bareiss_solve, int_adjugate, int_det
+    on the integer-scaled congruent pencil C (G + M(t)) C^t: per point
+    one fraction-free solve gives both det(N + Q) and adj(N + Q) R^t.
 
+    Degree bound: D is a principal jdim-minor of the congruent pencil and
+    each M_hat entry is a bordered (jdim + 1)-minor of it (the J rows and
+    columns plus one kernel row and column).  The degree-d part of such a
+    minor is a sum of d x d minors of C M(t) C^t, whose rank over Q(t) is
+    that of M(t), so every entry has degree <= min(jdim + 1,
+    pencil_rank_bound()), the bound the interpolation uses.
+    """
     g = chart.gram_form
     kern = chart.kernel()
     k = len(kern)
@@ -362,14 +428,9 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
         row = [Fraction(0)] * 10
         row[i] = Fraction(1)
         adapted.append(row)
-    kern_scaled = []
     for krow in kern:
-        kden = 1
-        for x in krow:
-            kden = lcm(kden, x.denominator)
-        kern_scaled.append([x * kden for x in krow])
-    kern = kern_scaled
-    adapted.extend(kern)
+        kden = lcm(*(x.denominator for x in krow))
+        adapted.append([x * kden for x in krow])
     c = adapted
     gp = linalg.mat_mul(linalg.mat_mul(c, g), linalg.transpose(c))
     jdim = 10 - k
@@ -381,8 +442,7 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
     # moving Gram in the adapted basis: integer coefficient matrices per t_a
     ci = [[int(x) for x in row] for row in c]
     cb = []
-    for a in range(5):
-        ba = [[-int(x) for x in row] for row in wedge._B5[a]]
+    for ba in moving_int_matrices():
         tmp = [[sum(ci[i][t] * ba[t][s] for t in range(10)) for s in range(10)]
                for i in range(10)]
         cb.append([[sum(tmp[i][s] * ci[jj][s] for s in range(10)) for jj in range(10)]
@@ -407,67 +467,43 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
     q_j = linear_block(0, jdim, 0, jdim)
     p_j = linear_block(jdim, 10, jdim, 10) if k else None
     r_j = linear_block(jdim, 10, 0, jdim) if k else None
-
-    # integer scaling of the constant block
-    den = 1
-    for row in gp:
-        for x in row:
-            den = lcm(den, x.denominator)
-    a0 = [[int(x * den) for x in row] for row in gp]
-
-    def full_int(pt):
-        m = [row[:] for row in a0]
-        for a in range(5):
-            t = pt[a]
-            if t:
-                td = t * den
-                cba = cb[a]
-                for i in range(10):
-                    mi = m[i]
-                    ci_row = cba[i]
-                    for s in range(10):
-                        if ci_row[s]:
-                            mi[s] += td * ci_row[s]
-        return m  # equals den * (gp + moving'(t))
+    pencil = LocalPencil(gp, cb)
 
     if k == 0:
-        def oracle0(pt):
-            return (Fraction(int_det(full_int(pt)), den ** 10),)
-
-        denom = interpolate_poly_map(oracle0, CHART_VARS, 10, 1)[0]
+        denom = _interpolated_det(pencil)
         return SchurData(0, j, [], n_j, q_j, r_j, p_j, denom, None, c)
 
-    dscale = Fraction(1, den ** jdim)
-    mscale = Fraction(1, den ** (jdim + 1))
-
     def oracle(pt):
-        m = full_int(pt)
+        s, m = pencil.at(pt)
         nq = [row[:jdim] for row in m[:jdim]]
         r = [row[:jdim] for row in m[jdim:]]
         p = [row[jdim:] for row in m[jdim:]]
-        rt = [[r[t][s] for t in range(k)] for s in range(jdim)]
+        rt = [[r[t][u] for t in range(k)] for u in range(jdim)]
+        dscale = Fraction(1, s ** jdim)
+        mscale = Fraction(1, s ** (jdim + 1))
         det, x = bareiss_solve(nq, rt)
         out = [det * dscale]
         if x is not None:
-            # M_hat = det * (P - R X), scaled back by den powers
+            # M_hat = det * (P - R X), scaled back by powers of s
             for i in range(k):
                 for jj in range(k):
-                    s = Fraction(p[i][jj])
+                    v = Fraction(p[i][jj])
                     for t in range(jdim):
-                        s -= r[i][t] * x[t][jj]
-                    out.append(det * s * mscale)
+                        v -= r[i][t] * x[t][jj]
+                    out.append(det * v * mscale)
         else:
             adj = int_adjugate(nq)
             for i in range(k):
                 for jj in range(k):
-                    s = 0
+                    v = 0
                     for t in range(jdim):
                         for u in range(jdim):
-                            s += r[i][t] * adj[t][u] * r[jj][u]
-                    out.append(Fraction(-s) * mscale)
+                            v += r[i][t] * adj[t][u] * r[jj][u]
+                    out.append(Fraction(-v) * mscale)
         return out
 
-    flat = interpolate_poly_map(oracle, CHART_VARS, jdim + 1, 1 + k * k)
+    degree = min(jdim + 1, pencil_rank_bound())
+    flat = interpolate_poly_map(oracle, CHART_VARS, degree, 1 + k * k)
     denom = flat[0]
     m_hat = PolyMatrix([[flat[1 + i * k + jj] for jj in range(k)] for i in range(k)])
     return SchurData(k, j, kern, n_j, q_j, r_j, p_j, denom, m_hat, c)
@@ -520,11 +556,15 @@ def double_cover_ideal(frame, chart: Chart, k_basis=None) -> DoubleCoverData:
     if k > 3:
         raise ValueError("double cover model implemented for kernel dimension <= 3")
     evars = CHART_VARS + tuple("xi%d" % (i + 1) for i in range(k))
-    lift = {v: MultiPoly.var(evars, v) for v in CHART_VARS}
-    mhat = [[sd.m_hat.entries[i][j].substitute(lift) for j in range(k)] for i in range(k)]
-    denom = sd.denom.substitute(lift)
-    cof = cofactor_matrix(sd.m_hat)
-    cof = [[cof.entries[i][j].substitute(lift) for j in range(k)] for i in range(k)]
+    pad = (0,) * k
+
+    def lift(p):
+        # t1..t5 keep their exponents; the xi exponents are zero
+        return MultiPoly(evars, {e + pad: c for e, c in p.terms.items()})
+
+    mhat = [[lift(p) for p in row] for row in sd.m_hat.entries]
+    denom = lift(sd.denom)
+    cof = [[lift(p) for p in row] for row in cofactor_matrix(sd.m_hat).entries]
     xi = [MultiPoly.var(evars, "xi%d" % (i + 1)) for i in range(k)]
     gens = []
     for i in range(k):

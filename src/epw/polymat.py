@@ -9,12 +9,17 @@ Three determinant routes, all returning identical results:
   triangular interpolation grid (used for large sides, e.g. the 10x10
   variable Gram determinants in five chart variables).
 
-The interpolation core works for any vector-valued polynomial map and is
-reused to reconstruct Schur complement matrices entrywise.
+The interpolation core (interpolate_poly_map) works for any
+vector-valued polynomial map and is reused to reconstruct Schur
+complement matrices entrywise.  It calls the oracle once per point of
+the triangular grid {a in N^n : |a| <= degree}, builds the Newton table
+of forward differences in place in integer arithmetic, one variable at a
+time, converts the binomial Newton basis to monomials by Stirling
+numbers of the first kind, and divides once per coefficient at the end.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 
 from .linalg import frac
 from .poly import MultiPoly
@@ -184,68 +189,95 @@ def det_bareiss(m: PolyMatrix) -> MultiPoly:
 # ---------------------------------------------------------------------
 
 
+def _simplex_grid(nvars, degree):
+    """The lower set {a in N^nvars : |a| <= degree}, as tuples."""
+    pts = [()]
+    for _ in range(nvars):
+        pts = [p + (x,) for p in pts for x in range(degree - sum(p) + 1)]
+    return pts
+
+
+def _grid_lines(grid, index, i):
+    """Lines of the grid in variable i: positions of a, a + e_i, ... for
+    every grid point a with a_i = 0, in increasing order of a_i."""
+    lines = []
+    for a in grid:
+        if a[i] == 0:
+            line = []
+            while a in index:
+                line.append(index[a])
+                a = a[:i] + (a[i] + 1,) + a[i + 1:]
+            lines.append(line)
+    return lines
+
+
+def _stirling1(n):
+    """Signed Stirling numbers of the first kind s(a, k), 0 <= k <= a <= n:
+    the falling factorial x(x-1)...(x-a+1) is sum_k s(a, k) x^k."""
+    s = [[1]]
+    for a in range(n):
+        prev = s[-1] + [0]
+        s.append([(prev[k - 1] if k else 0) - a * prev[k] for k in range(a + 2)])
+    return s
+
+
 def interpolate_poly_map(oracle, variables, degree, width):
     """Reconstruct a vector of polynomials from point evaluations.
 
-    oracle(point) must return a sequence of `width` Fractions, the values
-    of `width` polynomials of total degree <= degree at the point.  The
-    number of distinct evaluations is C(degree + nvars, nvars); grid
-    nodes are the small nonnegative integers.  Evaluations are memoized,
-    so vector components share every oracle call.
+    oracle(point) must return a sequence of `width` rationals, the values
+    of `width` polynomials of total degree <= degree at the point.  It is
+    called exactly once at each of the C(degree + nvars, nvars) points of
+    the triangular grid {a in N^nvars : |a| <= degree}, given as tuples
+    of integers, so vector components share every call.
+
+    The Newton form on this lower set (Sauer-Xu; de Boor-Ron) is
+
+        f(x) = sum_{|a| <= degree} (Delta^a f)(0) * prod_i binom(x_i, a_i)
+
+    with forward differences Delta.  The values are scaled once to
+    integers by the lcm L of their denominators, and the difference
+    table is built in place, one variable at a time.  Multiplying the
+    entry at a by degree!/prod_i a_i! (an integer) turns the binomials
+    into falling factorials, which Stirling numbers of the first kind
+    expand into monomials, again one variable at a time.  All of this is
+    integer arithmetic; each coefficient is divided by L * degree! once
+    at the end.
     """
     variables = tuple(variables)
-    m = len(variables)
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    nodes = list(range(degree + 1))  # integer nodes: cheap hashing, exact
-    memo = {}
+    grid = _simplex_grid(len(variables), degree)
+    columns = [[] for _ in range(width)]
+    for pt in grid:
+        val = [frac(x) for x in oracle(pt)]
+        if len(val) != width:
+            raise ValueError("oracle returned wrong width")
+        for col, v in zip(columns, val):
+            col.append(v)
+    den = lcm(*(v.denominator for col in columns for v in col))
+    tables = [[v.numerator * (den // v.denominator) for v in col] for col in columns]
 
-    def ev(pt):
-        if pt not in memo:
-            val = tuple(frac(x) for x in oracle(pt))
-            if len(val) != width:
-                raise ValueError("oracle returned wrong width")
-            memo[pt] = val
-        return memo[pt]
-
-    zero = MultiPoly.zero(variables)
-
-    def interp(sample, nv, d):
-        # sample: tuple of length nv -> tuple of `width` Fractions
-        if nv == 0:
-            vals = sample(())
-            return [MultiPoly.const(variables, v) for v in vals]
-        xname = variables[nv - 1]
-        x = MultiPoly.var(variables, xname)
-        result = [zero] * width
-        omega = MultiPoly.const(variables, 1)
-        for i in range(d + 1):
-            # divided-difference weights for nodes[0..i]
-            ws = []
-            for j in range(i + 1):
-                w = Fraction(1)
-                for k in range(i + 1):
-                    if k != j:
-                        w /= (nodes[j] - nodes[k])
-                ws.append(w)
-
-            def sub(pre, _i=i, _ws=ws):
-                acc = [Fraction(0)] * width
-                for j in range(_i + 1):
-                    vals = sample(pre + (nodes[j],))
-                    for t in range(width):
-                        acc[t] += _ws[j] * vals[t]
-                return acc
-
-            ci = interp(sub, nv - 1, d - i)
-            for t in range(width):
-                if not ci[t].is_zero():
-                    result[t] = result[t] + ci[t] * omega
-            if i < d:
-                omega = omega * (x - nodes[i])
-        return result
-
-    return interp(ev, m, degree)
+    index = {a: p for p, a in enumerate(grid)}
+    lines = [line for i in range(len(variables)) for line in _grid_lines(grid, index, i)]
+    top = factorial(degree)
+    weights = [top // prod(factorial(x) for x in a) for a in grid]
+    stirling = _stirling1(degree)
+    for tab in tables:
+        # forward differences: lines of variable 1 first, then 2, ...
+        for line in lines:
+            for k in range(1, len(line)):
+                for j in range(len(line) - 1, k - 1, -1):
+                    tab[line[j]] -= tab[line[j - 1]]
+        for p, w in enumerate(weights):
+            tab[p] *= w
+        # falling factorials to monomials, in the same variable order
+        for line in lines:
+            old = [tab[p] for p in line]
+            for k, p in enumerate(line):
+                tab[p] = sum(stirling[a][k] * old[a] for a in range(k, len(line)))
+    scale = den * top
+    return [MultiPoly(variables, {a: Fraction(c, scale) for a, c in zip(grid, tab) if c})
+            for tab in tables]
 
 
 def det_interpolate(m: PolyMatrix, degree=None) -> MultiPoly:

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL ledger line (visible with pytest -s or on
 failure).  Sample sizes and time targets are pinned here:
 
   1. degree bound on >= 20 seeded Lagrangians, equality somewhere,
+     each determinant matching the pencil at two off-grid points,
      < 60 s per instance and < 15 min total;
   2. Taylor vanishing orders for k = 0..3 and the plane case;
   3. rk f2 = 4 - level for levels 1, 2, 3;
@@ -33,8 +34,10 @@ def test_criterion_1_degree_bound():
     from epw.wedge import random_graph_lagrangian, standard_chart_basis, _unit
 
     rng = random.Random(1)
+    points = checks.off_grid_points(1)
     t_total = time.time()
     degrees = []
+    matches = True
     worst = 0.0
     for i in range(20):
         frame, _ = random_graph_lagrangian(rng, corank=rng.choice([0, 0, 0, 1]))
@@ -43,8 +46,9 @@ def test_criterion_1_degree_bound():
         ls = local_sextic(frame, chart)
         worst = max(worst, time.time() - t0)
         degrees.append(ls.degree())
+        matches = matches and checks.sextic_matches_pencil(chart, ls.f, points)
     total = time.time() - t_total
-    ok = (all(d <= 6 for d in degrees) and any(d == 6 for d in degrees)
+    ok = (matches and all(d <= 6 for d in degrees) and any(d == 6 for d in degrees)
           and worst < 60.0 and total < 900.0)
     _ledger("epw-degree-bound", ok,
             "instances=20 max-degree=%d equality=%d worst=%.1fs total=%.1fs"

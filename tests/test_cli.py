@@ -58,6 +58,19 @@ def test_bad_path_usage_error():
     assert "error" in out
 
 
+def test_pell_negative_bound_usage_error():
+    code, out = run(["pell", "--bound", "-1"])
+    assert code == 2
+    assert out.startswith("error: ")
+
+
+def test_classify_root_bad_coefficient_usage_error():
+    for vector in ("x*e1", "1,a"):
+        code, out = run(["classify-root", "--vector", vector])
+        assert code == 2
+        assert out.startswith("error: ")
+
+
 def test_pell_bound_two():
     code, out = run(["pell", "--bound", "2"])
     assert code == 0

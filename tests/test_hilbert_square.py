@@ -79,6 +79,13 @@ def test_delta_case():
     assert rep.ok, rep.lines()
 
 
+def test_delta_case_small_vector_clause_can_fail(monkeypatch):
+    import epw.hilbert_square as hs
+    monkeypatch.setattr(hs.NSRank2, "q", lambda self, v: -2)
+    rep = delta_case_check()
+    assert dict(rep.checks)["no -2/-4 vector in the span"] is False
+
+
 def test_degree2_case():
     rep = degree2_case_check()
     assert rep.ok, rep.lines()

@@ -15,11 +15,13 @@ from epw.wedge import (
     degeneracy_dim, sigma_level, trivector_from_vectors,
     _unit, PAIR5_INDEX,
 )
+from epw import checks, local_model, wedge
 from epw.local_model import (
-    Chart, ChartError, make_chart, local_sextic, taylor_order_check, rank_f2,
+    Chart, ChartError, LocalPencil, make_chart, local_sextic, taylor_order_check, rank_f2,
     schur_complement, schur_identity_check, double_cover_ideal,
-    sextic_singularity, CHART_VARS,
+    sextic_singularity, pencil_rank_bound, CHART_VARS,
 )
+from epw.polymat import det_fraction_matrix
 
 
 def unit(i):
@@ -192,6 +194,51 @@ def test_rank_f2_rejects_curve_point():
     ch = Chart(a, v0, c)
     with pytest.raises(ValueError):
         rank_f2(a, W123, [W123], ch)
+
+
+# -- certified degree bound -------------------------------------------------------------
+
+def test_pencil_rank_bound_is_sound_and_sharp():
+    # M(t) pairs alpha, beta to v ^ alpha ^ beta; its kernel is v ^ V0, of
+    # dimension 4, so the generic rank is 6 and the certificate is sharp
+    r = pencil_rank_bound()
+    rng = random.Random(3)
+    t = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)]
+    assert rank(wedge.pluecker_gram_numeric(t)) == r == 6
+
+
+def test_local_pencil_matches_gram_at_rational_points():
+    rng = random.Random(8)
+    frame, _ = random_graph_lagrangian(rng, corank=1)
+    ch = Chart(frame, unit(1), standard_chart_basis()[1])
+    pencil = LocalPencil.of_chart(ch)
+    for pt in checks.off_grid_points(4) + checks.off_grid_points(5) + [[0, 1, 2, 0, 3]]:
+        s, m = pencil.at(pt)
+        assert all(isinstance(x, int) for row in m for x in row)
+        assert pencil.det(pt) == det_fraction_matrix(ch.gram_at(pt))
+
+
+def test_flipped_sign_raises_the_certified_bound(monkeypatch):
+    b5 = [[row[:] for row in b] for b in wedge._B5]
+    b5[2][0][9] = -b5[2][0][9]
+    assert b5[2][0][9] != 0
+    monkeypatch.setattr(wedge, "_B5", b5)
+    monkeypatch.setattr(local_model, "_RANK_BOUND", None)
+    monkeypatch.setattr(local_model, "_MOVING_GRAM", None)
+    assert pencil_rank_bound() > 6 or not checks.check_epw_degree_bound(seed=1, count=4).ok
+
+
+def test_off_grid_check_catches_a_low_degree_bound(monkeypatch):
+    rng = random.Random(1)
+    frame, _ = random_graph_lagrangian(rng)
+    ch = Chart(frame, unit(1), standard_chart_basis()[1])
+    points = checks.off_grid_points(1)
+    f = local_sextic(frame, ch).f
+    assert f.degree() == 6 and checks.sextic_matches_pencil(ch, f, points)
+    monkeypatch.setattr(local_model, "pencil_rank_bound", lambda: 5)
+    g = local_sextic(frame, ch).f
+    assert g != f
+    assert not checks.sextic_matches_pencil(ch, g, points)
 
 
 # -- Schur data ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Determinant strategies agree with each other and with cofactor expansion."""
 
 from fractions import Fraction
+from math import comb
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from epw.poly import MultiPoly, poly_from_text
 from epw.polymat import (
     PolyMatrix, det_poly_matrix, det_bareiss, det_cofactor, det_interpolate,
-    adjugate_poly_matrix,
+    adjugate_poly_matrix, interpolate_poly_map,
 )
 
 XY = ("x", "y")
@@ -112,3 +113,61 @@ def test_adjugate_product_identity():
             for i in range(n):
                 for j in range(n):
                     assert prod.entries[i][j] == (d if i == j else MultiPoly.zero(XY))
+
+
+# -- interpolation core ----------------------------------------------------------
+
+
+def rand_poly(rng, variables, degree):
+    terms = {}
+    for _ in range(10):
+        e = [0] * len(variables)
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(len(variables))] += 1
+        terms[tuple(e)] = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+    return MultiPoly(variables, terms)
+
+
+def counting_oracle(polys):
+    calls = []
+
+    def oracle(pt):
+        calls.append(pt)
+        return [p.evaluate(pt) for p in polys]
+
+    return oracle, calls
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_interpolation_reconstructs_random_maps(nvars):
+    rng = random.Random(100 + nvars)
+    variables = tuple("x%d" % i for i in range(nvars))
+    for degree in (1, 3, 6):
+        polys = [rand_poly(rng, variables, degree) for _ in range(3)]
+        oracle, calls = counting_oracle(polys)
+        assert interpolate_poly_map(oracle, variables, degree, 3) == polys
+        # one oracle call per grid point, and nothing else
+        assert len(calls) == len(set(calls)) == comb(degree + nvars, nvars)
+
+
+def test_interpolation_above_the_true_degree_is_exact():
+    rng = random.Random(7)
+    polys = [rand_poly(rng, XY, 2), MultiPoly.zero(XY)]
+    oracle, calls = counting_oracle(polys)
+    assert interpolate_poly_map(oracle, XY, 5, 2) == polys
+    assert len(calls) == comb(7, 2)
+
+
+def test_interpolation_degree_zero_and_no_variables():
+    oracle, calls = counting_oracle([MultiPoly.const(XY, Fraction(3, 4))])
+    assert interpolate_poly_map(oracle, XY, 0, 1) == [MultiPoly.const(XY, Fraction(3, 4))]
+    assert calls == [(0, 0)]
+    out = interpolate_poly_map(lambda pt: (Fraction(-2, 3), 5), (), 4, 2)
+    assert out == [MultiPoly.const((), Fraction(-2, 3)), MultiPoly.const((), 5)]
+
+
+def test_interpolation_rejects_bad_input():
+    with pytest.raises(ValueError):
+        interpolate_poly_map(lambda pt: (1,), XY, -1, 1)
+    with pytest.raises(ValueError):
+        interpolate_poly_map(lambda pt: (1, 2), XY, 2, 1)
