@@ -54,13 +54,17 @@ def _load(path, expected_kind):
 
 
 def _parse_point(text, length):
+    """A projective point: `length` rationals, not all zero."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != length:
         raise UsageError("expected %d comma-separated rationals, got %r" % (length, text))
     try:
-        return [frac(p) for p in parts]
+        point = [frac(p) for p in parts]
     except (ValueError, ZeroDivisionError):
         raise UsageError("bad rational in point %r" % text) from None
+    if all(x == 0 for x in point):
+        raise UsageError("point %r is the zero vector, not a projective point" % text)
+    return point
 
 
 def _resolve_lattice(args):
@@ -184,14 +188,7 @@ def cmd_double_cover(cfg):
 def cmd_sextic_sing(cfg):
     from .local_model import sextic_singularity
 
-    with open(cfg.args.poly) as fh:
-        text = fh.read()
-    try:
-        kind, f = jsonio.load_document(text)
-        if kind != "polynomial":
-            raise UsageError("%s: expected a polynomial document" % cfg.args.poly)
-    except (SchemaError, json.JSONDecodeError) as e:
-        raise UsageError("%s: %s" % (cfg.args.poly, e)) from None
+    f = _load(cfg.args.poly, "polynomial")
     point = _parse_point(cfg.args.point, 3)
     try:
         rep = sextic_singularity(f, point)

@@ -206,10 +206,6 @@ def psi(v) -> QuadInt:
     return QuadInt(y, x)
 
 
-def psi_inv(z: QuadInt):
-    return (z.x, z.y)
-
-
 def trace_pairing(v, w) -> int:
     """Pairing via -Tr(psi(v) conj(psi(w))); cross-checked against the Gram."""
     ns = NSRank2(4)

@@ -129,12 +129,19 @@ def hilb_class_from_json(obj):
     return HilbClass(a, obj.get("m", 0))
 
 
+def polynomial_from_json(obj):
+    try:
+        return poly_from_json(obj)
+    except (ValueError, KeyError, TypeError) as e:
+        raise SchemaError("polynomial: %s" % e) from None
+
+
 _LOADERS = {
     "lagrangian_frame": frame_from_json,
     "subspace3": subspace3_from_json,
     "vector": vec_from_json,
     "even_lattice": lattice_from_json,
-    "polynomial": poly_from_json,
+    "polynomial": polynomial_from_json,
     "hilb_class": hilb_class_from_json,
 }
 

@@ -94,9 +94,6 @@ class EvenLattice:
             raise KeyError("lattice has no named vector %r" % name)
         return list(self.named[name])
 
-    def is_unimodular(self):
-        return abs(self.det()) == 1
-
     def __repr__(self):
         return "EvenLattice(rank=%d, det=%d)" % (self.rank, self.det())
 
@@ -301,13 +298,6 @@ class DiscGroup:
                   for i in range(self.lattice.rank) for j in range(self.lattice.rank))
         return val % 2
 
-    def b_value(self, a, b):
-        """b(a, b) in Q/Z, canonical representative in [0, 1)."""
-        wa, wb = self.lift(a), self.lift(b)
-        val = sum(wa[i] * self.lattice.gram[i][j] * wb[j]
-                  for i in range(self.lattice.rank) for j in range(self.lattice.rank))
-        return val % 1
-
     def is_isotropic(self, el):
         return self.q_value(el) == 0
 
@@ -322,10 +312,6 @@ class DiscGroup:
 
 def disc_group(l: EvenLattice) -> DiscGroup:
     return DiscGroup(l)
-
-
-def same_mod_2z(a, b) -> bool:
-    return (Fraction(a) - Fraction(b)) % 2 == 0
 
 
 # ---------------------------------------------------------------------

@@ -36,10 +36,6 @@ def identity(n):
     return m
 
 
-def mat_copy(m):
-    return [row[:] for row in m]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
 
@@ -55,17 +51,8 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    s = frac(s)
-    return [[s * x for x in row] for row in a]
 
 
 def mat_eq(a, b):
@@ -213,22 +200,8 @@ def intersect_rowspaces(a, b):
     return row_basis(out) if out else []
 
 
-def intersection_dim(a, b):
-    """dim(rowspace(a) ∩ rowspace(b)) via rank(stack) = dim a + dim b - dim ∩."""
-    da, db = rank(a), rank(b)
-    return da + db - rank(stack(a, b))
-
-
 def in_rowspace(m, v):
     return rank(m) == rank(stack(m, [list(v)]))
-
-
-def gram_rank(g):
-    return rank(g)
-
-
-def gram_corank(g):
-    return len(g) - rank(g)
 
 
 def restrict_gram(g, basis_rows):

@@ -36,7 +36,7 @@ from .linalg import fvec, rank, stack
 from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
 from .polymat import PolyMatrix, det_poly_matrix, det_fraction_matrix, \
-    cofactor_matrix, interpolate_poly_map
+    interpolate_poly_map
 from .zlinalg import bareiss_solve, int_adjugate, int_det
 
 CHART_VARS = ("t1", "t2", "t3", "t4", "t5")
@@ -71,14 +71,6 @@ class Chart:
         """
         qv = wedge.pluecker_gram_numeric(tvals)
         return linalg.mat_sub(self.gram_form, qv)
-
-    def point_at(self, tvals):
-        """The vector v0 + sum t_a c_a of V represented by chart coordinates."""
-        tvals = fvec(tvals)
-        out = self.v0[:]
-        for a in range(5):
-            out = [x + tvals[a] * c for x, c in zip(out, self.basis[a])]
-        return out
 
     def kernel(self):
         """Canonical basis of ker q_A (bivector coordinates)."""
@@ -547,6 +539,15 @@ def double_cover_ideal(frame, chart: Chart, k_basis=None) -> DoubleCoverData:
     Generators: the k entries of M_hat * xi, then for i <= j the cleared
     fiber equations D^(k-1) * xi_i xi_j - cof(M_hat)_ij.  For k = 0 the
     cover is an unramified double sheet and the ideal is empty.
+
+    Only the k(k+1)/2 cofactors the fiber equations use are computed:
+    cof_ij = (-1)^(i+j) det(M_hat without row i and column j), which is
+    1 at k = 1, a signed entry at k = 2 and a 2x2 determinant at k = 3.
+    Each generator's terms are written directly in (t, xi): an M_hat_ij
+    term at exponent e goes to e + unit_j, a D^(k-1) term to
+    e + unit_i + unit_j and a cofactor term, negated, to e + 0.  The
+    supports are disjoint, so no polynomial is added, lifted or
+    re-validated.
     """
     sd = schur_complement(frame, chart, k_basis=k_basis)
     k = sd.k
@@ -556,28 +557,39 @@ def double_cover_ideal(frame, chart: Chart, k_basis=None) -> DoubleCoverData:
     if k > 3:
         raise ValueError("double cover model implemented for kernel dimension <= 3")
     evars = CHART_VARS + tuple("xi%d" % (i + 1) for i in range(k))
-    pad = (0,) * k
-
-    def lift(p):
-        # t1..t5 keep their exponents; the xi exponents are zero
-        return MultiPoly(evars, {e + pad: c for e, c in p.terms.items()})
-
-    mhat = [[lift(p) for p in row] for row in sd.m_hat.entries]
-    denom = lift(sd.denom)
-    cof = [[lift(p) for p in row] for row in cofactor_matrix(sd.m_hat).entries]
-    xi = [MultiPoly.var(evars, "xi%d" % (i + 1)) for i in range(k)]
-    gens = []
-    for i in range(k):
-        row = MultiPoly.zero(evars)
-        for j in range(k):
-            row = row + mhat[i][j] * xi[j]
-        gens.append(row)
-    dpow = MultiPoly.const(evars, 1)
+    m = sd.m_hat.entries
+    one = MultiPoly.const(CHART_VARS, 1)
+    dpow = one
     for _ in range(k - 1):
-        dpow = dpow * denom
+        dpow = dpow * sd.denom
+
+    def minus_cofactor(i, j):
+        if k == 1:
+            return -one
+        rows = [r for r in range(k) if r != i]
+        cols = [c for c in range(k) if c != j]
+        if k == 2:
+            c = m[rows[0]][cols[0]]
+        else:
+            c = det_poly_matrix(PolyMatrix([[m[r][c] for c in cols] for r in rows]))
+        return c if (i + j) % 2 else -c
+
+    def xi_exp(*idx):
+        x = [0] * k
+        for i in idx:
+            x[i] += 1
+        return tuple(x)
+
+    def generator(parts):
+        out = MultiPoly.__new__(MultiPoly)
+        out.vars = evars
+        out.terms = {e + x: c for p, x in parts for e, c in p.terms.items()}
+        return out
+
+    gens = [generator([(m[i][j], xi_exp(j)) for j in range(k)]) for i in range(k)]
     for i in range(k):
         for j in range(i, k):
-            gens.append(dpow * xi[i] * xi[j] - cof[i][j])
+            gens.append(generator([(dpow, xi_exp(i, j)), (minus_cofactor(i, j), xi_exp())]))
     return DoubleCoverData(k, evars, gens)
 
 

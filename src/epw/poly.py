@@ -5,9 +5,19 @@ terms maps exponent tuples to nonzero Fraction coefficients.  The
 canonical term order is graded lexicographic (higher total degree first,
 ties broken by the exponent tuple), so printed polynomials are byte
 stable.  No floats anywhere.
+
+Products of two polynomials run on one packed integer kernel (after
+Monagan-Pearce, CASC 2007).  Each operand's denominators are cleared once
+by their lcm, each exponent vector is packed into one int with a field
+of (deg f + deg g).bit_length() bits per variable -- no product exponent
+exceeds deg f + deg g, so fields never carry -- and the convolution adds
+int products under int keys.  The sums are unpacked by shift and mask,
+zero sums are dropped, and each coefficient is divided once by the
+product of the two lcms.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import frac
 
@@ -16,6 +26,13 @@ MAX_VARS = 8
 
 def _grlex_key(e):
     return (sum(e), e)
+
+
+def _packed(terms, shifts):
+    """(lcm L of the denominators, [(packed exponent, L * coefficient)])."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(sum(x << s for x, s in zip(e, shifts)), c.numerator * (den // c.denominator))
+                 for e, c in terms.items()]
 
 
 class MultiPoly:
@@ -149,18 +166,27 @@ class MultiPoly:
             out.terms = {e: c * v for e, v in self.terms.items()}
             return out
         self._check(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    t.pop(e, None)
-                else:
-                    t[e] = s
+        a, b = self.terms, other.terms
         out = MultiPoly.__new__(MultiPoly)
         out.vars = self.vars
-        out.terms = t
+        if not a or not b:
+            out.terms = {}
+            return out
+        # one field per variable, wide enough for any product exponent
+        width = (self.degree() + other.degree()).bit_length()
+        shifts = [width * i for i in range(len(self.vars))]
+        mask = (1 << width) - 1
+        da, pa = _packed(a, shifts)
+        db, pb = _packed(b, shifts)
+        acc = {}
+        get = acc.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        den = da * db
+        out.terms = {tuple((k >> s) & mask for s in shifts): Fraction(c, den)
+                     for k, c in acc.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -485,10 +511,6 @@ def _squarefree_homogeneous3(f: MultiPoly, active) -> MultiPoly:
     if zk > 0:
         out = out * MultiPoly.var(f.vars, z)
     return _normalize(out)
-
-
-def is_squarefree(f: MultiPoly) -> bool:
-    return squarefree_part(f).degree() == f.degree()
 
 
 # ---------------------------------------------------------------------

@@ -341,8 +341,3 @@ def adjugate_poly_matrix(m: PolyMatrix) -> PolyMatrix:
             d = det_poly_matrix(sub)
             out[i][j] = d if (i + j) % 2 == 0 else -d
     return PolyMatrix(out)
-
-
-def cofactor_matrix(m: PolyMatrix) -> PolyMatrix:
-    """Matrix of cofactors (transpose of the adjugate)."""
-    return adjugate_poly_matrix(m).transpose()

@@ -177,18 +177,6 @@ class PencilFamily:
             entries.append(row)
         return PolyMatrix(entries)
 
-    def form_at(self, tvals) -> QuadSpace:
-        tvals = fvec(tvals)
-        d = self.base.dim
-        g = [[Fraction(0)] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                v = Fraction(0)
-                for a, b in enumerate(self.coeffs):
-                    v += tvals[a] * b[i][j]
-                g[i][j] = v
-        return QuadSpace(g)
-
 
 def phi_expansion(fam: PencilFamily):
     """The graded pieces Phi_0..Phi_d of det(q_* + q(t)) in t."""

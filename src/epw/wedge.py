@@ -15,7 +15,7 @@ from itertools import combinations
 import random
 
 from . import linalg
-from .linalg import frac, fvec, rank, stack
+from .linalg import fvec, rank, stack
 
 DIM = 6
 TRIPLES = tuple(combinations(range(DIM), 3))          # 20 basis trivectors

@@ -166,11 +166,6 @@ def smith_normal_form(m):
     return a, u, v
 
 
-def invariant_factors(m):
-    d, _, _ = smith_normal_form(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
-
-
 def int_kernel(m):
     """Basis of the saturated kernel {x : m x = 0} of an integer matrix.
 

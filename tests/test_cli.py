@@ -71,6 +71,30 @@ def test_classify_root_bad_coefficient_usage_error():
         assert out.startswith("error: ")
 
 
+@pytest.mark.parametrize("verb", ["degeneracy", "local-sextic", "double-cover"])
+def test_zero_point_usage_error(frame_file, verb):
+    code, out = run([verb, "--frame", frame_file, "--point", "0,0,0,0,0,0"])
+    assert code == 2
+    assert out.startswith("error: ")
+
+
+def test_sextic_sing_missing_file_usage_error(tmp_path):
+    code, out = run(["sextic-sing", "--poly", str(tmp_path / "missing.json"),
+                     "--point", "0,0,1"])
+    assert code == 2
+    assert out.startswith("error: ")
+
+
+def test_sextic_sing_short_exponent_usage_error(tmp_path):
+    doc = poly_to_json(poly_from_text("x^6 - y^3*z^3", ("x", "y", "z")))
+    doc["terms"][0]["exponents"] = [6, 0]
+    path = tmp_path / "short.json"
+    path.write_text(jsonio.dumps(doc))
+    code, out = run(["sextic-sing", "--poly", str(path), "--point", "0,0,1"])
+    assert code == 2
+    assert out.startswith("error: ")
+
+
 def test_pell_bound_two():
     code, out = run(["pell", "--bound", "2"])
     assert code == 0

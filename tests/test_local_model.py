@@ -21,7 +21,7 @@ from epw.local_model import (
     schur_complement, schur_identity_check, double_cover_ideal,
     sextic_singularity, pencil_rank_bound, CHART_VARS,
 )
-from epw.polymat import det_fraction_matrix
+from epw.polymat import adjugate_poly_matrix, det_fraction_matrix, det_poly_matrix
 
 
 def unit(i):
@@ -350,6 +350,36 @@ def test_double_cover_k2_quadratic_rank_three():
     fiber_22 = dc.generators[4]   # D xi2^2 - cof(M_hat)_22 = D xi2^2 - M_hat_11
     q2 = homogeneous_part(fiber_22, 2)
     assert quadratic_form_rank(q2) == 3
+
+
+def test_double_cover_k3_streamed_cofactors(monkeypatch):
+    rng = random.Random(84)
+    frame, g = random_graph_lagrangian(rng, corank=3)
+    ch = Chart(frame, unit(1), standard_chart_basis()[1])
+    sides = []
+
+    def counting_det(m, *args, **kwargs):
+        sides.append((m.rows, m.cols))
+        return det_poly_matrix(m, *args, **kwargs)
+
+    monkeypatch.setattr(local_model, "det_poly_matrix", counting_det)
+    dc = double_cover_ideal(frame, ch)
+    # one 2x2 minor per cofactor the fibers use (i <= j), not all nine
+    assert sides == [(2, 2)] * 6
+    assert dc.k == 3
+    assert dc.vars == CHART_VARS + ("xi1", "xi2", "xi3")
+    assert len(dc.generators) == 3 + 6
+
+    # the full construction: D^2 xi_i xi_j - (adj M_hat)^t_ij, lifted to (t, xi)
+    sd = schur_complement(frame, ch)
+    lift = lambda p: MultiPoly(dc.vars, {e + (0, 0, 0): c for e, c in p.terms.items()})
+    xi = [MultiPoly.var(dc.vars, v) for v in ("xi1", "xi2", "xi3")]
+    m = [[lift(p) for p in row] for row in sd.m_hat.entries]
+    cof = adjugate_poly_matrix(sd.m_hat).transpose().entries
+    d2 = lift(sd.denom) * lift(sd.denom)
+    expected = [m[i][0] * xi[0] + m[i][1] * xi[1] + m[i][2] * xi[2] for i in range(3)]
+    expected += [d2 * xi[i] * xi[j] - lift(cof[i][j]) for i in range(3) for j in range(i, 3)]
+    assert dc.generators == expected
 
 
 def test_double_cover_scaling_invariance():
