@@ -309,7 +309,7 @@ def check_lattice_ledger(seed=5, root_samples=60):
     e3 = lam.vector("e3")
     e12 = [a + b for a, b in zip(e1, e2)]
     named = [e1, e2, e3, e12]
-    pairwise = all(not eichler_equivalent(v, w, lam)
+    pairwise = all(not eichler_equivalent(v, w, lam, d)
                    for i, v in enumerate(named) for w in named[i + 1:])
     tags = [classify_negative_root(v, lam, d) for v in named]
     ok = pairwise and tags == [S2_PRIME, S2_DPRIME, S2_STAR, S4]
@@ -356,18 +356,19 @@ def check_lattice_ledger(seed=5, root_samples=60):
     results.append(CheckResult("unique-even-overlattice", ok, detail))
 
     lt = lambda_tilde()
+    dt = disc_group(lt)
     stable_ok = True
     for name in ("v1", "v3"):
-        _, stable = reflection(lt.vector(name), lt)
+        _, stable = reflection(lt.vector(name), lt, dt)
         stable_ok = stable_ok and stable
     w = [0] * 23
     w[4] = w[5] = 1
-    _, stable = reflection(w, lt)
+    _, stable = reflection(w, lt, dt)
     stable_ok = stable_ok and stable
     results.append(CheckResult("square2-reflections-stable", stable_ok))
 
     autos = disc_autos_preserving_q(d)
-    m, stable = iota_swap(lam)
+    m, stable = iota_swap(lam, d)
     act = induced_disc_action(m, lam, d)
     nontrivial = any(act[k] != k for k in act)
     results.append(CheckResult("swap-involution-index-two",

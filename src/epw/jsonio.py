@@ -124,9 +124,16 @@ def hilb_class_from_json(obj):
     if not isinstance(obj, dict) or obj.get("kind") != "hilb_class":
         raise SchemaError("kind: expected 'hilb_class'")
     a = obj.get("a")
-    if not isinstance(a, list) or len(a) != 22:
+    if not isinstance(a, list) or len(a) != 22 or not all(map(_is_int, a)):
         raise SchemaError("a: expected 22 integer coordinates")
-    return HilbClass(a, obj.get("m", 0))
+    m = obj.get("m", 0)
+    if not _is_int(m):
+        raise SchemaError("m: expected an integer, got %r" % (m,))
+    return HilbClass(a, m)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def polynomial_from_json(obj):

@@ -8,13 +8,21 @@ tower of named lattices used by the Hilbert-square analysis.
 A lattice may carry named distinguished vectors (v1, e1, e2, e3, v3) and
 a constructive certificate that it contains two orthogonal hyperbolic
 planes (without which the Eichler criterion is refused).
+
+The lattice layer computes in integers only.  Gram matrices of
+complements and overlattices are integer products, coordinates in a
+sublattice basis come from one fraction-free solve per basis, and the
+discriminant group needs nothing beyond its Smith transform: from
+U G V = D it follows that G^-1 U^-1 = V D^-1, so the lift of the i-th
+generator (the solution of G x = U^-1 e_i) is the column V e_i / d_i.
+Fractions appear only where the public API returns them: `gen_lifts`,
+`lift`, `q_value` and `reflection_matrix`.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg, zlinalg
-from .linalg import fvec
 
 
 class ClassificationError(RuntimeError):
@@ -67,15 +75,14 @@ class EvenLattice:
     # -- basic form operations ------------------------------------------
 
     def pair(self, v, w):
-        return sum(int(v[i]) * self.gram[i][j] * int(w[j])
-                   for i in range(self.rank) for j in range(self.rank))
+        return _dot([int(x) for x in v], self.gram_vec(w))
 
     def square(self, v):
         return self.pair(v, v)
 
     def gram_vec(self, v):
-        return [sum(self.gram[i][j] * int(v[j]) for j in range(self.rank))
-                for i in range(self.rank)]
+        nz = [(j, int(x)) for j, x in enumerate(v) if x]
+        return [sum(row[j] * x for j, x in nz) for row in self.gram]
 
     def det(self):
         return zlinalg.int_det(self.gram)
@@ -141,6 +148,11 @@ def direct_sum(*lattices, named=None, u2_pairs=None):
     return EvenLattice(g, named=named, u2_pairs=u2_pairs)
 
 
+def _dot(a, b):
+    """Integer dot product, skipping the zero coordinates of a."""
+    return sum(x * y for x, y in zip(a, b) if x)
+
+
 def _unit(n, i):
     v = [0] * n
     v[i] = 1
@@ -186,30 +198,54 @@ def orth_complement(l: EvenLattice, v) -> EvenLattice:
     basis = zlinalg.int_kernel([gv])
     if len(basis) != l.rank - 1:
         raise ValueError("vector is isotropic-degenerate; no full complement")
-    gram = [[l.pair(a, b) for b in basis] for a in basis]
-    named = {}
-    for name, w in l.named.items():
-        if l.pair(w, v) == 0:
-            named[name] = _coords_in(basis, w)
-    pairs = []
-    for (a, b) in l.u2_pairs:
-        if l.pair(a, v) == 0 and l.pair(b, v) == 0:
-            pairs.append((_coords_in(basis, a), _coords_in(basis, b)))
-    return EvenLattice(gram, named=named, u2_pairs=pairs)
+    gram = _basis_gram(l, basis)
+    names = [name for name, w in l.named.items() if _dot(w, gv) == 0]
+    pairs = [(a, b) for (a, b) in l.u2_pairs if _dot(a, gv) == 0 and _dot(b, gv) == 0]
+    coords = _coords_in(basis, [l.named[name] for name in names]
+                        + [w for ab in pairs for w in ab])
+    named = dict(zip(names, coords))
+    rest = coords[len(names):]
+    return EvenLattice(gram, named=named,
+                       u2_pairs=list(zip(rest[0::2], rest[1::2])))
 
 
-def _coords_in(basis_rows, w):
-    sol = linalg.solve(linalg.transpose(linalg.fmat(basis_rows)), fvec(w))
-    if sol is None or any(x.denominator != 1 for x in sol):
-        raise ValueError("vector does not lie in the sublattice")
-    return [int(x) for x in sol]
+def _basis_gram(l: EvenLattice, rows):
+    """Gram matrix of the given integer vectors: one G b per row."""
+    gb = [l.gram_vec(b) for b in rows]
+    return [[_dot(a, g) for g in gb] for a in rows]
+
+
+def _coords_in(basis_rows, ws):
+    """Integer coordinates of every w in ws in the basis given by the rows.
+
+    One fraction-free solve of (B B^T) X = B W covers all of ws; a w
+    whose coordinates are not integral, or which lies outside the span
+    (B^T x != w), raises ValueError.
+    """
+    if not ws:
+        return []
+    bbt = [[_dot(a, b) for b in basis_rows] for a in basis_rows]
+    rhs = [[_dot(a, w) for w in ws] for a in basis_rows]
+    _, sol = zlinalg.bareiss_solve(bbt, rhs)
+    if sol is None:
+        raise ValueError("basis rows are linearly dependent")
+    out = []
+    for c, w in enumerate(ws):
+        x = [row[c] for row in sol]
+        if any(t.denominator != 1 for t in x):
+            raise ValueError("vector does not lie in the sublattice")
+        x = [int(t) for t in x]
+        if any(_dot(x, col) != y for col, y in zip(zip(*basis_rows), w)):
+            raise ValueError("vector is not in the span of the basis")
+        out.append(x)
+    return out
 
 
 def express_in_complement(l: EvenLattice, v, w):
     """Coordinates of w in the basis orth_complement(l, v) computes."""
     gv = l.gram_vec([int(x) for x in v])
     basis = zlinalg.int_kernel([gv])
-    return _coords_in(basis, w)
+    return _coords_in(basis, [[int(x) for x in w]])[0]
 
 
 # ---------------------------------------------------------------------
@@ -223,27 +259,22 @@ class DiscGroup:
     Elements are residue tuples over the invariant factors > 1.
     """
 
-    __slots__ = ("lattice", "invariants", "gen_lifts", "_umat", "_diag")
+    __slots__ = ("lattice", "invariants", "gen_lifts", "_urows", "_vcols")
 
     def __init__(self, lattice: EvenLattice):
-        g = lattice.gram
-        if zlinalg.int_det(g) == 0:
-            raise ValueError("degenerate Gram matrix")
-        d, u, v = zlinalg.smith_normal_form(g)
+        d, u, v = zlinalg.smith_normal_form(lattice.gram)
         n = lattice.rank
         diag = [d[i][i] for i in range(n)]
+        if 0 in diag:
+            raise ValueError("degenerate Gram matrix")
+        keep = [i for i in range(n) if diag[i] > 1]
         self.lattice = lattice
-        self._umat = u
-        self._diag = diag
-        self.invariants = [x for x in diag if x > 1]
-        uinv = linalg.inverse(linalg.fmat(u))
-        self.gen_lifts = []
-        for i, di in enumerate(diag):
-            if di <= 1:
-                continue
-            y = [uinv[r][i] for r in range(n)]
-            lift = linalg.solve(linalg.fmat(g), y)
-            self.gen_lifts.append(lift)
+        self.invariants = [diag[i] for i in keep]
+        self._urows = [u[i] for i in keep]
+        # G^-1 U^-1 = V D^-1: generator i lifts to the column V e_i / d_i
+        self._vcols = [[row[i] for row in v] for i in keep]
+        self.gen_lifts = [[Fraction(x, di) for x in col]
+                          for col, di in zip(self._vcols, self.invariants)]
 
     @property
     def order(self):
@@ -265,25 +296,32 @@ class DiscGroup:
 
     def class_of(self, w):
         """Class of a dual vector w (rational coordinates, G w integral)."""
-        w = fvec(w)
-        y = linalg.mat_vec(linalg.fmat(self.lattice.gram), w)
-        if any(x.denominator != 1 for x in y):
+        den = lcm(*(x.denominator for x in w))
+        return self._class_of_num([x.numerator * (den // x.denominator) for x in w], den)
+
+    def _class_of_num(self, num, den):
+        """Class of num/den, for an integer vector num."""
+        y = self.lattice.gram_vec(num)
+        if any(x % den for x in y):
             raise ValueError("vector is not in the dual lattice")
-        uy = linalg.mat_vec(linalg.fmat(self._umat), y)
-        res = []
-        for t in range(self.lattice.rank):
-            dt = self._diag[t]
-            if dt > 1:
-                res.append(int(uy[t]) % dt)
-        return tuple(res)
+        y = [x // den for x in y]
+        return tuple(_dot(row, y) % d for row, d in zip(self._urows, self.invariants))
+
+    def _lift_num(self, el):
+        """(num, den) in lowest terms with num/den the lift of el."""
+        den = self.invariants[-1] if self.invariants else 1
+        num = [0] * self.lattice.rank
+        for r, col, d in zip(el, self._vcols, self.invariants):
+            if r:
+                c = r * (den // d)
+                num = [x + c * y for x, y in zip(num, col)]
+        g = gcd(den, *num)
+        return [x // g for x in num], den // g
 
     def lift(self, el):
         """A rational lift of a residue tuple."""
-        w = [Fraction(0)] * self.lattice.rank
-        for r, g in zip(el, self.gen_lifts):
-            if r:
-                w = [x + r * y for x, y in zip(w, g)]
-        return w
+        num, den = self._lift_num(el)
+        return [Fraction(x, den) for x in num]
 
     def add(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariants))
@@ -293,20 +331,17 @@ class DiscGroup:
 
     def q_value(self, el):
         """q(el) in Q/2Z, canonical representative in [0, 2)."""
-        w = self.lift(el)
-        val = sum(w[i] * self.lattice.gram[i][j] * w[j]
-                  for i in range(self.lattice.rank) for j in range(self.lattice.rank))
-        return val % 2
+        num, den = self._lift_num(el)
+        return Fraction(self.lattice.square(num), den * den) % 2
 
     def is_isotropic(self, el):
         return self.q_value(el) == 0
 
     def element_order(self, el):
-        from math import lcm as _lcm
         o = 1
         for r, d in zip(el, self.invariants):
             if r:
-                o = _lcm(o, d // gcd(r, d))
+                o = lcm(o, d // gcd(r, d))
         return o
 
 
@@ -335,7 +370,7 @@ def divisibility_and_star(v, l: EvenLattice, disc: DiscGroup = None):
     for x in gv:
         d = gcd(d, x)
     disc = disc or DiscGroup(l)
-    star = disc.class_of([Fraction(x, d) for x in v])
+    star = disc._class_of_num(v, d)
     return d, star
 
 
@@ -361,10 +396,13 @@ def is_root(v, l: EvenLattice) -> bool:
     v = [int(x) for x in v]
     if not l.is_primitive(v):
         raise ValueError("root test needs a primitive vector")
-    if l.square(v) == 0:
+    vsq = l.square(v)
+    if vsq == 0:
         raise ValueError("isotropic vector")
-    m = reflection_matrix(v, l)
-    return all(x.denominator == 1 for row in m for x in row)
+    # reflection_matrix has the entries (vsq delta_ij - 2 (Gv)_i v_j) / vsq,
+    # and vsq delta_ij is always divisible by vsq
+    gv = l.gram_vec(v)
+    return all(2 * g * x % vsq == 0 for g in gv for x in v)
 
 
 def is_root_by_divisibility(v, l: EvenLattice) -> bool:
@@ -378,7 +416,7 @@ def is_root_by_divisibility(v, l: EvenLattice) -> bool:
     return all(x % d == 0 for x in l.gram_vec(v))
 
 
-def reflection(v0, l: EvenLattice):
+def reflection(v0, l: EvenLattice, disc: DiscGroup = None):
     """Reflection in a square-2 vector: (integer matrix, stable flag).
 
     Stable means the induced action on the discriminant group is trivial;
@@ -388,7 +426,7 @@ def reflection(v0, l: EvenLattice):
         raise ValueError("reflection defined for square-2 vectors")
     m = reflection_matrix(v0, l)
     mi = [[int(x) for x in row] for row in m]
-    disc = DiscGroup(l)
+    disc = disc or DiscGroup(l)
     stable = _acts_trivially_on_disc(mi, l, disc)
     return mi, stable
 
@@ -432,7 +470,7 @@ def is_isometry(m, l: EvenLattice) -> bool:
 # ---------------------------------------------------------------------
 
 
-def eichler_equivalent(v1, v2, l: EvenLattice) -> bool:
+def eichler_equivalent(v1, v2, l: EvenLattice, disc: DiscGroup = None) -> bool:
     """Stable-orbit test: equal squares and equal starred classes.
 
     Requires the lattice to carry a verified two-hyperbolic-plane
@@ -440,7 +478,7 @@ def eichler_equivalent(v1, v2, l: EvenLattice) -> bool:
     """
     if len(l.u2_pairs) < 2:
         raise ValueError("no U^2 certificate: Eichler criterion refused")
-    disc = DiscGroup(l)
+    disc = disc or DiscGroup(l)
     if l.square(v1) != l.square(v2):
         return False
     _, s1 = divisibility_and_star(v1, l, disc)
@@ -481,7 +519,7 @@ def classify_negative_root(v, lam: EvenLattice, disc: DiscGroup = None) -> str:
     )
 
 
-def iota_swap(lam: EvenLattice):
+def iota_swap(lam: EvenLattice, disc: DiscGroup = None):
     """The involution e1 <-> e2, identity on their orthogonal complement.
 
     Returns (integer matrix, stable flag); the flag is False, which
@@ -501,7 +539,7 @@ def iota_swap(lam: EvenLattice):
     mi = [[int(x) for x in row] for row in m]
     if not is_isometry(mi, lam):
         raise AssertionError("swap matrix is not an isometry")
-    disc = DiscGroup(lam)
+    disc = disc or DiscGroup(lam)
     stable = _acts_trivially_on_disc(mi, lam, disc)
     return mi, stable
 
@@ -551,53 +589,35 @@ def overlattices(l: EvenLattice):
     q(x) = 0 in Q/2Z; each is returned with its Gram matrix, the index,
     and the embedding of L.
     """
-    if zlinalg.int_det(l.gram) == 0:
-        raise ValueError("degenerate Gram matrix")
     disc = DiscGroup(l)
     out = []
     if disc.order == 1:
         return out
+    n = l.rank
     for el in disc.elements():
         if el == disc.zero() or disc.element_order(el) != 2:
             continue
         if not disc.is_isotropic(el):
             continue
-        w = disc.lift(el)
-        gens = [[Fraction(int(i == j)) for j in range(l.rank)] for i in range(l.rank)]
-        gens.append(w)
-        basis, den = zlinalg.lattice_basis_from_rational_gens(gens)
-        newb = [[Fraction(x, den) for x in row] for row in basis]
-        gram = [[_pair_rat(l, a, b) for b in newb] for a in newb]
-        if any(x.denominator != 1 for row in gram for x in row):
+        # the overlattice L + Z w, w = num/den, is (1/den) rowspan(basis)
+        num, den = disc._lift_num(el)
+        units = [_unit(n, i) for i in range(n)]
+        basis = zlinalg.hnf_row_basis([[den * x for x in e] for e in units] + [num])
+        gram = _basis_gram(l, basis)
+        den2 = den * den
+        if any(x % den2 for row in gram for x in row):
             raise AssertionError("overlattice Gram is not integral")
-        gi = [[int(x) for x in row] for row in gram]
-        named = {}
-        for name, vv in l.named.items():
-            named[name] = _coords_in_rat(newb, [Fraction(x) for x in vv])
-        pairs = []
-        for (a, b) in l.u2_pairs:
-            pairs.append((
-                _coords_in_rat(newb, [Fraction(x) for x in a]),
-                _coords_in_rat(newb, [Fraction(x) for x in b]),
-            ))
-        sub = [_coords_in_rat(newb, [Fraction(int(i == j)) for j in range(l.rank)])
-               for i in range(l.rank)]
+        gi = [[x // den2 for x in row] for row in gram]
+        ws = list(l.named.values()) + [w for ab in l.u2_pairs for w in ab] + units
+        coords = _coords_in(basis, [[den * x for x in w] for w in ws])
+        named = dict(zip(l.named, coords))
+        flat = coords[len(l.named):len(coords) - n]
+        pairs = list(zip(flat[0::2], flat[1::2]))
+        sub = coords[-n:]
         index = abs(zlinalg.int_det(sub))
         out.append(Overlattice(EvenLattice(gi, named=named, u2_pairs=pairs),
                                index, sub, el))
     return out
-
-
-def _pair_rat(l, a, b):
-    return sum(a[i] * l.gram[i][j] * b[j]
-               for i in range(l.rank) for j in range(l.rank))
-
-
-def _coords_in_rat(basis_rows, w):
-    sol = linalg.solve(linalg.transpose(basis_rows), w)
-    if sol is None or any(x.denominator != 1 for x in sol):
-        raise ValueError("vector does not lie in the overlattice")
-    return [int(x) for x in sol]
 
 
 def sublattice_index_and_discr(l_super: EvenLattice, sub_rows):
@@ -610,7 +630,7 @@ def sublattice_index_and_discr(l_super: EvenLattice, sub_rows):
     if len(basis) != l_super.rank:
         raise ValueError("sublattice is not of full rank")
     index = abs(zlinalg.int_det(basis))
-    sub_gram = [[l_super.pair(a, b) for b in basis] for a in basis]
+    sub_gram = _basis_gram(l_super, basis)
     lhs = zlinalg.int_det(sub_gram)
     rhs = index * index * l_super.det()
     if lhs != rhs:

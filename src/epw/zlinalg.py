@@ -226,19 +226,3 @@ def hnf_row_basis(gens):
                 out[k] = [x - q * y for x, y in zip(out[k], out[i])]
     return out
 
-
-def lattice_basis_from_rational_gens(gens):
-    """Basis of the lattice generated by rational row vectors.
-
-    Returns (basis_rows, denominator): basis_rows are integer rows and the
-    lattice is (1/denominator) * rowspan_Z(basis_rows).
-    """
-    from fractions import Fraction
-    from math import lcm
-
-    den = 1
-    for row in gens:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    scaled = [[int(Fraction(x) * den) for x in row] for row in gens]
-    return hnf_row_basis(scaled), den

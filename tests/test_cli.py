@@ -95,6 +95,23 @@ def test_sextic_sing_short_exponent_usage_error(tmp_path):
     assert out.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", "x"), ("m", 1.5), ("m", True), ("a", "0"), ("a", 0.0), ("a", False),
+])
+def test_sextic_sing_bad_hilb_class_usage_error(tmp_path, field, value):
+    doc = {"kind": "hilb_class", "a": [0] * 22, "m": 0}
+    if field == "m":
+        doc["m"] = value
+    else:
+        doc["a"][3] = value
+    path = tmp_path / "hilb.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["sextic-sing", "--poly", str(path), "--point", "1,0,0"])
+    assert code == 2
+    assert out.startswith("error: ")
+    assert "%s: expected" % field in out
+
+
 def test_pell_bound_two():
     code, out = run(["pell", "--bound", "2"])
     assert code == 0

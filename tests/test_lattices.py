@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from epw import linalg, zlinalg
 from epw.lattices import (
-    EvenLattice,
+    DiscGroup, EvenLattice, _coords_in, reflection_matrix,
     hyperbolic_plane, rank_one, e8_minus, direct_sum,
     lambda_tilde, lambda_lattice, gamma_tilde, gamma_lattice,
     phi_tilde, phi_lattice, orth_complement,
@@ -59,6 +60,15 @@ def test_disc_group_unimodular_trivial():
     assert d.order == 1
 
 
+@pytest.mark.parametrize("gram", [[[0, 0], [0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]])
+def test_degenerate_gram_rejected(gram):
+    l = EvenLattice(gram)
+    with pytest.raises(ValueError, match="degenerate"):
+        disc_group(l)
+    with pytest.raises(ValueError, match="degenerate"):
+        overlattices(l)
+
+
 def test_disc_group_lambda_tuttosudi():
     lam = lambda_lattice()
     assert lam.rank == 22
@@ -81,6 +91,99 @@ def test_disc_group_gamma_tilde():
     assert d.invariants == [2, 2]
     vals = sorted(d.q_value(e) for e in d.elements() if e != d.zero())
     assert vals == [0, Fraction(1, 2), Fraction(3, 2)]
+
+
+INTEGER_PATH_LATTICES = {
+    "lambda-tilde": lambda_tilde,
+    "lambda": lambda_lattice,
+    "gamma-tilde": gamma_tilde,
+    "gamma": gamma_lattice,
+    "phi": phi_lattice,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PATH_LATTICES))
+def test_gen_lifts_solve_gram_system(name):
+    """gen_lifts[i] = V e_i / d_i is the solution of G x = U^-1 e_i."""
+    l = INTEGER_PATH_LATTICES[name]()
+    d = disc_group(l)
+    diag, u, _ = zlinalg.smith_normal_form(l.gram)
+    uinv = linalg.inverse(linalg.fmat(u))
+    expected = [linalg.solve(linalg.fmat(l.gram), [row[i] for row in uinv])
+                for i in range(l.rank) if diag[i][i] > 1]
+    assert d.gen_lifts == expected
+    assert len(expected) == len(d.invariants) > 0
+
+
+def _class_of_reference(l, w):
+    """class_of by Fraction products: the residues of U G w."""
+    y = linalg.mat_vec(linalg.fmat(l.gram), linalg.fvec(w))
+    if any(x.denominator != 1 for x in y):
+        raise ValueError("vector is not in the dual lattice")
+    diag, u, _ = zlinalg.smith_normal_form(l.gram)
+    uy = linalg.mat_vec(linalg.fmat(u), y)
+    return tuple(int(uy[t]) % diag[t][t] for t in range(l.rank) if diag[t][t] > 1)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PATH_LATTICES))
+def test_class_of_matches_fraction_reference(name):
+    l = INTEGER_PATH_LATTICES[name]()
+    d = disc_group(l)
+    rng = random.Random(name)
+    for el in d.elements():
+        w = d.lift(el)
+        assert d.class_of(w) == _class_of_reference(l, w) == el
+        shifted = [x + rng.randint(-3, 3) for x in w]
+        assert d.class_of(shifted) == _class_of_reference(l, shifted) == el
+    outside = [Fraction(1, 3)] + [0] * (l.rank - 1)
+    with pytest.raises(ValueError):
+        _class_of_reference(l, outside)
+    with pytest.raises(ValueError, match="dual lattice"):
+        d.class_of(outside)
+
+
+def test_is_root_matches_reflection_integrality():
+    rng = random.Random(17)
+    lam = lambda_lattice()
+    v3 = lam.vector("v3")
+    sample = [[a + b for a, b in zip(lam.vector("e1"), lam.vector("e2"))]]
+    for _ in range(4000):
+        v = [0] * 22
+        for _ in range(rng.randint(1, 4)):
+            v[rng.randrange(22)] = rng.randint(-2, 2)
+        if rng.random() < 0.5:   # shift by v3 so positive squares occur too
+            v = [a + b for a, b in zip(v, v3)]
+        if any(v) and lam.is_primitive(v) and lam.square(v) in (-6, -4, -2, 2, 4, 6):
+            sample.append(v)
+    seen = {}
+    for v in sample:
+        key = (lam.square(v), is_root(v, lam))
+        if seen.get(key, 0) == 25:
+            continue
+        seen[key] = seen.get(key, 0) + 1
+        integral = all(x.denominator == 1 for row in reflection_matrix(v, lam) for x in row)
+        assert key[1] == integral
+    # square +-2 vectors are always roots; +-4 and +-6 occur as non-roots
+    assert set(seen) >= {(-2, True), (2, True), (-4, True), (-4, False), (4, False),
+                         (-6, False), (6, False)}
+    assert not any(ok for (sq, ok) in seen if abs(sq) == 6)
+
+
+def test_coords_in_solves_many_right_sides():
+    basis = [[2, 0, 1], [0, 1, -1]]
+    ws = [[2, 0, 1], [4, -3, 5], [0, 0, 0]]
+    assert _coords_in(basis, ws) == [[1, 0], [2, -3], [0, 0]]
+
+
+def test_coords_in_rejects_non_integral_coordinates():
+    with pytest.raises(ValueError, match="sublattice"):
+        _coords_in([[2, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0]])
+
+
+def test_coords_in_rejects_vector_outside_span():
+    # the normal equations give x = (0, 0), integral, but B^T x != w
+    with pytest.raises(ValueError, match="span"):
+        _coords_in([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]])
 
 
 def test_disc_order_equals_det():
@@ -190,6 +293,23 @@ def test_iota_swaps_and_is_not_stable():
     assert img1 == e2
     sq = [[sum(m[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
     assert sq == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_passed_disc_group_is_not_rebuilt(monkeypatch):
+    lam = lambda_lattice()
+    lt = lambda_tilde()
+    d, dt = disc_group(lam), disc_group(lt)
+    expected = (iota_swap(lam), reflection(lt.vector("v1"), lt),
+                eichler_equivalent(lam.vector("e1"), lam.vector("e2"), lam),
+                classify_negative_root(lam.vector("e1"), lam))
+
+    def refuse(self, lattice):
+        raise AssertionError("DiscGroup rebuilt")
+
+    monkeypatch.setattr(DiscGroup, "__init__", refuse)
+    assert (iota_swap(lam, d), reflection(lt.vector("v1"), lt, dt),
+            eichler_equivalent(lam.vector("e1"), lam.vector("e2"), lam, d),
+            classify_negative_root(lam.vector("e1"), lam, d)) == expected
 
 
 def test_disc_auto_group_has_order_two():
@@ -320,6 +440,24 @@ def test_gamma_tilde_unique_overlattice_is_k3():
     assert abs(k3.det()) == 1
     assert k3.signature() == (3, 19)
     assert all(k3.gram[i][i] % 2 == 0 for i in range(22))
+
+
+def test_overlattice_wrong_denominator_fails_integrality(monkeypatch):
+    """Lifting the isotropic class with twice its denominator gives a
+    non-integral Gram, which overlattices must refuse."""
+    gt = gamma_tilde()
+    d = disc_group(gt)
+    isotropic = {el for el in d.elements() if d.is_isotropic(el)}
+    true_lift = DiscGroup._lift_num
+
+    def wrong_den(self, el):
+        num, den = true_lift(self, el)
+        return num, 2 * den
+
+    monkeypatch.setattr(DiscGroup, "is_isotropic", lambda self, el: el in isotropic)
+    monkeypatch.setattr(DiscGroup, "_lift_num", wrong_den)
+    with pytest.raises(AssertionError, match="not integral"):
+        overlattices(gt)
 
 
 def test_unimodular_has_no_overlattices():
