@@ -232,6 +232,8 @@ def cmd_strata(cfg):
 
 def cmd_varquad_check(cfg):
     cases = cfg.args.count
+    if cases < 1:
+        raise UsageError("--count must be positive")
     results = [
         checks.check_corank_duality(cfg.seed, cases=cases),
         checks.check_degenerate_cone(cfg.seed + 1, cases=cases),

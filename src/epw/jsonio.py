@@ -98,18 +98,29 @@ def lattice_from_json(obj) -> lattices.EvenLattice:
     if not isinstance(gram, list):
         raise SchemaError("gram: expected a matrix")
     rank = obj.get("rank")
-    if rank != len(gram):
+    if not _is_int(rank) or rank != len(gram):
         raise SchemaError("rank: does not match the Gram matrix size")
     for i, row in enumerate(gram):
-        if len(row) != len(gram):
-            raise SchemaError("gram[%d]: expected %d entries" % (i, len(gram)))
-        for j, x in enumerate(row):
-            if not isinstance(x, int):
-                raise SchemaError("gram[%d][%d]: expected an integer" % (i, j))
+        _int_vector(row, rank, "gram[%d]" % i)
+    named = obj.get("named")
+    if named is None:
+        named = {}
+    if not isinstance(named, dict):
+        raise SchemaError("named: expected an object of integer vectors")
+    for k, v in named.items():
+        _int_vector(v, rank, "named[%r]" % k)
+    pairs = obj.get("u2_pairs")
+    if pairs is None:
+        pairs = []
+    if not isinstance(pairs, list):
+        raise SchemaError("u2_pairs: expected a list of pairs")
+    for i, pair in enumerate(pairs):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError("u2_pairs[%d]: expected a pair of vectors" % i)
+        for j, v in enumerate(pair):
+            _int_vector(v, rank, "u2_pairs[%d][%d]" % (i, j))
     try:
-        return lattices.EvenLattice(
-            gram, named=obj.get("named"), u2_pairs=obj.get("u2_pairs"),
-        )
+        return lattices.EvenLattice(gram, named=named, u2_pairs=pairs)
     except ValueError as e:
         raise SchemaError("gram: %s" % e) from None
 
@@ -134,6 +145,14 @@ def hilb_class_from_json(obj):
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_vector(v, length, where):
+    if not isinstance(v, list) or len(v) != length:
+        raise SchemaError("%s: expected %d entries" % (where, length))
+    for j, x in enumerate(v):
+        if not _is_int(x):
+            raise SchemaError("%s[%d]: expected an integer, got %r" % (where, j, x))
 
 
 def polynomial_from_json(obj):

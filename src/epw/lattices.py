@@ -296,8 +296,8 @@ class DiscGroup:
 
     def class_of(self, w):
         """Class of a dual vector w (rational coordinates, G w integral)."""
-        den = lcm(*(x.denominator for x in w))
-        return self._class_of_num([x.numerator * (den // x.denominator) for x in w], den)
+        den, num = linalg.scaled_ints(w)
+        return self._class_of_num(num, den)
 
     def _class_of_num(self, num, den):
         """Class of num/den, for an integer vector num."""

@@ -6,6 +6,7 @@ so values can be shared freely between threads or worker pools.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -15,6 +16,19 @@ def frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact computations: %r" % (x,))
     return Fraction(x)
+
+
+def scaled_int_rows(rows):
+    """(L, [[L * x for x in row] for row in rows]) for rows of Fractions or
+    ints, with L the lcm of all their denominators (1 if there are none)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+def scaled_ints(xs):
+    """(L, [L * x for x in xs]): scaled_int_rows for a single row."""
+    den, (ints,) = scaled_int_rows((xs,))
+    return den, ints
 
 
 def fvec(xs):
@@ -66,32 +80,48 @@ def is_symmetric(m):
     )
 
 
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def rref(m):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = [row[:] for row in m]
-    rows = len(r)
-    cols = len(r[0]) if rows else 0
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Fraction-free Gauss-Jordan: each row is scaled to
+    integers once, a row update is pivot * row - entry * pivot_row and
+    is divided by its gcd, and R is read off with one Fraction(x, pivot)
+    per entry at the end.  Rows only change by nonzero factors, so the
+    pivots, and R, are those of Fraction Gauss-Jordan.
+    """
+    a = [_primitive(scaled_ints(row)[1]) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
     pivots = []
     lead = 0
     for col in range(cols):
         piv = None
         for i in range(lead, rows):
-            if r[i][col] != 0:
+            if a[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
-        r[lead], r[piv] = r[piv], r[lead]
-        inv = Fraction(1) / r[lead][col]
-        r[lead] = [x * inv for x in r[lead]]
+        a[lead], a[piv] = a[piv], a[lead]
+        p = a[lead]
+        pc = p[col]
         for i in range(rows):
-            if i != lead and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
+            f = a[i][col]
+            if f and i != lead:
+                a[i] = _primitive([pc * x - f * y for x, y in zip(a[i], p)])
         pivots.append(col)
         lead += 1
         if lead == rows:
             break
+    zero = Fraction(0)
+    r = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(a, pivots)]
+    r.extend([zero] * cols for _ in range(rows - lead))
     return r, pivots
 
 

@@ -28,11 +28,10 @@ by M_hat * xi and D^(k-1) * xi xi^t - cof(M_hat).
 """
 
 from fractions import Fraction
-from math import lcm
 import random
 
 from . import linalg, wedge
-from .linalg import fvec, rank, stack
+from .linalg import fvec, rank, scaled_int_rows, scaled_ints, stack
 from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
 from .polymat import PolyMatrix, det_poly_matrix, det_fraction_matrix, \
@@ -160,8 +159,7 @@ class LocalPencil:
     __slots__ = ("den", "base", "moves")
 
     def __init__(self, gram, moves):
-        self.den = lcm(*(x.denominator for row in gram for x in row))
-        self.base = [[int(x * self.den) for x in row] for row in gram]
+        self.den, self.base = scaled_int_rows(gram)
         self.moves = [[(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
                       for m in moves]
 
@@ -171,15 +169,14 @@ class LocalPencil:
         return cls(chart.gram_form, moving_int_matrices())
 
     def at(self, pt):
-        q = lcm(*(t.denominator for t in pt))
-        s = self.den * q
+        q, qt = scaled_ints(pt)
         m = [[x * q for x in row] for row in self.base]
-        for t, move in zip(pt, self.moves):
+        for t, move in zip(qt, self.moves):
             if t:
-                ts = int(t * s)
+                ts = t * self.den
                 for i, j, c in move:
                     m[i][j] += ts * c
-        return s, m
+        return self.den * q, m
 
     def det(self, pt):
         """Exact determinant of the pencil at a rational point."""
@@ -421,8 +418,7 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
         row[i] = Fraction(1)
         adapted.append(row)
     for krow in kern:
-        kden = lcm(*(x.denominator for x in krow))
-        adapted.append([x * kden for x in krow])
+        adapted.append([Fraction(x) for x in scaled_ints(krow)[1]])
     c = adapted
     gp = linalg.mat_mul(linalg.mat_mul(c, g), linalg.transpose(c))
     jdim = 10 - k

@@ -17,9 +17,8 @@ product of the two lcms.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from .linalg import frac
+from .linalg import frac, scaled_ints
 
 MAX_VARS = 8
 
@@ -30,9 +29,8 @@ def _grlex_key(e):
 
 def _packed(terms, shifts):
     """(lcm L of the denominators, [(packed exponent, L * coefficient)])."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(sum(x << s for x, s in zip(e, shifts)), c.numerator * (den // c.denominator))
-                 for e, c in terms.items()]
+    den, ints = scaled_ints(terms.values())
+    return den, [(sum(x << s for x, s in zip(e, shifts)), c) for e, c in zip(terms, ints)]
 
 
 class MultiPoly:

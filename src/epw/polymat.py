@@ -3,11 +3,16 @@
 Three determinant routes, all returning identical results:
 
 * cofactor expansion (reference oracle, small sides only);
-* fraction-free Bareiss elimination over the polynomial ring (default);
-* evaluation/interpolation: evaluate the matrix at rational points,
-  take fast integer determinants, and rebuild the polynomial on a
-  triangular interpolation grid (used for large sides, e.g. the 10x10
-  variable Gram determinants in five chart variables).
+* fraction-free Bareiss elimination over the polynomial ring;
+* evaluation/interpolation: clear every coefficient denominator of the
+  matrix by one lcm L, evaluate the integer entries at the integer grid
+  points, take integer determinants (zlinalg.int_det), rebuild the
+  polynomial on a triangular interpolation grid and divide it once by
+  L^side.
+
+det_poly_matrix("auto") uses Bareiss for sides <= 2 and interpolation
+for every larger side (the pencils of varquad, sides 3-10 in up to five
+variables).
 
 The interpolation core (interpolate_poly_map) works for any
 vector-valued polynomial map and is reused to reconstruct Schur
@@ -19,10 +24,11 @@ numbers of the first kind, and divides once per coefficient at the end.
 """
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
-from .linalg import frac
+from .linalg import frac, scaled_int_rows, scaled_ints
 from .poly import MultiPoly
+from .zlinalg import int_det
 
 # ---------------------------------------------------------------------
 # Numeric determinants (Fraction entries)
@@ -34,13 +40,7 @@ def det_fraction_matrix(m):
     n = len(m)
     if n == 0:
         return Fraction(1)
-    den = 1
-    for row in m:
-        for x in row:
-            den = lcm(den, x.denominator)
-    a = [[int(x * den) for x in row] for row in m]
-    from .zlinalg import int_det
-
+    den, a = scaled_int_rows(m)
     return Fraction(int_det(a), den ** n)
 
 
@@ -75,9 +75,6 @@ class PolyMatrix:
 
     def entry(self, i, j):
         return self.entries[i][j]
-
-    def evaluate(self, point):
-        return [[p.evaluate(point) for p in row] for row in self.entries]
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -254,8 +251,7 @@ def interpolate_poly_map(oracle, variables, degree, width):
             raise ValueError("oracle returned wrong width")
         for col, v in zip(columns, val):
             col.append(v)
-    den = lcm(*(v.denominator for col in columns for v in col))
-    tables = [[v.numerator * (den // v.denominator) for v in col] for col in columns]
+    den, tables = scaled_int_rows(columns)
 
     index = {a: p for p, a in enumerate(grid)}
     lines = [line for i in range(len(variables)) for line in _grid_lines(grid, index, i)]
@@ -280,30 +276,64 @@ def interpolate_poly_map(oracle, variables, degree, width):
             for tab in tables]
 
 
+def _int_evaluator(m: PolyMatrix):
+    """(L, ev) for a polynomial matrix m: L is the lcm of the denominators
+    of all its coefficients, and ev(pt) the integer matrix L * m at the
+    integer point pt."""
+    top = [max((e[i] for row in m.entries for p in row for e in p.terms), default=0)
+           for i in range(len(m.vars))]
+    den, flat = scaled_ints([c for row in m.entries for p in row for c in p.terms.values()])
+    coeffs = iter(flat)
+    # each entry as [(L * coefficient, ((variable index, exponent), ...))]
+    entries = [[[(next(coeffs), tuple((i, k) for i, k in enumerate(e) if k))
+                 for e in p.terms] for p in row] for row in m.entries]
+
+    def ev(pt):
+        pows = [[x ** k for k in range(d + 1)] for x, d in zip(pt, top)]
+        out = []
+        for row in entries:
+            vals = []
+            for terms in row:
+                s = 0
+                for c, mono in terms:
+                    for i, k in mono:
+                        c *= pows[i][k]
+                    s += c
+                vals.append(s)
+            out.append(vals)
+        return out
+
+    return den, ev
+
+
 def det_interpolate(m: PolyMatrix, degree=None) -> MultiPoly:
-    """Determinant by evaluation at grid points plus interpolation."""
+    """Determinant by integer evaluation at grid points plus interpolation.
+
+    The coefficients are scaled to integers by one lcm L; each grid point
+    costs one integer evaluation of the entries and one int_det, and the
+    interpolated determinant of L * m is divided once by L^side.  degree
+    defaults to m.degree_bound(), a bound on the total degree of the
+    determinant.
+    """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     if degree is None:
         degree = m.degree_bound()
     if degree < 0:
         return MultiPoly.zero(m.vars)
+    den, ev = _int_evaluator(m)
+    scale = Fraction(1, den ** m.rows)
     if not m.vars or degree == 0:
-        point = [Fraction(0)] * len(m.vars)
-        return MultiPoly.const(m.vars, det_fraction_matrix(m.evaluate(point)))
-
-    def oracle(pt):
-        return (det_fraction_matrix(m.evaluate(list(pt))),)
-
-    return interpolate_poly_map(oracle, m.vars, degree, 1)[0]
+        return MultiPoly.const(m.vars, int_det(ev((0,) * len(m.vars))) * scale)
+    return interpolate_poly_map(lambda pt: (int_det(ev(pt)),), m.vars, degree, 1)[0] * scale
 
 
 def det_poly_matrix(m: PolyMatrix, strategy="auto") -> MultiPoly:
     """Exact determinant; result is identical to cofactor expansion.
 
     strategy: "auto" | "bareiss" | "interpolate" | "cofactor".  Auto uses
-    Bareiss for small instances and switches to interpolation when the
-    symbolic elimination would swell (large side with several variables).
+    Bareiss over Q[t] for sides <= 2 and det_interpolate (integer
+    evaluation, one int_det per grid point) for every larger side.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
@@ -317,8 +347,7 @@ def det_poly_matrix(m: PolyMatrix, strategy="auto") -> MultiPoly:
         return det_interpolate(m)
     if strategy != "auto":
         raise ValueError("unknown strategy %r" % (strategy,))
-    nv = sum(1 for v in m.vars if any(p.degree_in(v) > 0 for row in m.entries for p in row))
-    if m.rows <= 5 or nv <= 1:
+    if m.rows <= 2:
         return det_bareiss(m)
     return det_interpolate(m)
 

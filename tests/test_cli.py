@@ -112,6 +112,28 @@ def test_sextic_sing_bad_hilb_class_usage_error(tmp_path, field, value):
     assert "%s: expected" % field in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_varquad_check_nonpositive_count_usage_error(count):
+    code, out = run(["varquad-check", "--count", count])
+    assert code == 2
+    assert out.startswith("error: ")
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("extra", [
+    {"u2_pairs": 5},
+    {"named": {"e": [1, True]}},
+    {"gram": [[0, 1], [True, 0]]},
+])
+def test_disc_group_malformed_lattice_json_usage_error(tmp_path, extra):
+    doc = dict({"kind": "even_lattice", "rank": 2, "gram": [[0, 1], [1, 0]]}, **extra)
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["disc-group", "--lattice-json", str(path)])
+    assert code == 2
+    assert out.startswith("error: ")
+
+
 def test_pell_bound_two():
     code, out = run(["pell", "--bound", "2"])
     assert code == 0

@@ -92,3 +92,28 @@ def test_serialization_is_byte_stable():
     t1 = dump_value("even_lattice", lam)
     t2 = dump_value("even_lattice", gamma_tilde())
     assert t1 == t2
+
+
+U = {"kind": "even_lattice", "rank": 2, "gram": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("u2_pairs", 5),
+    ("u2_pairs", [[[1, 0]]]),
+    ("u2_pairs", [[[1, 0], [0]]]),
+    ("u2_pairs", [[[1, 0], "01"]]),
+    ("u2_pairs", [[[1, 0], [0, True]]]),
+    ("named", [[1, 0]]),
+    ("named", {"e": [1]}),
+    ("named", {"e": [1, "0"]}),
+    ("named", {"e": [False, 1]}),
+    ("gram", [[0, 1], 5]),
+    ("gram", [[0, 1], [True, 0]]),
+    ("gram", [[0, 1], [1, 0.0]]),
+    ("rank", True),
+])
+def test_malformed_lattice_rejected(field, value):
+    bad = dict(U, **{field: value})
+    with pytest.raises(SchemaError) as err:
+        load_document(json.dumps(bad))
+    assert field in str(err.value)

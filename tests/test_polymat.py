@@ -171,3 +171,84 @@ def test_interpolation_rejects_bad_input():
         interpolate_poly_map(lambda pt: (1,), XY, -1, 1)
     with pytest.raises(ValueError):
         interpolate_poly_map(lambda pt: (1, 2), XY, 2, 1)
+
+
+# -- the integer route of det_interpolate ------------------------------------------
+
+XYZ = ("x", "y", "z")
+
+
+def rand_rational_entry(rng, variables, deg, used):
+    """A polynomial of degree <= deg in the variables at indices `used`, with
+    coefficients of denominators up to 10^6; about one entry in five is 0."""
+    if rng.random() < 0.2:
+        return MultiPoly.zero(variables)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = [0] * len(variables)
+        for _ in range(rng.randint(0, deg)):
+            e[rng.choice(used)] += 1
+        terms[tuple(e)] = Fraction(rng.randint(-50, 50), rng.randint(1, 10 ** 6))
+    return MultiPoly(variables, terms)
+
+
+@pytest.mark.parametrize("n,deg,used", [
+    (3, 1, (0, 1, 2)),
+    (3, 2, (0, 2)),      # y never occurs
+    (4, 1, (1,)),        # one variable
+    (3, 3, (0,)),
+    (4, 2, (0, 1)),
+    (5, 1, (0, 1, 2)),
+])
+def test_integer_interpolation_matches_cofactor_on_rational_matrices(n, deg, used):
+    rng = random.Random(1000 * n + 10 * deg + len(used))
+    for trial in range(6):
+        entries = [[rand_rational_entry(rng, XYZ, deg, used) for _ in range(n)]
+                   for _ in range(n)]
+        if trial == 5:
+            entries[rng.randrange(n)] = [MultiPoly.zero(XYZ)] * n
+        m = PolyMatrix(entries)
+        expected = det_cofactor(m)
+        assert det_interpolate(m) == expected
+        assert det_poly_matrix(m, "auto") == expected
+        assert all(e[i] == 0 for e in expected.terms for i in range(3) if i not in used)
+
+
+def test_integer_interpolation_constant_and_scaled_matrices():
+    half = Fraction(1, 2)
+    m = const_mat([[half, 0, Fraction(1, 3)], [0, Fraction(2, 7), 0], [1, 0, 5]])
+    assert det_interpolate(m) == det_cofactor(m) == MultiPoly.const(XY, Fraction(13, 21))
+    x = MultiPoly.var(XY, "x")
+    # L = 6, side 3: the determinant x^3/216 is off by a factor 6 if
+    # the result were divided by L^2 instead of L^3
+    d = det_interpolate(PolyMatrix([[x * Fraction(1, 6), MultiPoly.zero(XY), MultiPoly.zero(XY)],
+                                    [MultiPoly.zero(XY), x * Fraction(1, 6), MultiPoly.zero(XY)],
+                                    [MultiPoly.zero(XY), MultiPoly.zero(XY), x * Fraction(1, 6)]]))
+    assert d == x ** 3 * Fraction(1, 216)
+    # an explicit degree 0 keeps only the constant terms
+    assert det_interpolate(PolyMatrix([[x + half]]), degree=0) == MultiPoly.const(XY, half)
+
+
+def test_auto_uses_bareiss_only_for_sides_up_to_two(monkeypatch):
+    from epw import polymat
+
+    calls = []
+
+    def spy(name):
+        real = getattr(polymat, name)
+
+        def wrapped(m):
+            calls.append(name)
+            return real(m)
+
+        return wrapped
+
+    for name in ("det_bareiss", "det_interpolate"):
+        monkeypatch.setattr(polymat, name, spy(name))
+    rng = random.Random(3)
+    x = MultiPoly.var(XY, "x")
+    det_poly_matrix(rand_matrix(rng, 2))
+    det_poly_matrix(const_mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+    det_poly_matrix(PolyMatrix([[x, x, x], [x, x * x, x], [x, x, x + 1]]))
+    det_poly_matrix(rand_matrix(rng, 6))
+    assert calls == ["det_bareiss", "det_interpolate", "det_interpolate", "det_interpolate"]
