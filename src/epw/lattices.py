@@ -218,23 +218,24 @@ def _basis_gram(l: EvenLattice, rows):
 def _coords_in(basis_rows, ws):
     """Integer coordinates of every w in ws in the basis given by the rows.
 
-    One fraction-free solve of (B B^T) X = B W covers all of ws; a w
-    whose coordinates are not integral, or which lies outside the span
-    (B^T x != w), raises ValueError.
+    One fraction-free solve of (B B^T) X = B W covers all of ws and gives
+    det * X in integers; each x is one exact division by det.  A w whose
+    coordinates are not integral (det does not divide det * x), or which
+    lies outside the span (B^T x != w), raises ValueError.
     """
     if not ws:
         return []
     bbt = [[_dot(a, b) for b in basis_rows] for a in basis_rows]
     rhs = [[_dot(a, w) for w in ws] for a in basis_rows]
-    _, sol = zlinalg.bareiss_solve(bbt, rhs)
+    det, sol = zlinalg.bareiss_solve(bbt, rhs)
     if sol is None:
         raise ValueError("basis rows are linearly dependent")
     out = []
     for c, w in enumerate(ws):
         x = [row[c] for row in sol]
-        if any(t.denominator != 1 for t in x):
+        if any(t % det for t in x):
             raise ValueError("vector does not lie in the sublattice")
-        x = [int(t) for t in x]
+        x = [t // det for t in x]
         if any(_dot(x, col) != y for col, y in zip(zip(*basis_rows), w)):
             raise ValueError("vector is not in the span of the basis")
         out.append(x)

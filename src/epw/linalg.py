@@ -8,6 +8,8 @@ so values can be shared freely between threads or worker pools.
 from fractions import Fraction
 from math import gcd, lcm
 
+from .zlinalg import bareiss_solve, int_det
+
 
 def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4' and Fractions to Fraction."""
@@ -168,38 +170,21 @@ def solve(a, b):
 
 
 def inverse(m):
-    n = len(m)
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    """Exact inverse: one fraction-free solve of the integer-scaled matrix
+    L m against L * identity, divided once by its determinant."""
+    den, a = scaled_int_rows(m)
+    n = len(a)
+    d, y = bareiss_solve(a, [[den if i == j else 0 for j in range(n)] for i in range(n)])
+    if y is None:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    return [[Fraction(x, d) for x in row] for row in y]
 
 
 def det(m):
-    """Determinant by fraction-free style elimination over Fraction."""
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    res = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        res *= a[k][k]
-        inv = Fraction(1) / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return sign * res
+    """Exact determinant: rows scaled to integers by one lcm L, then
+    int_det(L m) / L^n."""
+    den, a = scaled_int_rows(m)
+    return Fraction(int_det(a), den ** len(a))
 
 
 def stack(*mats):
@@ -243,11 +228,10 @@ def restrict_gram(g, basis_rows):
 
 
 def symmetric_diagonalize(g):
-    """Congruent diagonalization of a symmetric matrix: returns (d, c) with
-    c g c^t = diag(d).  Exact, used for signatures and quadratic-form ranks."""
+    """Diagonal of a congruent diagonalization c g c^t of a symmetric
+    matrix (c itself is not built).  Exact, used for signatures."""
     n = len(g)
     a = [row[:] for row in g]
-    c = identity(n)
     for k in range(n):
         if a[k][k] == 0:
             piv = None
@@ -259,7 +243,6 @@ def symmetric_diagonalize(g):
                 a[k], a[piv] = a[piv], a[k]
                 for row in a:
                     row[k], row[piv] = row[piv], row[k]
-                c[k], c[piv] = c[piv], c[k]
             else:
                 # all remaining diagonal entries vanish; pull in an off-diagonal one
                 found = None
@@ -277,13 +260,10 @@ def symmetric_diagonalize(g):
                     a[i][t] += a[j][t]
                 for t in range(n):
                     a[t][i] += a[t][j]
-                for t in range(n):
-                    c[i][t] += c[j][t]
                 if i != k:
                     a[k], a[i] = a[i], a[k]
                     for row in a:
                         row[k], row[i] = row[i], row[k]
-                    c[k], c[i] = c[i], c[k]
         if a[k][k] == 0:
             continue
         for i in range(k + 1, n):
@@ -293,14 +273,12 @@ def symmetric_diagonalize(g):
                     a[i][t] -= f * a[k][t]
                 for t in range(n):
                     a[t][i] -= f * a[t][k]
-                for t in range(n):
-                    c[i][t] -= f * c[k][t]
-    return [a[i][i] for i in range(n)], c
+    return [a[i][i] for i in range(n)]
 
 
 def signature(g):
     """(positive, negative) inertia indices of a symmetric rational matrix."""
-    d, _ = symmetric_diagonalize(fmat(g))
+    d = symmetric_diagonalize(fmat(g))
     pos = sum(1 for x in d if x > 0)
     neg = sum(1 for x in d if x < 0)
     return pos, neg

@@ -34,8 +34,7 @@ from . import linalg, wedge
 from .linalg import fvec, rank, scaled_int_rows, scaled_ints, stack
 from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
-from .polymat import PolyMatrix, det_poly_matrix, det_fraction_matrix, \
-    interpolate_poly_map
+from .polymat import PolyMatrix, det_poly_matrix, interpolate_poly_map
 from .zlinalg import bareiss_solve, int_adjugate, int_det
 
 CHART_VARS = ("t1", "t2", "t3", "t4", "t5")
@@ -362,7 +361,7 @@ def _greedy_principal_block(g, target):
             if i in chosen:
                 continue
             sub = chosen + [i]
-            if det_fraction_matrix([[g[a][b] for b in sub] for a in sub]) != 0:
+            if linalg.det([[g[a][b] for b in sub] for a in sub]) != 0:
                 chosen = sub
                 grew = True
                 break
@@ -375,7 +374,7 @@ def _greedy_principal_block(g, target):
                 if j in chosen:
                     continue
                 sub = chosen + [i, j]
-                if det_fraction_matrix([[g[a][b] for b in sub] for a in sub]) != 0:
+                if linalg.det([[g[a][b] for b in sub] for a in sub]) != 0:
                     chosen = sub
                     grew = True
                     break
@@ -465,20 +464,16 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
         s, m = pencil.at(pt)
         nq = [row[:jdim] for row in m[:jdim]]
         r = [row[:jdim] for row in m[jdim:]]
-        p = [row[jdim:] for row in m[jdim:]]
-        rt = [[r[t][u] for t in range(k)] for u in range(jdim)]
-        dscale = Fraction(1, s ** jdim)
-        mscale = Fraction(1, s ** (jdim + 1))
-        det, x = bareiss_solve(nq, rt)
-        out = [det * dscale]
-        if x is not None:
-            # M_hat = det * (P - R X), scaled back by powers of s
+        det, y = bareiss_solve(nq, list(zip(*r)))
+        out = [Fraction(det, s ** jdim)]
+        mscale = s ** (jdim + 1)
+        if y is not None:
+            # M_hat = det * P - R Y with N Y = det * R^t, scaled back by s
             for i in range(k):
+                p = m[jdim + i]
                 for jj in range(k):
-                    v = Fraction(p[i][jj])
-                    for t in range(jdim):
-                        v -= r[i][t] * x[t][jj]
-                    out.append(det * v * mscale)
+                    v = det * p[jdim + jj] - sum(r[i][t] * y[t][jj] for t in range(jdim))
+                    out.append(Fraction(v, mscale))
         else:
             adj = int_adjugate(nq)
             for i in range(k):
@@ -487,7 +482,7 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
                     for t in range(jdim):
                         for u in range(jdim):
                             v += r[i][t] * adj[t][u] * r[jj][u]
-                    out.append(Fraction(-v) * mscale)
+                    out.append(Fraction(-v, mscale))
         return out
 
     degree = min(jdim + 1, pencil_rank_bound())

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import linalg
 from .linalg import fmat, fvec, rank, restrict_gram
-from .poly import MultiPoly, homogeneous_part
+from .poly import MultiPoly, homogeneous_part, quadratic_form_rank
 from .polymat import PolyMatrix, det_poly_matrix
 
 
@@ -317,19 +317,7 @@ def phi2_rank(fam: PencilFamily):
         if sum(e[i] * sum(b[i][j] * e[j] for j in range(d)) for i in range(d)) != 0:
             raise ValueError("family does not kill the kernel vector")
     phis = phi_expansion(fam)
-    phi2 = phis[2]
-    # Gram of Phi_2 in the parameters
-    m = len(fam.coeffs)
-    g = [[Fraction(0)] * m for _ in range(m)]
-    for exp, c in phi2.terms.items():
-        idx = [i for i, k in enumerate(exp) for _ in range(k)]
-        i, j = idx[0], idx[1]
-        if i == j:
-            g[i][i] = c
-        else:
-            g[i][j] += c / 2
-            g[j][i] += c / 2
-    lhs = rank(g) if m else 0
+    lhs = quadratic_form_rank(phis[2])
     # T = Ann of the span of B_a e
     images = [linalg.mat_vec(b, e) for b in fam.coeffs]
     img_basis = linalg.row_basis(images)

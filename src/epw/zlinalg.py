@@ -1,8 +1,42 @@
 """Integer matrix routines for lattice arithmetic.
 
-Smith normal form with unimodular transforms, Hermite form for lattice
-bases, saturated kernels, and a fraction-free integer determinant.
+One fraction-free elimination kernel (Bareiss) behind the integer
+determinant and the integer solve, Smith normal form with unimodular
+transforms, Hermite form for lattice bases and saturated kernels.
+Everything here is integer arithmetic; nothing is imported.
 """
+
+
+def _eliminate(a, n):
+    """Bareiss elimination (Bareiss 1968) in place on the first n columns
+    of the integer rows a; any further columns are carried along.
+
+    Afterwards the first n columns are upper triangular and a[i][i] is
+    the leading principal (i + 1)-minor of the row-permuted matrix, so
+    a[n - 1][n - 1] is its determinant.  Returns the sign of the row
+    permutation, or 0 (leaving a partly eliminated) when a column has no
+    pivot, i.e. when the square part is singular.
+    """
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        akk = pivot_row[k]
+        cols = range(k + 1, len(pivot_row))
+        for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
+            for j in cols:
+                row[j] = (akk * row[j] - aik * pivot_row[j]) // prev
+            row[k] = 0
+        prev = akk
+    return sign
 
 
 def int_det(m):
@@ -11,65 +45,35 @@ def int_det(m):
     if n == 0:
         return 1
     a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _eliminate(a, n) * a[n - 1][n - 1]
 
 
 def bareiss_solve(m, rhs):
     """Fraction-free solve of an integer system with integer right sides.
 
-    Returns (det, X) with M X = rhs and X a Fraction matrix; X is None
-    when M is singular.  Forward elimination is pure integer Bareiss.
+    Returns (det, Y) with det = det(M) and M Y = det * rhs; Y is an
+    integer matrix (Y = adj(M) rhs by Cramer's rule), so a caller
+    divides once, or tests divisibility by det, at its boundary.  Y is
+    None (and det 0) when M is singular.  The forward pass is the
+    Bareiss kernel on [M | rhs]; back-substitution divides exactly.
     """
-    from fractions import Fraction
-
-    j = len(m)
+    n = len(m)
+    if n == 0:
+        return 1, []
     k = len(rhs[0]) if rhs and rhs[0] else 0
-    a = [list(map(int, m[i])) + list(map(int, rhs[i] if rhs else [])) for i in range(j)]
-    sign = 1
-    prev = 1
-    for col in range(j - 1):
-        if a[col][col] == 0:
-            piv = next((i for i in range(col + 1, j) if a[i][col] != 0), None)
-            if piv is None:
-                return 0, None
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for i in range(col + 1, j):
-            aic = a[i][col]
-            acc = a[col][col]
-            for c in range(col + 1, j + k):
-                a[i][c] = (acc * a[i][c] - aic * a[col][c]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
-    det = sign * a[j - 1][j - 1]
-    if det == 0:
+    a = [list(map(int, m[i])) + list(map(int, rhs[i] if rhs else [])) for i in range(n)]
+    sign = _eliminate(a, n)
+    if sign == 0:
         return 0, None
-    x = [[None] * k for _ in range(j)]
-    for i in range(j - 1, -1, -1):
-        for c in range(k):
-            s = Fraction(a[i][j + c])
-            for t in range(i + 1, j):
-                s -= a[i][t] * x[t][c]
-            x[i][c] = s / a[i][i]
-    return det, x
+    dn = a[n - 1][n - 1]
+    # z = dn * X is integral, so each step divides exactly by the pivot
+    z = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        z[i] = [(dn * row[n + c] - sum(row[t] * z[t][c] for t in range(i + 1, n))) // row[i]
+                for c in range(k)]
+    det = sign * dn
+    return det, z if sign == 1 else [[-x for x in r] for r in z]
 
 
 def int_adjugate(m):

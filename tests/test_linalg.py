@@ -1,12 +1,17 @@
-"""Exact linear algebra: the fraction-free rref against Fraction Gauss-Jordan."""
+"""Exact linear algebra against Fraction references kept here: the
+fraction-free rref against Gauss-Jordan, and the one integer Bareiss
+kernel (int_det, bareiss_solve, linalg.det, linalg.inverse) against
+Gaussian elimination."""
 
 from fractions import Fraction
+import inspect
 import random
 
 import pytest
 
-from epw import linalg
+from epw import linalg, zlinalg
 from epw.linalg import inverse, mat_mul, mat_vec, nullspace, rank, rref, scaled_ints, solve
+from epw.zlinalg import bareiss_solve, int_det
 
 
 def reference_rref(m):
@@ -32,6 +37,37 @@ def reference_rref(m):
         if lead == rows:
             break
     return r, pivots
+
+
+def reference_det(m):
+    """Gaussian elimination over Fraction, first nonzero pivot per column."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    res = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        res *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return sign * res
+
+
+def reference_inverse(m):
+    """The right half of the Gauss-Jordan form of [m | I]."""
+    n = len(m)
+    r, pivots = reference_rref([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(m)])
+    assert pivots == list(range(n))
+    return [row[n:] for row in r]
 
 
 def rand_q(rng, span=9, den=12):
@@ -124,3 +160,171 @@ def test_inverse_and_singular():
         inverse([[1, 2], [Fraction(1, 2), 1]])
     with pytest.raises(ValueError):
         inverse([[0, 0], [0, 0]])
+
+
+# ---------------------------------------------------------------------
+# The integer Bareiss kernel
+# ---------------------------------------------------------------------
+
+# Hand-picked systems: 0x0 and 1x1, zero leading pivots that force one
+# row swap (odd, det < 0) or two (even), a singular leading block in a
+# nonsingular matrix, singular matrices, and zero right-hand sides.
+EDGE_SYSTEMS = [
+    ([], []),
+    ([[5]], [[10, -3]]),
+    ([[-3]], [[6]]),
+    ([[0]], [[1]]),
+    ([[0, 1], [1, 0]], [[1], [2]]),                        # one swap
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[1, 2], [3, 4], [5, 6]]),  # one swap
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1], [2], [3]]),  # two swaps
+    ([[0, 2, 0], [0, 0, -3], [5, 0, 0]], [[7], [-1], [4]]),
+    ([[1, 2, 0], [2, 4, 1], [0, 1, 1]], [[1], [1], [1]]),  # pivot vanishes mid-run
+    ([[1, 2], [2, 4]], [[1], [2]]),                        # singular
+    ([[0, 0], [0, 0]], [[0], [0]]),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1], [0], [0]]),
+    ([[2, 1], [1, 3]], [[0, 0], [0, 0]]),                  # zero right sides
+    ([[0, 4], [-2, 1]], [[0], [0]]),
+    ([[3, 1], [1, 2]], [[], []]),                          # no right sides
+]
+
+
+def random_system(rng):
+    """A seeded integer system (m, rhs) of side 0-7 with 0-3 right sides:
+    sparse entries, row-permuted triangular matrices (zero leading pivots,
+    swaps of either parity) or rank-deficient products."""
+    n = rng.randint(0, 7)
+    kind = rng.randrange(3)
+    if kind == 0:
+        m = [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(n)]
+             for _ in range(n)]
+    elif kind == 1:
+        m = [[0] * i + [rng.choice([-3, -2, -1, 1, 2, 3])]
+             + [rng.randint(-5, 5) for _ in range(n - i - 1)] for i in range(n)]
+        rng.shuffle(m)
+    else:
+        r = rng.randint(0, max(0, n - 1))
+        a = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if r else [0] * n
+             for row in a]
+    k = rng.randint(0, 3)
+    if rng.random() < 0.2:
+        rhs = [[0] * k for _ in range(n)]
+    else:
+        rhs = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(n)]
+    return m, rhs
+
+
+def random_systems(seed=606, count=1200):
+    rng = random.Random(seed)
+    return EDGE_SYSTEMS + [random_system(rng) for _ in range(count)]
+
+
+def solve_failures(solve_fn, systems):
+    """The systems on which solve_fn breaks the bareiss_solve contract:
+    det is det(m), and Y is None for singular m, else an integer matrix
+    with m Y = det * rhs."""
+    bad = []
+    for m, rhs in systems:
+        det, y = solve_fn(m, rhs)
+        ref = reference_det(m)
+        if det != ref:
+            bad.append((m, rhs, "det"))
+        elif ref == 0:
+            if y is not None:
+                bad.append((m, rhs, "singular"))
+        elif (len(y) != len(m)
+              or any(type(x) is not int for row in y for x in row)
+              or any(sum(m[i][t] * y[t][c] for t in range(len(m))) != det * rhs[i][c]
+                     for i in range(len(m)) for c in range(len(rhs[i])))):
+            bad.append((m, rhs, "Y"))
+    return bad
+
+
+def test_int_det_matches_fraction_elimination():
+    systems = random_systems()
+    negative = 0
+    for m, _ in systems:
+        d = int_det(m)
+        assert type(d) is int and d == reference_det(m)
+        negative += d < 0
+    assert negative > 100
+    assert int_det([]) == 1
+
+
+def test_kernel_swaps_rows_of_both_parities():
+    # the permutation sign is what turns a[n-1][n-1] into the determinant
+    signs = set()
+    for m, _ in random_systems():
+        if m and reference_det(m) != 0:
+            a = [row[:] for row in m]
+            sign = zlinalg._eliminate(a, len(a))
+            assert sign * a[-1][-1] == reference_det(m)
+            signs.add(sign)
+    assert signs == {1, -1}
+    a = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    assert zlinalg._eliminate(a, 3) == 1 and a[2][2] == 1   # two swaps
+    a = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
+    assert zlinalg._eliminate(a, 3) == 0                     # no pivot in column 1
+
+
+def test_bareiss_solve_contract():
+    systems = random_systems()
+    assert solve_failures(bareiss_solve, systems) == []
+    assert sum(1 for m, _ in systems if m and reference_det(m) == 0) > 100
+    assert bareiss_solve([], []) == (1, [])
+    assert bareiss_solve([[1, 2], [2, 4]], [[1], [2]]) == (0, None)
+    assert bareiss_solve([[0, 1], [1, 0]], [[1], [2]]) == (-1, [[-2], [-1]])
+
+
+def test_dropped_sign_correction_on_y_is_caught():
+    src = inspect.getsource(zlinalg)
+    mutant = src.replace("return det, z if sign == 1 else [[-x for x in r] for r in z]",
+                         "return det, z")
+    assert mutant != src
+    ns = {}
+    exec(compile(mutant, "zlinalg_mutant", "exec"), ns)
+    bad = solve_failures(ns["bareiss_solve"], random_systems())
+    assert bad and all(why == "Y" for _, _, why in bad)
+
+
+def random_rational(rng):
+    """int-like and rational entries, with zero leading pivots and
+    singular matrices among them."""
+    n = rng.randint(0, 6)
+    m = [[rand_q(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+         for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        m[rng.randrange(n)] = [2 * x for x in m[rng.randrange(n)]]
+    if rng.random() < 0.2:
+        m = [[int(x) for x in row] for row in m]
+    return m
+
+
+def test_det_matches_fraction_elimination():
+    rng = random.Random(607)
+    for _ in range(1000):
+        m = random_rational(rng)
+        d = linalg.det(m)
+        assert type(d) is Fraction and d == reference_det(m)
+    assert linalg.det([]) == 1
+    assert linalg.det([[Fraction(-1, 3)]]) == Fraction(-1, 3)
+    assert linalg.det([[0, Fraction(1, 2)], [Fraction(3, 5), 7]]) == Fraction(-3, 10)
+
+
+def test_inverse_matches_fraction_gauss_jordan():
+    rng = random.Random(608)
+    inverted = 0
+    for _ in range(1000):
+        m = random_rational(rng)
+        if reference_det(m) == 0:
+            with pytest.raises(ValueError):
+                inverse(m)
+            continue
+        inv = inverse(m)
+        assert inv == reference_inverse(m)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        inverted += 1
+    assert inverted > 500
+    assert inverse([]) == []
+    assert inverse([[Fraction(-2, 7)]]) == [[Fraction(-7, 2)]]

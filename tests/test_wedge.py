@@ -444,3 +444,12 @@ def test_curve_smooth_at_fails_on_bscript_point():
     # 2-dimensional triple intersection
     assert degeneracy_dim(a, unit(1)) == 2
     assert curve_smooth_at(a, W123, [], unit(1)) is False
+
+
+def test_strata_ledger_fails_when_dual_membership_is_false(monkeypatch):
+    from epw import checks, wedge
+
+    assert checks.check_strata_predicates().ok
+    monkeypatch.setattr(wedge, "dual_membership", lambda frame, e_rows: False)
+    res = checks.check_strata_predicates()
+    assert not res.ok and res.detail == "dual-membership-generic-5space"
