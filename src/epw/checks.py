@@ -7,6 +7,7 @@ way everywhere.  All randomness is seeded and echoed.
 
 from fractions import Fraction
 import random
+import time
 
 from . import linalg
 from .lattices import (
@@ -17,7 +18,7 @@ from .lattices import (
     S2_STAR, S2_PRIME, S2_DPRIME, S4,
 )
 from .local_model import (
-    Chart, LocalPencil, double_cover_ideal, local_sextic, make_chart, rank_f2,
+    Chart, chart_pencil, double_cover_ideal, local_sextic, make_chart, rank_f2,
     schur_complement, schur_identity_check, taylor_order_check,
 )
 from .poly import homogeneous_part, quadratic_form_rank
@@ -35,12 +36,16 @@ from . import hilbert_square as hs
 
 
 class CheckResult:
-    __slots__ = ("name", "ok", "detail")
+    """A named verdict with its ledger detail; stats holds measurements
+    that stay out of the ledger line (timings, for instance)."""
 
-    def __init__(self, name, ok, detail=""):
+    __slots__ = ("name", "ok", "detail", "stats")
+
+    def __init__(self, name, ok, detail="", stats=None):
         self.name = name
         self.ok = bool(ok)
         self.detail = detail
+        self.stats = stats or {}
 
     def line(self):
         base = "%s %s" % ("PASS" if self.ok else "FAIL", self.name)
@@ -70,28 +75,37 @@ def sextic_matches_pencil(chart, f, points):
     An interpolant at too low a degree bound still fits the grid values,
     but not these points, so the certified bound stays falsifiable.
     """
-    pencil = LocalPencil.of_chart(chart)
+    pencil = chart_pencil(chart)
     return all(f.evaluate(pt) == pencil.det(pt) for pt in points)
 
 
 def check_epw_degree_bound(seed=1, count=20):
     """Every sampled graph Lagrangian has deg det(q_A + q_v) <= 6, with
     equality somewhere in the sample, and each interpolated determinant
-    matches the pencil at two seeded off-grid points."""
+    matches the pencil at two seeded off-grid points.
+
+    stats: worst_s, the slowest local_sextic, and total_s, the wall time
+    of the whole check.
+    """
+    start = time.perf_counter()
     rng = random.Random(seed)
     points = off_grid_points(seed)
     degrees = []
     matches = True
+    worst = 0.0
     for _ in range(count):
         frame, _ = random_graph_lagrangian(rng, corank=rng.choice([0, 0, 0, 1]))
         chart = Chart(frame, _unit(0), standard_chart_basis()[1])
+        t0 = time.perf_counter()
         ls = local_sextic(frame, chart)
+        worst = max(worst, time.perf_counter() - t0)
         degrees.append(ls.degree())
         matches = matches and sextic_matches_pencil(chart, ls.f, points)
     ok = matches and all(d <= 6 for d in degrees) and any(d == 6 for d in degrees)
     detail = "instances=%d max-degree=%d degree-6-count=%d" % (
         count, max(degrees), sum(1 for d in degrees if d == 6))
-    return CheckResult("epw-degree-bound", ok, detail)
+    stats = {"worst_s": worst, "total_s": time.perf_counter() - start}
+    return CheckResult("epw-degree-bound", ok, detail, stats)
 
 
 def _corank_instance(rng, k):
@@ -505,7 +519,8 @@ def check_algebra_core(seed=8):
     v = (rng.randint(-9, 9), rng.randint(-9, 9))
     w = (rng.randint(-9, 9), rng.randint(-9, 9))
     oks.append(("trace-form", hs.trace_pairing(v, w) == hs.NSRank2(4).pair(v, w)))
-    oks.append(("conic-class", hs.conic_class_arithmetic().q_zeta == -2))
+    conic = hs.conic_class_arithmetic()
+    oks.append(("conic-class", conic.ok and conic.q_zeta == -2))
     ok = all(o for _, o in oks)
     detail = "" if ok else next(n for n, o in oks if not o)
     return CheckResult("algebra-core-surfaces", ok, detail)

@@ -15,7 +15,7 @@ pencil_rank_bound() certifies rank M(t) <= r exactly (r = 6): it solves
 M(t) K(t) = 0 for kernel vectors K(t) linear in t, and the rank of their
 span at one rational point bounds the kernel dimension from below.  The
 determinants are interpolated at that bound from integer evaluations of
-one integer-scaled pencil (LocalPencil).
+one integer-scaled pencil (polymat.Pencil, built by chart_pencil).
 
 The Schur complement of the nondegenerate block of q_A is kept as an
 exact pair (M_hat, D) with M_J = M_hat / D; the analytic square root
@@ -31,11 +31,11 @@ from fractions import Fraction
 import random
 
 from . import linalg, wedge
-from .linalg import fvec, rank, scaled_int_rows, scaled_ints, stack
+from .linalg import fvec, rank, scaled_ints, stack
 from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
-from .polymat import PolyMatrix, det_poly_matrix, interpolate_poly_map
-from .zlinalg import bareiss_solve, int_adjugate, int_det
+from .polymat import Pencil, PolyMatrix, det_cofactor, det_poly_matrix, interpolate_poly_map
+from .zlinalg import bareiss_solve, int_adjugate
 
 CHART_VARS = ("t1", "t2", "t3", "t4", "t5")
 
@@ -48,7 +48,7 @@ class ChartError(RuntimeError):
 class Chart:
     """A point [v0], a transversal basis c1..c5, and the derived Gram data."""
 
-    __slots__ = ("v0", "basis", "gram_form", "gram_moving")
+    __slots__ = ("v0", "basis", "gram_form")
 
     def __init__(self, frame: wedge.LagrangianFrame, v0, basis):
         self.v0 = fvec(v0)
@@ -57,7 +57,6 @@ class Chart:
             raise ValueError("v0 plus basis must span V")
         # raises if Lambda^3 V0 meets A
         self.gram_form = wedge.graph_gram(frame, self.v0, self.basis)
-        self.gram_moving = moving_gram_matrix()
 
     def gram_at(self, tvals):
         """Numeric Gram of the local pencil at chart coordinates t.
@@ -78,7 +77,6 @@ class Chart:
         return 10 - rank(self.gram_form)
 
 
-_MOVING_GRAM = None
 _RANK_BOUND = None
 # Any rational point gives a valid certificate; a generic one gives the
 # sharpest.
@@ -88,32 +86,6 @@ _CERT_POINT = (1, 2, 3, 5, 8)
 def moving_int_matrices():
     """The five integer matrices -B_a of the moving pencil, from wedge._B5."""
     return [[[-int(x) for x in row] for row in b] for b in wedge._B5]
-
-
-def moving_gram_matrix() -> PolyMatrix:
-    """10x10 symbolic Gram of the moving part of the local pencil.
-
-    Entries are linear in t1..t5; the sign is the one that makes
-    corank(gram_form + moving(t)) equal to the degeneracy dimension at
-    the chart point [v0 + sum t_a c_a].  Universal sign data, shared by
-    every chart.
-    """
-    global _MOVING_GRAM
-    if _MOVING_GRAM is None:
-        entries = []
-        for rows in zip(*moving_int_matrices()):
-            row = []
-            for coeffs in zip(*rows):
-                terms = {}
-                for a, c in enumerate(coeffs):
-                    if c:
-                        e = [0] * 5
-                        e[a] = 1
-                        terms[tuple(e)] = c
-                row.append(MultiPoly(CHART_VARS, terms))
-            entries.append(row)
-        _MOVING_GRAM = PolyMatrix(entries)
-    return _MOVING_GRAM
 
 
 def pencil_rank_bound() -> int:
@@ -145,49 +117,13 @@ def pencil_rank_bound() -> int:
     return _RANK_BOUND
 
 
-class LocalPencil:
-    """Integer-scaled evaluations of a pencil G + sum_a t_a M_a.
+def chart_pencil(chart) -> Pencil:
+    """The chart pencil G_A - sum_a t_a B_a of det(q_A + q_v).
 
-    G is a constant rational matrix and the M_a are integer matrices.
-    at(t) returns (s, m) with m = s * (G + sum_a t_a M_a) an integer
-    matrix, where s = den(G) * lcm(denominators of t); on the integer
-    interpolation grid s is den(G).  local_sextic, schur_complement and
-    the off-grid checks evaluate through this one class.
+    The moves are integers, so at(t) on the integer grid is den(G_A)
+    times the pencil.
     """
-
-    __slots__ = ("den", "base", "moves")
-
-    def __init__(self, gram, moves):
-        self.den, self.base = scaled_int_rows(gram)
-        self.moves = [[(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
-                      for m in moves]
-
-    @classmethod
-    def of_chart(cls, chart):
-        """The chart pencil G_A - sum_a t_a B_a of det(q_A + q_v)."""
-        return cls(chart.gram_form, moving_int_matrices())
-
-    def at(self, pt):
-        q, qt = scaled_ints(pt)
-        m = [[x * q for x in row] for row in self.base]
-        for t, move in zip(qt, self.moves):
-            if t:
-                ts = t * self.den
-                for i, j, c in move:
-                    m[i][j] += ts * c
-        return self.den * q, m
-
-    def det(self, pt):
-        """Exact determinant of the pencil at a rational point."""
-        s, m = self.at(pt)
-        return Fraction(int_det(m), s ** len(m))
-
-
-def _interpolated_det(pencil: LocalPencil) -> MultiPoly:
-    """det of the pencil as a polynomial in t, interpolated at the
-    certified degree bound pencil_rank_bound()."""
-    return interpolate_poly_map(lambda pt: (pencil.det(pt),), CHART_VARS,
-                                pencil_rank_bound(), 1)[0]
+    return Pencil(chart.gram_form, moving_int_matrices())
 
 
 def make_chart(frame: wedge.LagrangianFrame, v0, seed=0, attempts=40) -> Chart:
@@ -244,19 +180,12 @@ class LocalSextic:
         return self.f.is_zero()
 
 
-def local_sextic(frame: wedge.LagrangianFrame, chart: Chart, strategy="auto") -> LocalSextic:
-    """The local equation det(q_A + q_v) of the degeneracy locus in the chart.
-
-    The default route interpolates at the certified degree bound
-    pencil_rank_bound() from integer determinants of the chart pencil.
+def local_sextic(frame: wedge.LagrangianFrame, chart: Chart) -> LocalSextic:
+    """The local equation det(q_A + q_v) of the degeneracy locus in the chart,
+    interpolated at the certified degree bound pencil_rank_bound() from
+    integer determinants of the chart pencil.
     """
-    if strategy in ("auto", "interpolate"):
-        f = _interpolated_det(LocalPencil.of_chart(chart))
-    else:
-        const = PolyMatrix.from_scalar_matrix(chart.gram_form, CHART_VARS)
-        m = const.add(chart.gram_moving)
-        f = det_poly_matrix(m, strategy=strategy)
-    return LocalSextic(f)
+    return LocalSextic(chart_pencil(chart).det_poly(CHART_VARS, pencil_rank_bound()))
 
 
 class TaylorReport:
@@ -329,22 +258,16 @@ class SchurData:
     """Exact Schur reduction of q_A + q_v by the nondegenerate block.
 
     Fields: j_indices (coordinate bivectors spanning J), k_basis (rows
-    spanning ker q_A), n_j (constant Gram block), the symbolic blocks
-    q_j, r_j, p_j, the common denominator `denom` = det(N_J + Q_J), and
-    m_hat with M_J = m_hat / denom.
+    spanning ker q_A), the common denominator `denom` = det(N_J + Q_J),
+    and m_hat with M_J = m_hat / denom.
     """
 
-    __slots__ = ("k", "j_indices", "k_basis", "n_j", "q_j", "r_j", "p_j",
-                 "denom", "m_hat", "adapted")
+    __slots__ = ("k", "j_indices", "k_basis", "denom", "m_hat", "adapted")
 
-    def __init__(self, k, j_indices, k_basis, n_j, q_j, r_j, p_j, denom, m_hat, adapted):
+    def __init__(self, k, j_indices, k_basis, denom, m_hat, adapted):
         self.k = k
         self.j_indices = j_indices
         self.k_basis = k_basis
-        self.n_j = n_j
-        self.q_j = q_j
-        self.r_j = r_j
-        self.p_j = p_j
         self.denom = denom
         self.m_hat = m_hat
         self.adapted = adapted   # 10x10 change of basis (rows = adapted basis)
@@ -421,7 +344,6 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
     c = adapted
     gp = linalg.mat_mul(linalg.mat_mul(c, g), linalg.transpose(c))
     jdim = 10 - k
-    n_j = [row[:jdim] for row in gp[:jdim]]
     for i in range(10):
         for jj in range(10):
             if (i >= jdim or jj >= jdim) and gp[i][jj] != 0:
@@ -435,30 +357,11 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
         cb.append([[sum(tmp[i][s] * ci[jj][s] for s in range(10)) for jj in range(10)]
                    for i in range(10)])
 
-    def linear_block(r0, r1, c0, c1):
-        entries = []
-        for i in range(r0, r1):
-            row = []
-            for jj in range(c0, c1):
-                terms = {}
-                for a in range(5):
-                    v = cb[a][i][jj]
-                    if v:
-                        e = [0] * 5
-                        e[a] = 1
-                        terms[tuple(e)] = Fraction(v)
-                row.append(MultiPoly(CHART_VARS, terms))
-            entries.append(row)
-        return PolyMatrix(entries)
-
-    q_j = linear_block(0, jdim, 0, jdim)
-    p_j = linear_block(jdim, 10, jdim, 10) if k else None
-    r_j = linear_block(jdim, 10, 0, jdim) if k else None
-    pencil = LocalPencil(gp, cb)
+    pencil = Pencil(gp, cb)
 
     if k == 0:
-        denom = _interpolated_det(pencil)
-        return SchurData(0, j, [], n_j, q_j, r_j, p_j, denom, None, c)
+        denom = pencil.det_poly(CHART_VARS, pencil_rank_bound())
+        return SchurData(0, j, [], denom, None, c)
 
     def oracle(pt):
         s, m = pencil.at(pt)
@@ -489,7 +392,7 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
     flat = interpolate_poly_map(oracle, CHART_VARS, degree, 1 + k * k)
     denom = flat[0]
     m_hat = PolyMatrix([[flat[1 + i * k + jj] for jj in range(k)] for i in range(k)])
-    return SchurData(k, j, kern, n_j, q_j, r_j, p_j, denom, m_hat, c)
+    return SchurData(k, j, kern, denom, m_hat, c)
 
 
 def schur_identity_check(frame, chart: Chart, sd: SchurData, sextic=None) -> bool:
@@ -508,7 +411,7 @@ def schur_identity_check(frame, chart: Chart, sd: SchurData, sextic=None) -> boo
     for _ in range(sd.k - 1):
         lhs = lhs * sd.denom
     # cofactor expansion: k <= 3, and it avoids large exact divisions
-    rhs = det_poly_matrix(sd.m_hat, strategy="cofactor")
+    rhs = det_cofactor(sd.m_hat)
     return lhs == rhs
 
 

@@ -10,9 +10,13 @@ Three determinant routes, all returning identical results:
   polynomial on a triangular interpolation grid and divide it once by
   L^side.
 
-det_poly_matrix("auto") uses Bareiss for sides <= 2 and interpolation
-for every larger side (the pencils of varquad, sides 3-10 in up to five
-variables).
+det_poly_matrix uses Bareiss for sides <= 2 and interpolation for every
+larger side.
+
+An affine pencil base + sum_a t_a M_a of constant rational matrices
+(the chart pencil det(q_A + q_v), the congruent Schur pencil and the
+pencils det(q_* + q(t)) of varquad) never becomes a PolyMatrix: Pencil
+scales it to integers once and evaluates it directly at each grid point.
 
 The interpolation core (interpolate_poly_map) works for any
 vector-valued polynomial map and is reused to reconstruct Schur
@@ -63,16 +67,6 @@ class PolyMatrix:
     def is_square(self):
         return self.rows == self.cols
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def add(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -90,9 +84,6 @@ class PolyMatrix:
 
     def transpose(self):
         return PolyMatrix([list(c) for c in zip(*self.entries)])
-
-    def scale(self, p: MultiPoly):
-        return PolyMatrix([[p * e for e in row] for row in self.entries])
 
     def degree_bound(self):
         """Sum over rows of the max entry degree: a bound on deg(det)."""
@@ -318,10 +309,74 @@ def det_interpolate(m: PolyMatrix, degree=None) -> MultiPoly:
     return interpolate_poly_map(lambda pt: (int_det(ev(pt)),), m.vars, degree, 1)[0] * scale
 
 
-def det_poly_matrix(m: PolyMatrix, strategy="auto") -> MultiPoly:
+class Pencil:
+    """The affine pencil base + sum_a t_a moves[a] of square rational matrices.
+
+    Base and moves are scaled to integers by one lcm L of all their
+    denominators.  at(t) returns (s, m) with m = s * (base + sum_a t_a
+    moves[a]) an integer matrix, where s = L * lcm(denominators of t); on
+    the integer interpolation grid s is L.
+    """
+
+    __slots__ = ("den", "base", "moves")
+
+    def __init__(self, base, moves):
+        n = len(base)
+        self.den, rows = scaled_int_rows([row for m in [base, *moves] for row in m])
+        self.base = rows[:n]
+        self.moves = [[(i, j, c) for i, row in enumerate(rows[n * a:n * a + n])
+                       for j, c in enumerate(row) if c]
+                      for a in range(1, len(moves) + 1)]
+
+    def at(self, pt):
+        q, qt = scaled_ints(pt)
+        m = [[x * q for x in row] for row in self.base]
+        for t, move in zip(qt, self.moves):
+            if t:
+                for i, j, c in move:
+                    m[i][j] += t * c
+        return self.den * q, m
+
+    def det(self, pt):
+        """Exact determinant of the pencil at a rational point."""
+        s, m = self.at(pt)
+        return Fraction(int_det(m), s ** len(m))
+
+    def det_poly(self, variables, degree=None) -> MultiPoly:
+        """The determinant as a polynomial in the variables (one per move),
+        interpolated from one int_det per grid point and divided once by
+        L^side.
+
+        degree is a bound on its total degree.  It defaults to the row
+        bound PolyMatrix.degree_bound gives on the same matrix: 1 for a
+        row that a move touches, 0 for a row of the base only, and a zero
+        row makes the determinant zero.
+        """
+        if degree is None:
+            moving = {i for move in self.moves for i, _, _ in move}
+            rows = [1 if i in moving else 0 if any(row) else -1
+                    for i, row in enumerate(self.base)]
+            degree = -1 if -1 in rows else sum(rows)
+        if degree < 0:
+            return MultiPoly.zero(variables)
+        f = interpolate_poly_map(lambda pt: (int_det(self.at(pt)[1]),), variables, degree, 1)[0]
+        return f * Fraction(1, self.den ** len(self.base))
+
+    def poly_matrix(self, variables) -> PolyMatrix:
+        """The pencil as a PolyMatrix in the variables (one per move)."""
+        nmoves = len(self.moves)
+        terms = [[{(0,) * nmoves: Fraction(x, self.den)} if x else {} for x in row]
+                 for row in self.base]
+        for a, move in enumerate(self.moves):
+            e = tuple(int(a == b) for b in range(nmoves))
+            for i, j, c in move:
+                terms[i][j][e] = Fraction(c, self.den)
+        return PolyMatrix([[MultiPoly(variables, t) for t in row] for row in terms])
+
+
+def det_poly_matrix(m: PolyMatrix) -> MultiPoly:
     """Exact determinant; result is identical to cofactor expansion.
 
-    strategy: "auto" | "bareiss" | "interpolate" | "cofactor".  Auto uses
     Bareiss over Q[t] for sides <= 2 and det_interpolate (integer
     evaluation, one int_det per grid point) for every larger side.
     """
@@ -329,14 +384,6 @@ def det_poly_matrix(m: PolyMatrix, strategy="auto") -> MultiPoly:
         raise ValueError("determinant of a non-square matrix")
     if m.rows > MAX_SIDE:
         raise ValueError("side %d exceeds the supported bound %d" % (m.rows, MAX_SIDE))
-    if strategy == "cofactor":
-        return det_cofactor(m)
-    if strategy == "bareiss":
-        return det_bareiss(m)
-    if strategy == "interpolate":
-        return det_interpolate(m)
-    if strategy != "auto":
-        raise ValueError("unknown strategy %r" % (strategy,))
     if m.rows <= 2:
         return det_bareiss(m)
     return det_interpolate(m)

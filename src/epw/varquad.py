@@ -3,9 +3,9 @@ graded expansion of det(q_* + q).
 
 A QuadSpace is a quadratic form on Q^d given by its symmetric Gram
 matrix.  A PencilFamily is a base form q_* together with a linear family
-q(t) = sum t_a B_a; the graded pieces Phi_i of det(q_* + q(t)) are then
-homogeneous of degree i in t and the corank/kernel statements about them
-are checkable exactly.
+q(t) = sum t_a B_a, held as one polymat.Pencil; the graded pieces Phi_i
+of det(q_* + q(t)) are then homogeneous of degree i in t and the
+corank/kernel statements about them are checkable exactly.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from itertools import combinations
 from . import linalg
 from .linalg import fmat, fvec, rank, restrict_gram
 from .poly import MultiPoly, homogeneous_part, quadratic_form_rank
-from .polymat import PolyMatrix, det_poly_matrix
+from .polymat import Pencil, PolyMatrix, det_poly_matrix
 
 
 class QuadSpace:
@@ -146,7 +146,7 @@ def decomposable_coords(vectors, dim):
 class PencilFamily:
     """q_* plus a linear family q(t) = sum_a t_a B_a of symmetric forms."""
 
-    __slots__ = ("base", "coeffs", "varnames")
+    __slots__ = ("base", "coeffs", "varnames", "pencil")
 
     def __init__(self, base: QuadSpace, coeffs, varnames=None):
         self.base = base
@@ -157,30 +157,12 @@ class PencilFamily:
             if len(b) != base.dim or not linalg.is_symmetric(b):
                 raise ValueError("coefficient matrices must be symmetric of matching size")
         self.varnames = tuple(varnames or ("t%d" % (a + 1) for a in range(len(self.coeffs))))
-
-    def gram_poly(self) -> PolyMatrix:
-        d = self.base.dim
-        entries = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                terms = {}
-                e0 = (0,) * len(self.coeffs)
-                if self.base.gram[i][j] != 0:
-                    terms[e0] = self.base.gram[i][j]
-                for a, b in enumerate(self.coeffs):
-                    if b[i][j] != 0:
-                        e = [0] * len(self.coeffs)
-                        e[a] = 1
-                        terms[tuple(e)] = b[i][j]
-                row.append(MultiPoly(self.varnames, terms))
-            entries.append(row)
-        return PolyMatrix(entries)
+        self.pencil = Pencil(base.gram, self.coeffs)
 
 
 def phi_expansion(fam: PencilFamily):
     """The graded pieces Phi_0..Phi_d of det(q_* + q(t)) in t."""
-    det = det_poly_matrix(fam.gram_poly())
+    det = fam.pencil.det_poly(fam.varnames)
     return [homogeneous_part(det, i) for i in range(fam.base.dim + 1)]
 
 
@@ -206,25 +188,9 @@ def degenerate_cone_check(fam: PencilFamily):
 
 def _restricted_det_poly(fam: PencilFamily, basis_rows):
     """det of q(t) restricted to a constant subspace, as a polynomial in t."""
-    if not basis_rows:
-        return MultiPoly.const(fam.varnames, 1)
-    b = fmat(basis_rows)
-    n = len(b)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            for a, mat in enumerate(fam.coeffs):
-                v = sum(b[i][r] * sum(mat[r][c] * b[j][c] for c in range(fam.base.dim))
-                        for r in range(fam.base.dim))
-                if v != 0:
-                    e = [0] * len(fam.coeffs)
-                    e[a] = 1
-                    terms[tuple(e)] = v
-            row.append(MultiPoly(fam.varnames, terms))
-        entries.append(row)
-    return det_poly_matrix(PolyMatrix(entries))
+    n = len(basis_rows)
+    moves = [restrict_gram(b, basis_rows) for b in fam.coeffs]
+    return Pencil([[0] * n for _ in range(n)], moves).det_poly(fam.varnames)
 
 
 def _proportional(p: MultiPoly, q: MultiPoly):
@@ -294,7 +260,7 @@ def vanishing_kernel_check(fam: PencilFamily):
                         terms[key] = terms.get(key, Fraction(0)) + v
             row.append(MultiPoly(fam.varnames, {e: c for e, c in terms.items() if c != 0}))
         entries.append(row)
-    rhs = det_poly_matrix(PolyMatrix(entries), strategy="bareiss")
+    rhs = det_poly_matrix(PolyMatrix(entries))
     ok, c = _proportional(phis[2 * k], rhs)
     return ok, c, phis
 

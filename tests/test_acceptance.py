@@ -29,30 +29,11 @@ def _ledger(name, ok, detail=""):
 
 
 def test_criterion_1_degree_bound():
-    import random
-    from epw.local_model import Chart, local_sextic
-    from epw.wedge import random_graph_lagrangian, standard_chart_basis, _unit
-
-    rng = random.Random(1)
-    points = checks.off_grid_points(1)
-    t_total = time.time()
-    degrees = []
-    matches = True
-    worst = 0.0
-    for i in range(20):
-        frame, _ = random_graph_lagrangian(rng, corank=rng.choice([0, 0, 0, 1]))
-        chart = Chart(frame, _unit(0), standard_chart_basis()[1])
-        t0 = time.time()
-        ls = local_sextic(frame, chart)
-        worst = max(worst, time.time() - t0)
-        degrees.append(ls.degree())
-        matches = matches and checks.sextic_matches_pencil(chart, ls.f, points)
-    total = time.time() - t_total
-    ok = (matches and all(d <= 6 for d in degrees) and any(d == 6 for d in degrees)
-          and worst < 60.0 and total < 900.0)
+    r = checks.check_epw_degree_bound(seed=1, count=20)
+    worst, total = r.stats["worst_s"], r.stats["total_s"]
+    ok = r.ok and worst < 60.0 and total < 900.0
     _ledger("epw-degree-bound", ok,
-            "instances=20 max-degree=%d equality=%d worst=%.1fs total=%.1fs"
-            % (max(degrees), sum(1 for d in degrees if d == 6), worst, total))
+            "%s worst=%.1fs total=%.1fs" % (r.detail, worst, total))
 
 
 def test_criterion_2_taylor_orders():

@@ -56,7 +56,19 @@ def test_conic_class_arithmetic_standard():
 
 
 def test_conic_class_arithmetic_linear_in_input():
-    assert conic_class_arithmetic(fiber_integral=0).q_zeta == 0
+    rep = conic_class_arithmetic(fiber_integral=0)
+    assert rep.q_zeta == 0
+    # the model classes give integral(h^2 zeta^2) = -4, not 2 * 0
+    assert not rep.ok
+
+
+def test_conic_class_line_can_fail(monkeypatch):
+    from epw import checks, hilbert_square
+
+    assert checks.check_algebra_core().ok
+    monkeypatch.setattr(hilbert_square, "fujiki_quartic", lambda a, b, c, d: 0)
+    r = checks.check_algebra_core()
+    assert not r.ok and r.detail == "conic-class"
 
 
 def test_conic_class_requires_square_two():

@@ -17,11 +17,11 @@ from epw.wedge import (
 )
 from epw import checks, local_model, wedge
 from epw.local_model import (
-    Chart, ChartError, LocalPencil, make_chart, local_sextic, taylor_order_check, rank_f2,
+    Chart, ChartError, chart_pencil, make_chart, local_sextic, taylor_order_check, rank_f2,
     schur_complement, schur_identity_check, double_cover_ideal,
     sextic_singularity, pencil_rank_bound, CHART_VARS,
 )
-from epw.polymat import adjugate_poly_matrix, det_poly_matrix
+from epw.polymat import adjugate_poly_matrix, det_bareiss, det_poly_matrix
 
 
 def unit(i):
@@ -99,9 +99,8 @@ def test_generic_sextic_degree_and_constant():
     ls = local_sextic(frame, ch)
     assert ls.degree() <= 6
     assert ls.f.constant_term() != 0  # k = 0 at the center
-    # strategy agreement on the very same instance
-    ls2 = local_sextic(frame, ch, strategy="bareiss")
-    assert ls2.f == ls.f
+    # Bareiss over Q[t] on the symbolic chart pencil agrees
+    assert det_bareiss(chart_pencil(ch).poly_matrix(CHART_VARS)) == ls.f
 
 
 def test_sextic_vanishing_on_contained_plane():
@@ -211,7 +210,7 @@ def test_local_pencil_matches_gram_at_rational_points():
     rng = random.Random(8)
     frame, _ = random_graph_lagrangian(rng, corank=1)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    pencil = LocalPencil.of_chart(ch)
+    pencil = chart_pencil(ch)
     for pt in checks.off_grid_points(4) + checks.off_grid_points(5) + [[0, 1, 2, 0, 3]]:
         s, m = pencil.at(pt)
         assert all(isinstance(x, int) for row in m for x in row)
@@ -224,7 +223,6 @@ def test_flipped_sign_raises_the_certified_bound(monkeypatch):
     assert b5[2][0][9] != 0
     monkeypatch.setattr(wedge, "_B5", b5)
     monkeypatch.setattr(local_model, "_RANK_BOUND", None)
-    monkeypatch.setattr(local_model, "_MOVING_GRAM", None)
     assert pencil_rank_bound() > 6 or not checks.check_epw_degree_bound(seed=1, count=4).ok
 
 

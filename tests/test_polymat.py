@@ -8,7 +8,7 @@ import pytest
 
 from epw.poly import MultiPoly, poly_from_text
 from epw.polymat import (
-    PolyMatrix, det_poly_matrix, det_bareiss, det_cofactor, det_interpolate,
+    Pencil, PolyMatrix, det_poly_matrix, det_bareiss, det_cofactor, det_interpolate,
     adjugate_poly_matrix, interpolate_poly_map,
 )
 
@@ -52,7 +52,7 @@ def test_random_4x4_against_cofactor_oracle():
         expected = det_cofactor(m)
         assert det_bareiss(m) == expected
         assert det_interpolate(m) == expected
-        assert det_poly_matrix(m, "auto") == expected
+        assert det_poly_matrix(m) == expected
 
 
 def test_bareiss_vs_cofactor_small_sweep():
@@ -210,7 +210,7 @@ def test_integer_interpolation_matches_cofactor_on_rational_matrices(n, deg, use
         m = PolyMatrix(entries)
         expected = det_cofactor(m)
         assert det_interpolate(m) == expected
-        assert det_poly_matrix(m, "auto") == expected
+        assert det_poly_matrix(m) == expected
         assert all(e[i] == 0 for e in expected.terms for i in range(3) if i not in used)
 
 
@@ -252,3 +252,70 @@ def test_auto_uses_bareiss_only_for_sides_up_to_two(monkeypatch):
     det_poly_matrix(PolyMatrix([[x, x, x], [x, x * x, x], [x, x, x + 1]]))
     det_poly_matrix(rand_matrix(rng, 6))
     assert calls == ["det_bareiss", "det_interpolate", "det_interpolate", "det_interpolate"]
+
+
+# -- affine pencils ----------------------------------------------------------
+
+PENCIL_VARS = ("s1", "s2", "s3", "s4", "s5")
+
+
+def rand_pencil(rng, n, nmoves, zero_row=None):
+    """A seeded rational pencil of side n with nmoves moves; about two
+    entries in five are 0, and row zero_row (if given) is 0 everywhere."""
+
+    def rat():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+
+    mats = [[[rat() for _ in range(n)] for _ in range(n)] for _ in range(1 + nmoves)]
+    if zero_row is not None:
+        for m in mats:
+            m[zero_row] = [0] * n
+    return Pencil(mats[0], mats[1:])
+
+
+# Bareiss over Q[t] grows fast with side and parameter count; n + 2 k <= 13
+# keeps every side 0-8 and every count 0-5 at about a second in all.
+PENCIL_SHAPES = [(n, k) for n in range(9) for k in range(6) if n + 2 * k <= 13]
+
+
+@pytest.mark.parametrize("n,k", PENCIL_SHAPES)
+def test_pencil_det_poly_matches_bareiss(n, k):
+    rng = random.Random(100 * n + k)
+    variables = PENCIL_VARS[:k]
+    zero_row = rng.randrange(n) if n and (n + k) % 3 == 0 else None
+    p = rand_pencil(rng, n, k, zero_row)
+    d = p.det_poly(variables)
+    if n == 0:
+        assert d == MultiPoly.const(variables, 1)
+        return
+    assert d == det_bareiss(p.poly_matrix(variables))
+    if zero_row is not None:
+        assert d.is_zero()
+
+
+def test_pencil_at_scales_to_integers():
+    rng = random.Random(5)
+    p = rand_pencil(rng, 4, 3)
+    pm = p.poly_matrix(PENCIL_VARS[:3])
+    for pt in [(0, 0, 0), (1, 2, 3), (Fraction(1, 2), Fraction(-2, 3), 5)]:
+        s, m = p.at(pt)
+        assert all(isinstance(x, int) for row in m for x in row)
+        assert [[Fraction(x, s) for x in row] for row in m] == \
+            [[e.evaluate(pt) for e in row] for row in pm.entries]
+        assert p.det(pt) == det_cofactor(pm).evaluate(pt)
+
+
+def test_pencil_degree_edges():
+    # a zero row gives the bound -1 and the zero polynomial
+    p = rand_pencil(random.Random(1), 3, 2, zero_row=1)
+    assert p.det_poly(PENCIL_VARS[:2]).is_zero()
+    # no moves give the bound 0 and the constant determinant
+    q = rand_pencil(random.Random(2), 3, 0)
+    assert q.det_poly(()) == MultiPoly.const((), q.det(()))
+    # explicit bounds: -1 gives zero, 0 keeps the value at the origin
+    r = rand_pencil(random.Random(3), 3, 2)
+    assert r.det_poly(PENCIL_VARS[:2], degree=-1).is_zero()
+    assert r.det_poly(PENCIL_VARS[:2], degree=0) == MultiPoly.const(PENCIL_VARS[:2], r.det((0, 0)))
+    # a row touched only by a move still counts 1 toward the bound
+    s = Pencil([[0, 0], [0, 1]], [[[1, 0], [0, 0]]])
+    assert s.det_poly(("t",)) == MultiPoly.var(("t",), "t")

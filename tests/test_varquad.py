@@ -139,14 +139,14 @@ def rand_pencil(rng, d, m, base=None, kill_kernel_of=None):
 
 
 def test_phi_expansion_reassembles_determinant():
-    from epw.polymat import PolyMatrix, det_poly_matrix
+    from epw.polymat import det_bareiss
     rng = random.Random(5)
     fam = rand_pencil(rng, 4, 2)
     phis = phi_expansion(fam)
     total = phis[0]
     for p in phis[1:]:
         total = total + p
-    assert total == det_poly_matrix(fam.gram_poly())
+    assert total == det_bareiss(fam.pencil.poly_matrix(fam.varnames))
 
 
 def test_degenerate_cone_example_d3():
