@@ -5,6 +5,9 @@
   CI only: it takes about 20 s);
 * the SHA-256 of the text output of `local-sextic` and `double-cover` on
   one seeded frame per corank 0-3, at the point 1,0,0,0,0,0;
+* the SHA-256 of `local-sextic` at two centers where the first coordinate
+  complement meets A, so make_chart falls through to a later basis, and
+  its exit code and message where no complement is transversal;
 * the SHA-256 of the graded pieces Phi_i of det(q_* + q(t)) over 40
   seeded pencil families with rational entries: every side 1-8 with every
   parameter count 1-5, the first family with a zero row.
@@ -20,7 +23,10 @@ import pytest
 from epw import jsonio
 from epw.cli import run
 from epw.varquad import PencilFamily, QuadSpace, phi_expansion
-from epw.wedge import random_graph_lagrangian
+from epw.wedge import (
+    LagrangianFrame, Subspace3, _unit, lagrangian_containing, random_graph_lagrangian,
+    trivector_from_vectors, wedge_bivector_basis,
+)
 
 DATA = Path(__file__).parent / "data"
 POINT = "1,0,0,0,0,0"
@@ -42,6 +48,20 @@ CHART_DIGESTS = {
         "b3aa1a13112029a3117ec8d90dd3e605c43d3c813d05eae4708fcc9f27d77133",
     ("double-cover", 3):
         "0bf1ece83f1ed84a7624aaf410a2535024c193c063645f80209c1cc9217d2dbb",
+}
+# name -> (frame builder, point, SHA-256 of the local-sextic output)
+OFF_CHART = {
+    # Lambda^3 W123 ⊂ A meets the complement <e1, e2, e3, e5, e6>
+    "plane-seed18": (
+        lambda: lagrangian_containing(Subspace3([_unit(0), _unit(1), _unit(2)]),
+                                      level=1, seed=18),
+        "0,0,0,1,0,0",
+        "af624463159e3b5fbbc3a96583bfbe7f4f22a7c833673b55ca699654a1e4bb3b"),
+    # A = e2 ^ Lambda^2 V meets the complement <e2, ..., e6>
+    "vee-e2": (
+        lambda: LagrangianFrame(wedge_bivector_basis(_unit(1))),
+        "1,2,3,0,0,0",
+        "12733d12995552d8ef844e138fd9208d683d7adc1d7a8dd49815a5a42b36c87c"),
 }
 PHI_DIGEST = "fae7250f94b607c1872573f05d597dd0be3994d5c9f63ef2edd999cda1401752"
 
@@ -74,6 +94,31 @@ def test_chart_output_digest(corank_frames, verb, k):
     code, out = run([verb, "--frame", corank_frames[k], "--point", POINT])
     assert code == 0
     assert _sha(out) == CHART_DIGESTS[verb, k]
+
+
+def _frame_file(tmp_path, frame):
+    path = tmp_path / "frame.json"
+    path.write_text(jsonio.dump_value("lagrangian_frame", frame))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(OFF_CHART))
+def test_off_standard_chart_digest(tmp_path, name):
+    build, point, digest = OFF_CHART[name]
+    code, out = run(["local-sextic", "--frame", _frame_file(tmp_path, build()),
+                     "--point", point])
+    assert code == 0
+    assert _sha(out) == digest
+
+
+def test_no_transversal_chart_message(tmp_path):
+    rows = [trivector_from_vectors(_unit(a), _unit(b), _unit(c))
+            for a in range(5) for b in range(a + 1, 5) for c in range(b + 1, 5)]
+    path = _frame_file(tmp_path, LagrangianFrame(rows))
+    code, out = run(["local-sextic", "--frame", path, "--point", "0,0,0,0,0,1"])
+    assert (code, out) == (1, "no transversal V0 found in 40 attempts: possible "
+                              "pathology (dual degeneracy locus equal to the "
+                              "whole dual space)")
 
 
 def _rational_symmetric(rng, d):
