@@ -21,7 +21,7 @@ def _fr(x) -> str:
 
 
 def _parse_fr(s, where):
-    if not isinstance(s, (str, int)):
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise SchemaError("%s: expected a rational string, got %r" % (where, s))
     try:
         return Fraction(s)
@@ -40,7 +40,8 @@ def frame_from_json(obj) -> wedge.LagrangianFrame:
     if not isinstance(obj, dict) or obj.get("kind") != "lagrangian_frame":
         raise SchemaError("kind: expected 'lagrangian_frame'")
     m = obj.get("matrix")
-    if not isinstance(m, list) or len(m) != 10 or any(len(r) != 20 for r in m):
+    if not isinstance(m, list) or len(m) != 10 or any(
+            not isinstance(r, list) or len(r) != 20 for r in m):
         raise SchemaError("matrix: expected 10 rows of 20 entries")
     rows = [[_parse_fr(x, "matrix[%d][%d]" % (i, j)) for j, x in enumerate(r)]
             for i, r in enumerate(m)]
@@ -58,7 +59,7 @@ def subspace3_from_json(obj) -> wedge.Subspace3:
     if not isinstance(obj, dict) or obj.get("kind") != "subspace3":
         raise SchemaError("kind: expected 'subspace3'")
     rows = obj.get("rows")
-    if not isinstance(rows, list) or any(len(r) != 6 for r in rows):
+    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 6 for r in rows):
         raise SchemaError("rows: expected rows of 6 entries")
     rs = [[_parse_fr(x, "rows[%d][%d]" % (i, j)) for j, x in enumerate(r)]
           for i, r in enumerate(rows)]
@@ -75,7 +76,10 @@ def vec_to_json(v) -> dict:
 def vec_from_json(obj):
     if not isinstance(obj, dict) or obj.get("kind") != "vector":
         raise SchemaError("kind: expected 'vector'")
-    return [_parse_fr(x, "coords[%d]" % i) for i, x in enumerate(obj.get("coords", []))]
+    coords = obj.get("coords", [])
+    if not isinstance(coords, list):
+        raise SchemaError("coords: expected a list of rationals")
+    return [_parse_fr(x, "coords[%d]" % i) for i, x in enumerate(coords)]
 
 
 def lattice_to_json(l: lattices.EvenLattice) -> dict:

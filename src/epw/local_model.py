@@ -53,9 +53,7 @@ class Chart:
     def __init__(self, frame: wedge.LagrangianFrame, v0, basis):
         self.v0 = fvec(v0)
         self.basis = [fvec(c) for c in basis]
-        if rank(stack([self.v0], self.basis)) != 6:
-            raise ValueError("v0 plus basis must span V")
-        # raises if Lambda^3 V0 meets A
+        # raises ValueError unless v0 and basis span V and Lambda^3 V0 ∩ A = 0
         self.gram_form = wedge.graph_gram(frame, self.v0, self.basis)
 
     def gram_at(self, tvals):
@@ -127,34 +125,38 @@ def chart_pencil(chart) -> Pencil:
 
 
 def make_chart(frame: wedge.LagrangianFrame, v0, seed=0, attempts=40) -> Chart:
-    """Find a chart at [v0]: try coordinate complements, then seeded random ones."""
+    """Find a chart at [v0]: try coordinate complements, then seeded random
+    ones, and keep the first whose Lambda^3 V0 meets A only in 0."""
     v0 = fvec(v0)
     if all(x == 0 for x in v0):
         raise ValueError("v0 must be nonzero")
-    tried = []
-    for excl in range(6):
-        if v0[excl] == 0:
-            continue
-        basis = [wedge._unit(i) for i in range(6) if i != excl]
-        tried.append(basis)
-    rng = random.Random(seed)
-    while len(tried) < attempts:
-        basis = [wedge.random_vector(rng, 6) for _ in range(5)]
-        if rank(stack([v0], basis)) == 6:
-            tried.append(basis)
-    for basis in tried:
-        if _transversal(frame, basis):
+    tried = 0
+    for basis in _complements(v0, seed, attempts):
+        tried += 1
+        try:
             return Chart(frame, v0, basis)
+        except ValueError:  # Lambda^3 V0 meets A
+            continue
     raise ChartError(
         "no transversal V0 found in %d attempts: possible pathology "
-        "(dual degeneracy locus equal to the whole dual space)" % len(tried)
+        "(dual degeneracy locus equal to the whole dual space)" % tried
     )
 
 
-def _transversal(frame, basis):
-    tri = [wedge.trivector_from_vectors(basis[i], basis[j], basis[k])
-           for (i, j, k) in wedge.TRIPLES5]
-    return rank(stack(frame.matrix, tri)) == 20
+def _complements(v0, seed, attempts):
+    """Bases of complements of [v0], drawn as they are tried: the coordinate
+    ones, then seeded random ones up to `attempts` bases in all."""
+    count = 0
+    for excl in range(6):
+        if v0[excl] != 0:
+            count += 1
+            yield [wedge._unit(i) for i in range(6) if i != excl]
+    rng = random.Random(seed)
+    while count < attempts:
+        basis = [wedge.random_vector(rng, 6) for _ in range(5)]
+        if rank(stack([v0], basis)) == 6:
+            count += 1
+            yield basis
 
 
 class LocalSextic:

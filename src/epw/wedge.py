@@ -16,6 +16,7 @@ import random
 
 from . import linalg
 from .linalg import fvec, rank, stack
+from .zlinalg import bareiss_solve
 
 DIM = 6
 TRIPLES = tuple(combinations(range(DIM), 3))          # 20 basis trivectors
@@ -59,17 +60,6 @@ def symplectic_pairing(a, b) -> Fraction:
     return total
 
 
-def symplectic_gram():
-    g = [[Fraction(0)] * 20 for _ in range(20)]
-    for i, t in enumerate(TRIPLES):
-        s, c = _PAIRING_SIGN[t]
-        g[i][TRIPLE_INDEX[c]] = Fraction(s)
-    return g
-
-
-_SYMPLECTIC_GRAM = symplectic_gram()
-
-
 def basis_trivector(i, j, k):
     v = [Fraction(0)] * 20
     s = perm_sign((i, j, k))
@@ -80,16 +70,14 @@ def basis_trivector(i, j, k):
 
 
 def trivector_from_vectors(u, v, w):
-    """Coordinates of u ^ v ^ w in the lexicographic trivector basis."""
-    u, v, w = fvec(u), fvec(v), fvec(w)
-    out = []
-    for (i, j, k) in TRIPLES:
-        out.append(
-            u[i] * (v[j] * w[k] - v[k] * w[j])
-            - u[j] * (v[i] * w[k] - v[k] * w[i])
-            + u[k] * (v[i] * w[j] - v[j] * w[i])
-        )
-    return out
+    """Coordinates of u ^ v ^ w in the lexicographic trivector basis: the
+    3x3 minors of the integer-scaled rows, divided once."""
+    den, (u, v, w) = linalg.scaled_int_rows((fvec(u), fvec(v), fvec(w)))
+    den = den ** 3
+    return [Fraction(u[i] * (v[j] * w[k] - v[k] * w[j])
+                     - u[j] * (v[i] * w[k] - v[k] * w[i])
+                     + u[k] * (v[i] * w[j] - v[j] * w[i]), den)
+            for (i, j, k) in TRIPLES]
 
 
 def wedge_vector_trivector(v, t):
@@ -187,21 +175,13 @@ class LagrangianFrame:
 
 
 def _pairings_vanish(rows):
-    g = _SYMPLECTIC_GRAM
-    gr = [linalg.mat_vec(g, r) for r in rows]
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            if sum(rows[i][t] * gr[j][t] for t in range(20)) != 0:
-                return False
-    return True
+    return all(symplectic_pairing(a, b) == 0 for a, b in combinations(rows, 2))
 
 
 def is_lagrangian(rows) -> bool:
     """True iff the rows span a 10-space on which the wedge pairing vanishes."""
-    m = linalg.fmat(rows)
-    if rank(m) != 10:
-        return False
-    return _pairings_vanish(linalg.row_basis(m))
+    m = linalg.row_basis(linalg.fmat(rows))
+    return len(m) == 10 and _pairings_vanish(m)
 
 
 def degeneracy_dim(a: LagrangianFrame, v) -> int:
@@ -323,11 +303,12 @@ def vol5_sign(indices):
 
 
 def chart_pairing_matrix():
-    """P[k][j] = vol0(gamma_k ^ beta_j) for the chart bases; signed permutation."""
-    p = [[Fraction(0)] * 10 for _ in range(10)]
+    """P[k][j] = vol0(gamma_k ^ beta_j) for the chart bases; a signed
+    permutation, with integer entries."""
+    p = [[0] * 10 for _ in range(10)]
     for k, tri in enumerate(TRIPLES5):
         rest = tuple(sorted(set(range(5)) - set(tri)))
-        p[k][PAIR5_INDEX[rest]] = Fraction(vol5_sign(tri + rest))
+        p[k][PAIR5_INDEX[rest]] = vol5_sign(tri + rest)
     return p
 
 
@@ -356,6 +337,17 @@ def pluecker_coefficient_matrices():
 _B5 = pluecker_coefficient_matrices()
 
 
+def chart_trivectors(v0, cbasis):
+    """The chart basis of Lambda^3 V as (first, second): the ten v0 ^ c_p ^ c_q
+    in PAIRS5 order and the ten c_i ^ c_j ^ c_k (a basis of Lambda^3 V0) in
+    TRIPLES5 order.  Together a basis exactly when v0 and cbasis span V."""
+    v0 = fvec(v0)
+    c = [fvec(x) for x in cbasis]
+    first = [trivector_from_vectors(v0, c[p], c[q]) for (p, q) in PAIRS5]
+    second = [trivector_from_vectors(c[i], c[j], c[k]) for (i, j, k) in TRIPLES5]
+    return first, second
+
+
 def lagrangian_from_graph_basis(v0, cbasis, gram) -> LagrangianFrame:
     """The graph Lagrangian {v0 ^ alpha + q(alpha)} for a symmetric Gram matrix.
 
@@ -366,21 +358,13 @@ def lagrangian_from_graph_basis(v0, cbasis, gram) -> LagrangianFrame:
     g = linalg.fmat(gram)
     if not linalg.is_symmetric(g):
         raise ValueError("Gram matrix must be symmetric (otherwise the graph is not Lagrangian)")
-    v0 = fvec(v0)
-    c = [fvec(x) for x in cbasis]
-    if rank(stack([v0], c)) != 6:
+    if rank(stack([fvec(v0)], linalg.fmat(cbasis))) != 6:
         raise ValueError("v0 and the chart basis do not span V")
-    # T = G * P^{-1}; P is a signed permutation so P^{-1} = P^t
+    first, second = chart_trivectors(v0, cbasis)
+    # row i is first[i] + sum_k T[i][k] second[k], T = G * P^{-1} = G * P^t
     t = linalg.mat_mul(g, linalg.transpose(_P5))
-    rows = []
-    for i, (p, q) in enumerate(PAIRS5):
-        row = trivector_from_vectors(v0, c[p], c[q])
-        for k, tri in enumerate(TRIPLES5):
-            if t[i][k] != 0:
-                gk = trivector_from_vectors(c[tri[0]], c[tri[1]], c[tri[2]])
-                row = [x + t[i][k] * y for x, y in zip(row, gk)]
-        rows.append(row)
-    return LagrangianFrame(rows)
+    return LagrangianFrame([[x + y for x, y in zip(f, r)]
+                            for f, r in zip(first, linalg.mat_mul(t, second))])
 
 
 def lagrangian_from_graph(chart, gram) -> LagrangianFrame:
@@ -391,24 +375,23 @@ def lagrangian_from_graph(chart, gram) -> LagrangianFrame:
 def graph_gram(a: LagrangianFrame, v0, cbasis):
     """Extract the symmetric Gram matrix of A as a graph over the chart.
 
-    Inverse of lagrangian_from_graph_basis; raises if Lambda^3 V0 meets A
-    (no transversality, so A is not a graph in this chart).
+    Inverse of lagrangian_from_graph_basis.  Raises ValueError if v0 and
+    cbasis do not span V, or if Lambda^3 V0 meets A (A is then not a
+    graph in this chart).  Two integer solves: the coordinates [X | Y] of
+    the rows of A in the chart basis, known up to one scalar that
+    T = X^{-1} Y does not see, then X T = Y.
     """
-    v0 = fvec(v0)
-    c = [fvec(x) for x in cbasis]
-    first = [trivector_from_vectors(v0, c[p], c[q]) for (p, q) in PAIRS5]
-    second = [trivector_from_vectors(c[i], c[j], c[k]) for (i, j, k) in TRIPLES5]
-    m = stack(first, second)
-    minv = linalg.inverse(linalg.transpose(m))
-    coords = [linalg.mat_vec(minv, row) for row in a.matrix]
-    x = [row[:10] for row in coords]
-    y = [row[10:] for row in coords]
-    try:
-        xinv = linalg.inverse(x)
-    except ValueError:
-        raise ValueError("Lambda^3 V0 meets A: chart is not transversal") from None
-    t = linalg.mat_mul(xinv, y)
-    g = linalg.mat_mul(t, _P5)
+    first, second = chart_trivectors(v0, cbasis)
+    _, m = linalg.scaled_int_rows(first + second)
+    _, rows = linalg.scaled_int_rows(a.matrix)
+    det, coords = bareiss_solve(linalg.transpose(m), linalg.transpose(rows))
+    if det == 0:
+        raise ValueError("v0 and the chart basis do not span V")
+    # coords[:, r] is a nonzero multiple of row r of [X | Y]
+    det, t = bareiss_solve(linalg.transpose(coords[:10]), linalg.transpose(coords[10:]))
+    if det == 0:
+        raise ValueError("Lambda^3 V0 meets A: chart is not transversal")
+    g = [[Fraction(x, det) for x in row] for row in linalg.mat_mul(t, _P5)]
     if not linalg.is_symmetric(g):
         raise AssertionError("extracted Gram is not symmetric; sign conventions broken")
     return g
@@ -508,9 +491,8 @@ def symmetric_with_kernel(rng, n, kernel_rows):
         smat = random_symmetric(rng, n - s, invertible=True)
         c = ann
         g = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), smat), c)
-        if rank(g) == n - s and all(
-            all(x == 0 for x in linalg.mat_vec(g, kv)) for kv in k
-        ):
+        # k g = (g k^t)^t since g is symmetric
+        if rank(g) == n - s and not any(x for row in linalg.mat_mul(k, g) for x in row):
             return g
 
 

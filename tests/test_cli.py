@@ -134,6 +134,25 @@ def test_disc_group_malformed_lattice_json_usage_error(tmp_path, extra):
     assert out.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag,doc", [
+    ("--frame", {"kind": "lagrangian_frame", "matrix": [5] * 10}),
+    ("--frame", {"kind": "lagrangian_frame", "matrix": [[i == j for j in range(20)]
+                                                        for i in range(10)]}),
+    ("--frame", {"kind": "vector", "coords": 5}),
+    ("--plane", {"kind": "subspace3", "rows": [5, 6, 7]}),
+    ("--plane", {"kind": "subspace3", "rows": [[i == j for j in range(6)] for i in range(3)]}),
+])
+def test_strata_malformed_wedge_json_usage_error(plane_frame_file, tmp_path, flag, doc):
+    """Rows that are not lists, and JSON booleans as rationals, are schema errors."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    fpath, wpath = plane_frame_file
+    files = {"--frame": fpath, "--plane": wpath, flag: str(path)}
+    code, out = run(["strata", "--frame", files["--frame"], "--plane", files["--plane"]])
+    assert code == 2
+    assert out.startswith("error: ")
+
+
 def test_pell_bound_two():
     code, out = run(["pell", "--bound", "2"])
     assert code == 0

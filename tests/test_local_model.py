@@ -55,6 +55,18 @@ def test_make_chart_for_graph_instance():
     assert ch.gram_form == g  # first coordinate complement is the standard chart
 
 
+def test_chart_rejects_non_transversal_and_non_spanning_bases():
+    plane = lagrangian_containing(W123, level=1, seed=18)
+    # Lambda^3 <e1, e2, e3, e5, e6> contains e123, which lies in A
+    with pytest.raises(ValueError, match="not transversal"):
+        Chart(plane, unit(4), [unit(1), unit(2), unit(3), unit(5), unit(6)])
+    frame, _ = random_graph_lagrangian(random.Random(1))
+    with pytest.raises(ValueError, match="do not span V"):
+        Chart(frame, unit(1), [unit(1), unit(3), unit(4), unit(5), unit(6)])
+    with pytest.raises(ValueError, match="do not span V"):
+        Chart(frame, unit(1), [unit(2), unit(3), unit(4), unit(5), [1, 1, 1, 1, 1, 0]])
+
+
 def test_make_chart_vee_wedge_any_complement():
     frame = vee_frame(unit(1))
     ch = make_chart(frame, unit(1))

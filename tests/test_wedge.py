@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from epw import linalg
+from epw import linalg, wedge
 from epw.linalg import rank, stack
 from epw.wedge import (
     DIM, TRIPLES,
@@ -62,6 +62,17 @@ def test_pairing_antisymmetric_sweep():
         assert symplectic_pairing(a, b) == -symplectic_pairing(b, a)
 
 
+def test_trivector_matches_fraction_minors():
+    """The integer-scaled minors against the same expansion in Fractions."""
+    rng = random.Random(9)
+    for _ in range(30):
+        u, v, w = ([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(DIM)]
+                   for _ in range(3))
+        assert trivector_from_vectors(u, v, w) == [
+            u[i] * (v[j] * w[k] - v[k] * w[j]) - u[j] * (v[i] * w[k] - v[k] * w[i])
+            + u[k] * (v[i] * w[j] - v[j] * w[i]) for (i, j, k) in TRIPLES]
+
+
 # -- Lagrangian recognition ---------------------------------------------
 
 def test_vee_wedge_is_lagrangian():
@@ -84,6 +95,17 @@ def test_non_isotropic_10_space_rejected():
             rows.append(cand)
     assert rank(rows) == 10
     assert not is_lagrangian(rows)
+
+
+def test_flipped_pairing_sign_rejects_a_graph_frame(monkeypatch):
+    """The isotropy check reads _PAIRING_SIGN, so a wrong sign shows: row 0
+    of the frame has e123 coefficient 1 and another row meets e456."""
+    frame, _ = random_graph_lagrangian(random.Random(3))
+    LagrangianFrame(frame.matrix)
+    sign, comp = wedge._PAIRING_SIGN[(0, 1, 2)]
+    monkeypatch.setitem(wedge._PAIRING_SIGN, (0, 1, 2), (-sign, comp))
+    with pytest.raises(ValueError, match="not isotropic"):
+        LagrangianFrame(frame.matrix)
 
 
 # -- degeneracy dimensions ----------------------------------------------
@@ -202,6 +224,40 @@ def test_graph_round_trip_nonstandard_chart():
     a = lagrangian_from_graph_basis(v0, c, g)
     assert is_lagrangian(a.matrix)
     assert graph_gram(a, v0, c) == g
+
+
+def graph_gram_reference(a, v0, c):
+    """Fraction extraction: invert the 20x20 chart basis, then X."""
+    v0, c = linalg.fvec(v0), linalg.fmat(c)
+    first = [trivector_from_vectors(v0, c[p], c[q]) for (p, q) in PAIRS5]
+    second = [trivector_from_vectors(c[i], c[j], c[k]) for (i, j, k) in combinations(range(5), 3)]
+    minv = linalg.inverse(linalg.transpose(stack(first, second)))
+    coords = [linalg.mat_vec(minv, row) for row in a.matrix]
+    x = [row[:10] for row in coords]
+    y = [row[10:] for row in coords]
+    return linalg.mat_mul(linalg.mat_mul(linalg.inverse(x), y), wedge.chart_pairing_matrix())
+
+
+def test_graph_gram_matches_fraction_reference():
+    """Seeded graph frames of corank 0-3 read in 20 random charts, some of
+    them with rational entries."""
+    rng = random.Random(21)
+    for n in range(20):
+        frame, _ = random_graph_lagrangian(rng, corank=n % 4)
+        while True:
+            v0 = random_vector(rng, 6, nonzero=True)
+            c = [random_vector(rng, 6) for _ in range(5)]
+            if n % 3 == 0:
+                c[0] = [x / 7 for x in c[0]]
+            if rank(stack([v0], c)) == 6:
+                break
+        assert graph_gram(frame, v0, c) == graph_gram_reference(frame, v0, c)
+
+
+def test_graph_needs_a_spanning_chart():
+    with pytest.raises(ValueError, match="do not span V"):
+        lagrangian_from_graph_basis(unit(1), [unit(1), unit(3), unit(4), unit(5), unit(6)],
+                                    [[0] * 10 for _ in range(10)])
 
 
 def test_graph_degeneracy_equals_corank():
