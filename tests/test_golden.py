@@ -10,7 +10,11 @@
   its exit code and message where no complement is transversal;
 * the SHA-256 of the graded pieces Phi_i of det(q_* + q(t)) over 40
   seeded pencil families with rational entries: every side 1-8 with every
-  parameter count 1-5, the first family with a zero row.
+  parameter count 1-5, the first family with a zero row;
+* the SHA-256 of Gram matrices carried to another basis: seeded dual
+  forms, symmetric_with_kernel draws at coranks 1-3, the restricted Grams
+  behind cork_restrict and DualForm.corank_on, and the Gram of e1^perp in
+  the polarized lattice.
 """
 
 from fractions import Fraction
@@ -20,12 +24,16 @@ import random
 
 import pytest
 
-from epw import jsonio
+from epw import jsonio, linalg, varquad
 from epw.cli import run
-from epw.varquad import PencilFamily, QuadSpace, phi_expansion
+from epw.lattices import lambda_lattice, orth_complement
+from epw.varquad import (
+    PencilFamily, QuadSpace, ann_of_span, cork_restrict, dual_form, phi_expansion,
+)
 from epw.wedge import (
     LagrangianFrame, Subspace3, _unit, lagrangian_containing, random_graph_lagrangian,
-    trivector_from_vectors, wedge_bivector_basis,
+    random_symmetric, random_vector, symmetric_with_kernel, trivector_from_vectors,
+    wedge_bivector_basis,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -64,6 +72,16 @@ OFF_CHART = {
         "12733d12995552d8ef844e138fd9208d683d7adc1d7a8dd49815a5a42b36c87c"),
 }
 PHI_DIGEST = "fae7250f94b607c1872573f05d597dd0be3994d5c9f63ef2edd999cda1401752"
+GRAM_DIGESTS = {
+    "dual-form":
+        "5df285d7e42e95ef343518bd281be18def3ce20cd1407fe12d9d82fc3a0512b3",
+    "symmetric-with-kernel":
+        "b19c11b35065f45c3bfb38ecea9eb129bf53105c909b40589566762d3d2d3f4d",
+    "restricted":
+        "3ee3369a66a377809d7fb1c648ba37f83507cbd130a3ddf596fdc5709cc621f7",
+    "lambda-e1-perp":
+        "77d0c208e0bdafdaa037b172eee62e4db03391025ad441acaff79d21aeab989a",
+}
 
 
 def _sha(text):
@@ -149,3 +167,63 @@ def test_phi_expansion_digest():
     text = "\n".join(" | ".join(p.to_text() for p in phi_expansion(fam))
                      for fam in golden_families())
     assert _sha(text) == PHI_DIGEST
+
+
+def _matrix_text(m):
+    return "\n".join(" ".join(str(x) for x in row) for row in m)
+
+
+def _grams_digest(mats):
+    return _sha("\n\n".join(_matrix_text(m) for m in mats))
+
+
+def test_dual_form_gram_digest():
+    rng = random.Random(31)
+    grams = []
+    for i in range(24):
+        d = i % 6 + 2
+        base = _rational_symmetric(rng, d)
+        grams.append(dual_form(QuadSpace(base)).gram)
+    assert _grams_digest(grams) == GRAM_DIGESTS["dual-form"]
+
+
+def test_symmetric_with_kernel_digest():
+    mats = []
+    for k in (1, 2, 3):
+        for n in (k + 1, 6, 10):
+            rng = random.Random(50 + 10 * k + n)
+            mats.append(symmetric_with_kernel(rng, n, [random_vector(rng, n)
+                                                       for _ in range(k)]))
+            mats.append([random_vector(rng, 3)])  # pins how much randomness a draw used
+    assert _grams_digest(mats) == GRAM_DIGESTS["symmetric-with-kernel"]
+
+
+def test_restricted_gram_digest(monkeypatch):
+    """Every Gram restrict_gram forms for cork_restrict and corank_on."""
+    seen = []
+
+    def recording(g, rows):
+        out = linalg.restrict_gram(g, rows)
+        seen.append(out)
+        return out
+
+    rng = random.Random(41)
+    for i in range(30):
+        d = i % 6 + 2
+        q = QuadSpace(random_symmetric(rng, d))
+        s = [random_vector(rng, d) for _ in range(rng.randint(1, d))]
+        dual = dual_form(q) if q.corank() == 0 else None
+        with monkeypatch.context() as patch:
+            patch.setattr(varquad, "restrict_gram", recording)
+            cork_restrict(q, s)
+            if dual is not None:
+                dual.corank_on(ann_of_span(linalg.row_basis(s), d))
+    assert len(seen) > 30
+    assert _grams_digest(seen) == GRAM_DIGESTS["restricted"]
+
+
+def test_orth_complement_gram_digest():
+    lam = lambda_lattice()
+    comp = orth_complement(lam, lam.vector("e1"))
+    assert comp.rank == 21
+    assert _grams_digest([comp.gram]) == GRAM_DIGESTS["lambda-e1-perp"]
