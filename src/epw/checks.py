@@ -284,7 +284,7 @@ def check_phi2_rank(seed=4, cases=200):
         coeffs = []
         for _ in range(rng.randint(1, 3)):
             b = random_symmetric(rng, d)
-            val = sum(e[i] * b[i][jj] * e[jj] for i in range(d) for jj in range(d))
+            val = linalg.restrict_gram(b, [e])[0][0]
             if val != 0:
                 i = next(t for t in range(d) if e[t] != 0)
                 b[i][i] -= val / (e[i] * e[i])

@@ -10,7 +10,8 @@ a constructive certificate that it contains two orthogonal hyperbolic
 planes (without which the Eichler criterion is refused).
 
 The lattice layer computes in integers only.  Gram matrices of
-complements and overlattices are integer products, coordinates in a
+complements and overlattices, and the isometry test, are one
+`zlinalg.int_gram` congruence product each, coordinates in a
 sublattice basis come from one fraction-free solve per basis, and the
 discriminant group needs nothing beyond its Smith transform: from
 U G V = D it follows that G^-1 U^-1 = V D^-1, so the lift of the i-th
@@ -198,7 +199,7 @@ def orth_complement(l: EvenLattice, v) -> EvenLattice:
     basis = zlinalg.int_kernel([gv])
     if len(basis) != l.rank - 1:
         raise ValueError("vector is isotropic-degenerate; no full complement")
-    gram = _basis_gram(l, basis)
+    gram = zlinalg.int_gram(l.gram, basis)
     names = [name for name, w in l.named.items() if _dot(w, gv) == 0]
     pairs = [(a, b) for (a, b) in l.u2_pairs if _dot(a, gv) == 0 and _dot(b, gv) == 0]
     coords = _coords_in(basis, [l.named[name] for name in names]
@@ -207,12 +208,6 @@ def orth_complement(l: EvenLattice, v) -> EvenLattice:
     rest = coords[len(names):]
     return EvenLattice(gram, named=named,
                        u2_pairs=list(zip(rest[0::2], rest[1::2])))
-
-
-def _basis_gram(l: EvenLattice, rows):
-    """Gram matrix of the given integer vectors: one G b per row."""
-    gb = [l.gram_vec(b) for b in rows]
-    return [[_dot(a, g) for g in gb] for a in rows]
 
 
 def _coords_in(basis_rows, ws):
@@ -461,9 +456,8 @@ def induced_disc_action(m, l: EvenLattice, disc: DiscGroup):
 
 
 def is_isometry(m, l: EvenLattice) -> bool:
-    g = linalg.fmat(l.gram)
-    mf = linalg.fmat(m)
-    return linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(mf, g), linalg.transpose(mf)), g)
+    """Whether the integer rows m satisfy m G m^t = G."""
+    return zlinalg.int_gram(l.gram, m) == l.gram
 
 
 # ---------------------------------------------------------------------
@@ -530,11 +524,9 @@ def iota_swap(lam: EvenLattice, disc: DiscGroup = None):
     e1, e2 = lam.vector("e1"), lam.vector("e2")
     comp = zlinalg.int_kernel([lam.gram_vec(e1), lam.gram_vec(e2)])
     t = [e1, e2] + comp
+    # in the basis t the swap permutes the first two rows: m = t^-1 s t
     tf = linalg.fmat(t)
-    tinv = linalg.inverse(tf)
-    s = linalg.identity(lam.rank)
-    s[0], s[1] = s[1][:], s[0][:]
-    m = linalg.mat_mul(linalg.mat_mul(tinv, s), tf)
+    m = linalg.mat_mul(linalg.inverse(tf), [tf[1], tf[0]] + tf[2:])
     if any(x.denominator != 1 for row in m for x in row):
         raise AssertionError("swap involution is not integral on this lattice")
     mi = [[int(x) for x in row] for row in m]
@@ -604,7 +596,7 @@ def overlattices(l: EvenLattice):
         num, den = disc._lift_num(el)
         units = [_unit(n, i) for i in range(n)]
         basis = zlinalg.hnf_row_basis([[den * x for x in e] for e in units] + [num])
-        gram = _basis_gram(l, basis)
+        gram = zlinalg.int_gram(l.gram, basis)
         den2 = den * den
         if any(x % den2 for row in gram for x in row):
             raise AssertionError("overlattice Gram is not integral")
@@ -631,7 +623,7 @@ def sublattice_index_and_discr(l_super: EvenLattice, sub_rows):
     if len(basis) != l_super.rank:
         raise ValueError("sublattice is not of full rank")
     index = abs(zlinalg.int_det(basis))
-    sub_gram = _basis_gram(l_super, basis)
+    sub_gram = zlinalg.int_gram(l_super.gram, basis)
     lhs = zlinalg.int_det(sub_gram)
     rhs = index * index * l_super.det()
     if lhs != rhs:

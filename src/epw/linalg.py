@@ -3,12 +3,17 @@
 Matrices are lists of lists of Fraction; vectors are lists of Fraction.
 Every function returns fresh objects and never mutates its arguments,
 so values can be shared freely between threads or worker pools.
+
+The hot routines scale their input to integers once (scaled_int_rows)
+and run on the integer kernels of zlinalg: det and inverse on the Bareiss
+elimination, and restrict_gram, the one congruence product rows g rows^t
+that carries a form to another basis, on int_gram.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .zlinalg import bareiss_solve, int_det
+from .zlinalg import bareiss_solve, int_det, int_gram
 
 
 def frac(x) -> Fraction:
@@ -69,10 +74,6 @@ def mat_vec(a, v):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def is_symmetric(m):
@@ -219,12 +220,17 @@ def in_rowspace(m, v):
     return rank(m) == rank(stack(m, [list(v)]))
 
 
-def restrict_gram(g, basis_rows):
-    """Gram matrix of the form g restricted to the span of the given rows."""
-    b = [fvec(r) for r in basis_rows]
-    gb = [mat_vec(g, v) for v in b]
-    return [[sum(b[i][t] * gb[j][t] for t in range(len(g))) for j in range(len(b))]
-            for i in range(len(b))]
+def restrict_gram(g, rows):
+    """The Gram matrix rows g rows^t of the form g on the given rows.
+
+    g and the rows are each scaled to integers once, zlinalg.int_gram
+    forms the product, and each entry is one Fraction.  Raises ValueError
+    when a row's length is not the side of g.
+    """
+    gd, gi = scaled_int_rows(g)
+    rd, ri = scaled_int_rows([fvec(r) for r in rows])
+    den = gd * rd * rd
+    return [[Fraction(x, den) for x in row] for row in int_gram(gi, ri)]
 
 
 def symmetric_diagonalize(g):

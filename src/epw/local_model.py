@@ -31,11 +31,11 @@ from fractions import Fraction
 import random
 
 from . import linalg, wedge
-from .linalg import fvec, rank, scaled_ints, stack
+from .linalg import fvec, rank, restrict_gram, scaled_ints, stack
 from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_cofactor, det_poly_matrix, interpolate_poly_map
-from .zlinalg import bareiss_solve, int_adjugate
+from .zlinalg import bareiss_solve, int_adjugate, int_gram
 
 CHART_VARS = ("t1", "t2", "t3", "t4", "t5")
 
@@ -272,7 +272,7 @@ class SchurData:
         self.k_basis = k_basis
         self.denom = denom
         self.m_hat = m_hat
-        self.adapted = adapted   # 10x10 change of basis (rows = adapted basis)
+        self.adapted = adapted   # 10x10 integer change of basis (rows = adapted basis)
 
 
 def _greedy_principal_block(g, target):
@@ -336,30 +336,15 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
         kern = kb
     # integer adapted basis: coordinate bivectors of J, then the kernel
     j = _greedy_principal_block(g, 10 - k)
-    adapted = []
-    for i in j:
-        row = [Fraction(0)] * 10
-        row[i] = Fraction(1)
-        adapted.append(row)
-    for krow in kern:
-        adapted.append([Fraction(x) for x in scaled_ints(krow)[1]])
-    c = adapted
-    gp = linalg.mat_mul(linalg.mat_mul(c, g), linalg.transpose(c))
+    c = [[int(i == t) for t in range(10)] for i in j] + [scaled_ints(r)[1] for r in kern]
+    gp = restrict_gram(g, c)
     jdim = 10 - k
     for i in range(10):
         for jj in range(10):
             if (i >= jdim or jj >= jdim) and gp[i][jj] != 0:
                 raise AssertionError("adapted Gram is not block diagonal")
     # moving Gram in the adapted basis: integer coefficient matrices per t_a
-    ci = [[int(x) for x in row] for row in c]
-    cb = []
-    for ba in moving_int_matrices():
-        tmp = [[sum(ci[i][t] * ba[t][s] for t in range(10)) for s in range(10)]
-               for i in range(10)]
-        cb.append([[sum(tmp[i][s] * ci[jj][s] for s in range(10)) for jj in range(10)]
-                   for i in range(10)])
-
-    pencil = Pencil(gp, cb)
+    pencil = Pencil(gp, [int_gram(ba, c) for ba in moving_int_matrices()])
 
     if k == 0:
         denom = pencil.det_poly(CHART_VARS, pencil_rank_bound())
@@ -380,14 +365,9 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
                     v = det * p[jdim + jj] - sum(r[i][t] * y[t][jj] for t in range(jdim))
                     out.append(Fraction(v, mscale))
         else:
-            adj = int_adjugate(nq)
-            for i in range(k):
-                for jj in range(k):
-                    v = 0
-                    for t in range(jdim):
-                        for u in range(jdim):
-                            v += r[i][t] * adj[t][u] * r[jj][u]
-                    out.append(Fraction(-v, mscale))
+            # det = 0: M_hat = -R adj(N) R^t
+            rar = int_gram(int_adjugate(nq), r)
+            out.extend(Fraction(-v, mscale) for row in rar for v in row)
         return out
 
     degree = min(jdim + 1, pencil_rank_bound())

@@ -41,14 +41,10 @@ class QuadSpace:
         return linalg.nullspace(self.gram)
 
     def value(self, v):
-        v = fvec(v)
-        gv = linalg.mat_vec(self.gram, v)
-        return sum(a * b for a, b in zip(v, gv))
+        return restrict_gram(self.gram, [v])[0][0]
 
     def pairing(self, v, w):
-        v, w = fvec(v), fvec(w)
-        gw = linalg.mat_vec(self.gram, w)
-        return sum(a * b for a, b in zip(v, gw))
+        return restrict_gram(self.gram, [v, w])[0][1]
 
 
 def cork_restrict(q: QuadSpace, s_rows) -> int:
@@ -100,10 +96,8 @@ def dual_form(q: QuadSpace) -> DualForm:
         x = linalg.solve(q.gram, phi)
         assert x is not None  # rows of the Gram span its column space
         xs.append(x)
-    gram = [[sum(xs[i][t] * ann[j][t] for t in range(q.dim)) for j in range(len(ann))]
-            for i in range(len(ann))]
-    assert linalg.is_symmetric(gram)
-    return DualForm(ann, gram)
+    # phi_j(x_i) = x_i . G x_j, a congruence of the symmetric G
+    return DualForm(ann, restrict_gram(q.gram, xs))
 
 
 def ann_of_span(rows, dim):
@@ -216,13 +210,8 @@ def vanishing_kernel_check(fam: PencilFamily):
     """
     k = fam.base.corank()
     kern = fam.base.kernel()
-    for b in fam.coeffs:
-        for u in kern:
-            for w in kern:
-                val = sum(u[i] * sum(b[i][j] * w[j] for j in range(fam.base.dim))
-                          for i in range(fam.base.dim))
-                if val != 0:
-                    raise ValueError("family does not vanish on ker q_*")
+    if any(x for b in fam.coeffs for row in restrict_gram(b, kern) for x in row):
+        raise ValueError("family does not vanish on ker q_*")
     phis = phi_expansion(fam)
     for i in range(2 * k):
         if not phis[i].is_zero():
@@ -230,30 +219,27 @@ def vanishing_kernel_check(fam: PencilFamily):
     if k == 0:
         return True, Fraction(1), phis
     # Gram of the dual form on the moving covectors q~(t) kappa_i, entries
-    # quadratic in t; build it from solutions of q_* x = phi.
-    d = fam.base.dim
-    cov = []  # cov[i][a] = B_a kappa_i (a covector column)
+    # quadratic in t: with q_* x_ia = B_a kappa_i, the t_a t_b coefficient
+    # of entry (i, j) is x_ia . B_b kappa_j = x_ia . q_* x_jb.
+    m = len(fam.coeffs)
+    xs = []  # xs[i * m + a] = x_ia
     for u in kern:
-        cov.append([linalg.mat_vec(b, u) for b in fam.coeffs])
-    sols = []  # sols[i][a]: solution of q_* x = cov[i][a]
-    for i in range(k):
-        row = []
-        for a in range(len(fam.coeffs)):
-            x = linalg.solve(fam.base.gram, cov[i][a])
+        for b in fam.coeffs:
+            x = linalg.solve(fam.base.gram, linalg.mat_vec(b, u))
             if x is None:
                 raise ValueError("q~(K) does not land in the image of q_*")
-            row.append(x)
-        sols.append(row)
+            xs.append(x)
+    pairs = restrict_gram(fam.base.gram, xs)
     entries = []
     for i in range(k):
         row = []
         for j in range(k):
             terms = {}
-            for a in range(len(fam.coeffs)):
-                for b in range(len(fam.coeffs)):
-                    v = sum(sols[i][a][t] * cov[j][b][t] for t in range(d))
+            for a in range(m):
+                for b in range(m):
+                    v = pairs[i * m + a][j * m + b]
                     if v != 0:
-                        e = [0] * len(fam.coeffs)
+                        e = [0] * m
                         e[a] += 1
                         e[b] += 1
                         key = tuple(e)
@@ -279,9 +265,8 @@ def phi2_rank(fam: PencilFamily):
         raise ValueError("base form must have corank 1")
     e = fam.base.kernel()[0]
     d = fam.base.dim
-    for b in fam.coeffs:
-        if sum(e[i] * sum(b[i][j] * e[j] for j in range(d)) for i in range(d)) != 0:
-            raise ValueError("family does not kill the kernel vector")
+    if any(restrict_gram(b, [e])[0][0] for b in fam.coeffs):
+        raise ValueError("family does not kill the kernel vector")
     phis = phi_expansion(fam)
     lhs = quadratic_form_rank(phis[2])
     # T = Ann of the span of B_a e
@@ -290,7 +275,6 @@ def phi2_rank(fam: PencilFamily):
     cod = len(img_basis)
     t_basis = linalg.nullspace(img_basis) if img_basis else linalg.identity(d)
     # cork of the induced form on T/<e>: e lies in T and in ker(q_*|_T)
-    gt = restrict_gram(fam.base.gram, t_basis) if t_basis else []
-    cork_t = (len(t_basis) - rank(gt)) if t_basis else 0
+    cork_t = len(t_basis) - rank(restrict_gram(fam.base.gram, t_basis))
     rhs = cod - (cork_t - 1)
     return lhs, rhs, lhs == rhs

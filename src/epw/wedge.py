@@ -477,23 +477,19 @@ def random_graph_lagrangian(rng, corank=0):
 
 
 def symmetric_with_kernel(rng, n, kernel_rows):
-    """Random symmetric n x n matrix whose kernel is exactly span(kernel_rows)."""
+    """Random symmetric n x n matrix whose kernel is exactly span(kernel_rows).
+
+    The matrix is C^t S C with S a random invertible symmetric matrix and
+    the rows of C a basis of Ann(span kernel_rows).  C^t is injective and
+    ker C = span(kernel_rows), so every draw has exactly that kernel.
+    """
     k = linalg.row_basis(linalg.fmat(kernel_rows))
-    s = len(k)
-    if s == 0:
+    if not k:
         return random_symmetric(rng, n, invertible=True)
-    ann = linalg.nullspace(k)  # (n-s) rows spanning Ann(span k)
-    attempts = 0
-    while True:
-        attempts += 1
-        if attempts > 100:
-            raise RuntimeError("could not hit the requested kernel")
-        smat = random_symmetric(rng, n - s, invertible=True)
-        c = ann
-        g = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), smat), c)
-        # k g = (g k^t)^t since g is symmetric
-        if rank(g) == n - s and not any(x for row in linalg.mat_mul(k, g) for x in row):
-            return g
+    ann = linalg.nullspace(k)
+    smat = random_symmetric(rng, n - len(k), invertible=True)
+    # the rows of C^t: n of them, also when C has none
+    return linalg.restrict_gram(smat, [[row[i] for row in ann] for i in range(n)])
 
 
 class ConstraintError(RuntimeError):

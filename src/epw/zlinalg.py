@@ -1,8 +1,9 @@
 """Integer matrix routines for lattice arithmetic.
 
 One fraction-free elimination kernel (Bareiss) behind the integer
-determinant and the integer solve, Smith normal form with unimodular
-transforms, Hermite form for lattice bases and saturated kernels.
+determinant and the integer solve, the one congruence product rows g
+rows^t, Smith normal form with unimodular transforms, Hermite form for
+lattice bases and saturated kernels.
 Everything here is integer arithmetic; nothing is imported.
 """
 
@@ -74,6 +75,20 @@ def bareiss_solve(m, rhs):
                 for c in range(k)]
     det = sign * dn
     return det, z if sign == 1 else [[-x for x in r] for r in z]
+
+
+def int_gram(g, rows):
+    """The integer Gram matrix rows g rows^t: one g b per row, then dot
+    products, skipping the zero coordinates of each row.  Raises
+    ValueError when a row's length is not the side of g."""
+    n = len(g)
+    if any(len(b) != n for b in rows):
+        raise ValueError("row length does not match the %dx%d form" % (n, n))
+    gb = []
+    for b in rows:
+        nz = [(j, x) for j, x in enumerate(b) if x]
+        gb.append([sum(row[j] * x for j, x in nz) for row in g])
+    return [[sum(x * y for x, y in zip(a, v) if x) for v in gb] for a in rows]
 
 
 def int_adjugate(m):

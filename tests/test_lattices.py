@@ -14,7 +14,7 @@ from epw.lattices import (
     disc_group, divisibility_and_star, is_root, is_root_by_divisibility,
     eichler_equivalent, classify_negative_root, reflection, iota_swap,
     overlattices, sublattice_index_and_discr, disc_autos_preserving_q,
-    is_isometry, induced_disc_action,
+    is_isometry, induced_disc_action, NAMED_LATTICES,
     S2_STAR, S2_PRIME, S2_DPRIME, S4,
 )
 
@@ -293,6 +293,45 @@ def test_iota_swaps_and_is_not_stable():
     assert img1 == e2
     sq = [[sum(m[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
     assert sq == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_is_isometry_rejects_non_isometries():
+    lt = lambda_tilde()
+    n = lt.rank
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert is_isometry(ident, lt)
+    assert is_isometry([[-x for x in row] for row in ident], lt)
+    assert not is_isometry([[2 * x for x in row] for row in ident], lt)
+    shear = [row[:] for row in ident]
+    shear[0][1] = 1
+    assert not is_isometry(shear, lt)
+    # swapping two basis vectors of different squares
+    sq = [lt.gram[i][i] for i in range(n)]
+    i, j = next((i, j) for i in range(n) for j in range(i) if sq[i] != sq[j])
+    swap = [row[:] for row in ident]
+    swap[i], swap[j] = swap[j], swap[i]
+    assert not is_isometry(swap, lt)
+
+
+def _reference_basis_gram(l, rows):
+    """The Gram of integer rows as one G b per row, then integer dots."""
+    gb = [l.gram_vec(b) for b in rows]
+    return [[sum(x * y for x, y in zip(a, g)) for g in gb] for a in rows]
+
+
+@pytest.mark.parametrize("name", ["lambda-tilde", "lambda", "gamma-tilde", "phi-tilde"])
+def test_int_gram_matches_reference_on_tower_complements(name):
+    """int_gram on the complement bases int_kernel([G v]) of every named
+    vector and hyperbolic-pair vector of the tower lattices."""
+    l = NAMED_LATTICES[name]()
+    vectors = list(l.named.values()) + [w for ab in l.u2_pairs for w in ab]
+    assert len(vectors) >= 4
+    for v in vectors:
+        basis = zlinalg.int_kernel([l.gram_vec(v)])
+        assert len(basis) == l.rank - 1
+        gram = zlinalg.int_gram(l.gram, basis)
+        assert gram == _reference_basis_gram(l, basis)
+        assert all(type(x) is int for row in gram for x in row)
 
 
 def test_passed_disc_group_is_not_rebuilt(monkeypatch):

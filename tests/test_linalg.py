@@ -1,7 +1,8 @@
 """Exact linear algebra against Fraction references kept here: the
-fraction-free rref against Gauss-Jordan, and the one integer Bareiss
+fraction-free rref against Gauss-Jordan, the one integer Bareiss
 kernel (int_det, bareiss_solve, linalg.det, linalg.inverse) against
-Gaussian elimination."""
+Gaussian elimination, and the one congruence product restrict_gram
+against its Fraction form."""
 
 from fractions import Fraction
 import inspect
@@ -10,7 +11,9 @@ import random
 import pytest
 
 from epw import linalg, zlinalg
-from epw.linalg import inverse, mat_mul, mat_vec, nullspace, rank, rref, scaled_ints, solve
+from epw.linalg import (
+    inverse, mat_mul, mat_vec, nullspace, rank, restrict_gram, rref, scaled_ints, solve,
+)
 from epw.zlinalg import bareiss_solve, int_det
 
 
@@ -68,6 +71,14 @@ def reference_inverse(m):
                                 for i, row in enumerate(m)])
     assert pivots == list(range(n))
     return [row[n:] for row in r]
+
+
+def reference_restrict_gram(g, rows):
+    """rows g rows^t over Fraction: one g b per row, then dot products."""
+    b = [linalg.fvec(r) for r in rows]
+    gb = [mat_vec(g, v) for v in b]
+    return [[sum(b[i][t] * gb[j][t] for t in range(len(g))) for j in range(len(b))]
+            for i in range(len(b))]
 
 
 def rand_q(rng, span=9, den=12):
@@ -328,3 +339,38 @@ def test_inverse_matches_fraction_gauss_jordan():
     assert inverted > 500
     assert inverse([]) == []
     assert inverse([[Fraction(-2, 7)]]) == [[Fraction(-7, 2)]]
+
+
+def test_restrict_gram_matches_fraction_reference():
+    rng = random.Random(609)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        g = [[rand_q(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.5:
+            g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        rows = [[rand_q(rng) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(rng.randint(1, n + 1))]
+        if rng.random() < 0.2:
+            rows[rng.randrange(len(rows))] = [0] * n
+        got = restrict_gram(g, rows)
+        assert got == reference_restrict_gram(g, rows)
+        assert all(type(x) is Fraction for row in got for x in row)
+        seen.add("single row" if len(rows) == 1 else "k < n" if len(rows) < n else "k >= n")
+        if any(not any(r) for r in rows):
+            seen.add("zero row")
+        if any(Fraction(x).denominator > 1 for r in rows for x in r):
+            seen.add("denominators")
+    assert seen == {"single row", "k < n", "k >= n", "zero row", "denominators"}
+    assert restrict_gram([[Fraction(1, 2)]], []) == []
+    assert restrict_gram([[1, 2], [2, 0]], [["1/2", 1]]) == [[Fraction(9, 4)]]
+
+
+def test_restrict_gram_rejects_a_row_of_the_wrong_length():
+    g = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    for row in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="row length"):
+            restrict_gram(g, [[1, 0, 0], row])
+        with pytest.raises(ValueError, match="row length"):
+            zlinalg.int_gram(g, [row])

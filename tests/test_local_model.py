@@ -274,6 +274,40 @@ def test_schur_identity_exact(k):
     assert schur_identity_check(frame, ch, sd)
 
 
+def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
+    """At every point the solve branch gives M_hat = det(N) P - R adj(N) R^t;
+    the det(N) = 0 branch gives -R adj(N) R^t.  Forcing that branch at
+    points where det(N) != 0 must therefore change M_hat by exactly det(N) P,
+    with P the kernel block of the congruent pencil."""
+    frame, _ = random_graph_lagrangian(random.Random(62), corank=2)
+    ch = Chart(frame, unit(1), standard_chart_basis()[1])
+    oracles = []
+    interpolate = local_model.interpolate_poly_map
+
+    def capture(oracle, *args):
+        oracles.append(oracle)
+        return interpolate(oracle, *args)
+
+    monkeypatch.setattr(local_model, "interpolate_poly_map", capture)
+    sd = schur_complement(frame, ch)
+    k, c = sd.k, sd.adapted
+    jdim = 10 - k
+    moves = [[[sum(c[r][x] * b[x][y] * c[q][y] for x in range(10) for y in range(10))
+               for q in range(jdim, 10)] for r in range(jdim, 10)]
+             for b in local_model.moving_int_matrices()]
+    points = [(1, 0, 2, -1, 0, 3), (2, 1, 1, 1, 0, -1), (0, 0, 0, 0, 0, 1)]
+    solved = [oracles[0](pt) for pt in points]
+    solve = local_model.bareiss_solve
+    monkeypatch.setattr(local_model, "bareiss_solve", lambda m, rhs: (solve(m, rhs)[0], None))
+    for pt, out in zip(points, solved):
+        forced = oracles[0](pt)
+        assert forced[0] == out[0] != 0
+        for i in range(k):
+            for j in range(k):
+                p = sum(t * move[i][j] for t, move in zip(pt, moves))
+                assert out[1 + i * k + j] == forced[1 + i * k + j] + out[0] * p
+
+
 def _formstan_instance():
     """Kernel <w1^w2, w1^u1 + u2^u3> at the center, with W = <v0, w1, w2>.
 

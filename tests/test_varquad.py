@@ -221,6 +221,23 @@ def test_vanishing_kernel_rejects_bad_family():
         vanishing_kernel_check(fam)
 
 
+def test_vanishing_kernel_rejects_a_cross_term_on_the_kernel():
+    base = QuadSpace(diag(1, 0, 0))
+    b = [[0, 0, 0], [0, 0, 1], [0, 1, 0]]   # q(e2) = q(e3) = 0, b(e2, e3) = 1
+    with pytest.raises(ValueError, match="does not vanish"):
+        vanishing_kernel_check(PencilFamily(base, [b]))
+
+
+def test_value_and_pairing_reject_a_vector_of_the_wrong_length():
+    q = QuadSpace(diag(1, 2, 3))
+    assert q.value([1, 1, 0]) == 3 and q.pairing([1, 1, 0], ["1/2", 0, 1]) == Fraction(1, 2)
+    for v in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError):
+            q.value(v)
+        with pytest.raises(ValueError):
+            q.pairing([1, 0, 0], v)
+
+
 # -- phi2 rank formula ----------------------------------------------------------
 
 def test_phi2_rank_empty_family():

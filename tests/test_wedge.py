@@ -268,6 +268,16 @@ def test_graph_degeneracy_equals_corank():
         assert 10 - rank(g) == corank
 
 
+def test_symmetric_with_kernel_has_exactly_the_requested_kernel():
+    rng = random.Random(19)
+    for n, k in [(2, 1), (4, 2), (6, 3), (10, 1), (10, 3), (3, 3)]:
+        rows = [random_vector(rng, n) for _ in range(k)]
+        rows.append([2 * x for x in rows[0]])   # the kernel is span(rows)
+        g = symmetric_with_kernel(rng, n, rows)
+        assert len(g) == n and linalg.is_symmetric(g)
+        assert linalg.row_basis(linalg.nullspace(g)) == linalg.row_basis(rows)
+
+
 def test_nonsymmetric_gram_rejected():
     v0, c = standard_chart_basis()
     g = [[Fraction(0)] * 10 for _ in range(10)]
