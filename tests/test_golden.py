@@ -14,19 +14,30 @@
 * the SHA-256 of Gram matrices carried to another basis: seeded dual
   forms, symmetric_with_kernel draws at coranks 1-3, the restricted Grams
   behind cork_restrict and DualForm.corank_on, and the Gram of e1^perp in
-  the polarized lattice.
+  the polarized lattice;
+* the SHA-256 of the JSON documents of seeded graph frames
+  (random_graph_lagrangian at coranks 0-3, lagrangian_containing at
+  levels 1-3, off the coordinate planes and with an extra Theta plane);
+* the SHA-256 of the swap involution iota_swap(lambda) and its action on
+  the discriminant group;
+* the SHA-256 of the stdout of each demo in demos/.
 """
 
 from fractions import Fraction
 import hashlib
+import os
 from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 
 from epw import jsonio, linalg, varquad
 from epw.cli import run
-from epw.lattices import lambda_lattice, orth_complement
+from epw.lattices import (
+    disc_group, induced_disc_action, iota_swap, lambda_lattice, orth_complement,
+)
 from epw.varquad import (
     PencilFamily, QuadSpace, ann_of_span, cork_restrict, dual_form, phi_expansion,
 )
@@ -36,7 +47,8 @@ from epw.wedge import (
     wedge_bivector_basis,
 )
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 POINT = "1,0,0,0,0,0"
 
 CHART_DIGESTS = {
@@ -70,6 +82,27 @@ OFF_CHART = {
         lambda: LagrangianFrame(wedge_bivector_basis(_unit(1))),
         "1,2,3,0,0,0",
         "12733d12995552d8ef844e138fd9208d683d7adc1d7a8dd49815a5a42b36c87c"),
+}
+FRAME_DIGESTS = {
+    "random-graph":
+        "34ecd6c92f643596da39703f5a11cfdb73b397efd91d85c99e056a326ede96c4",
+    "containing":
+        "62255dca590784d7ea49908d898c2b124e8bee68a7868ee5c3b5ae3b2a6e3027",
+}
+SWAP_DIGEST = "b76a959863143b59c468923551dde700e2975bc21036dd5738321600419ee0cd"
+DEMO_DIGESTS = {
+    "01_local_models.py":
+        "84dde953a698c05f7e9d7f284fb2850db00bd1201aa5287300aea85164634678",
+    "02_double_cover.py":
+        "decb7d7906eeca948f44c010043e6f504a66d553642cfd2b783fea22cc24a6ef",
+    "03_quadratic_pencils.py":
+        "b2cf4a0a9de101677e7f54c013103d7eb925ac1a3457df39a0a11d42dab1eb4d",
+    "04_lattice_orbits.py":
+        "deb3fe0384b42b88de36a8fc73bf4bfbcf760becf5e75839541bc55e7fffdb83",
+    "05_pell_classes.py":
+        "4efbb8b8d0c65a1822e12f26f83c3893b9f9dd8b4135bffe5388c72451217f54",
+    "06_plane_sextics.py":
+        "b39266cb679601c51eb579e41b7710b351e7f3c9338fa0db70c5af0b43c45d90",
 }
 PHI_DIGEST = "fae7250f94b607c1872573f05d597dd0be3994d5c9f63ef2edd999cda1401752"
 GRAM_DIGESTS = {
@@ -227,3 +260,46 @@ def test_orth_complement_gram_digest():
     comp = orth_complement(lam, lam.vector("e1"))
     assert comp.rank == 21
     assert _grams_digest([comp.gram]) == GRAM_DIGESTS["lambda-e1-perp"]
+
+
+def _frames_digest(frames):
+    return _sha("".join(jsonio.dump_value("lagrangian_frame", a) for a in frames))
+
+
+def test_random_graph_frame_digest():
+    """Two seeded graph frames per corank 0-3."""
+    frames = []
+    for k in range(4):
+        rng = random.Random(60 + k)
+        frames += [random_graph_lagrangian(rng, corank=k)[0] for _ in range(2)]
+    assert _frames_digest(frames) == FRAME_DIGESTS["random-graph"]
+
+
+def test_lagrangian_containing_frame_digest():
+    w123 = Subspace3([_unit(0), _unit(1), _unit(2)])
+    # a plane off the coordinate planes: its chart vectors are rational
+    w = Subspace3([[1, 2, 0, 0, 0, 0], [0, 1, 3, 0, 0, 0], [0, 0, 1, 1, 1, 0]])
+    wp = Subspace3([_unit(0), _unit(3), _unit(4)])
+    frames = [lagrangian_containing(w123, level=lv, seed=lv) for lv in (1, 2, 3)]
+    frames += [lagrangian_containing(w, level=lv, seed=5 + lv) for lv in (1, 2, 3)]
+    frames.append(lagrangian_containing(w123, level=1, extra_theta=[wp], seed=3))
+    assert _frames_digest(frames) == FRAME_DIGESTS["containing"]
+
+
+def test_iota_swap_digest():
+    lam = lambda_lattice()
+    m, stable = iota_swap(lam)
+    act = induced_disc_action(m, lam, disc_group(lam))
+    text = "%s\n%r\n%r" % (_matrix_text(m), stable, sorted(act.items()))
+    assert _sha(text) == SWAP_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+def test_demo_stdout_digest(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert _sha(done.stdout) == DEMO_DIGESTS[name]

@@ -17,7 +17,7 @@ from epw.wedge import (
     curve_smooth_at, lagrangian_from_graph_basis, graph_gram,
     lagrangian_containing, standard_chart_basis, random_graph_lagrangian,
     random_symmetric, symmetric_with_kernel, random_vector,
-    apply_gl6_frame, _unit, PAIRS5, PAIR5_INDEX,
+    apply_gl6_frame, _unit, PAIRS5, PAIR5_INDEX, TRIPLES5,
 )
 
 
@@ -226,16 +226,72 @@ def test_graph_round_trip_nonstandard_chart():
     assert graph_gram(a, v0, c) == g
 
 
+def mat_mul(a, b):
+    """Dense Fraction matrix product, the reference arithmetic."""
+    bt = linalg.transpose(b)
+    return [[sum(x * y for x, y in zip(ra, cb)) for cb in bt] for ra in a]
+
+
+def dense_chart_pairing():
+    """P[k][j] = vol0(gamma_k ^ beta_j) as a dense 10x10 matrix: the
+    coefficient of e1^...^e5 in the 5-vector e_TRIPLES5[k] ^ e_PAIRS5[j]."""
+    return [[wedge.perm_sign(t + p) for p in PAIRS5] for t in TRIPLES5]
+
+
 def graph_gram_reference(a, v0, c):
     """Fraction extraction: invert the 20x20 chart basis, then X."""
     v0, c = linalg.fvec(v0), linalg.fmat(c)
     first = [trivector_from_vectors(v0, c[p], c[q]) for (p, q) in PAIRS5]
-    second = [trivector_from_vectors(c[i], c[j], c[k]) for (i, j, k) in combinations(range(5), 3)]
+    second = [trivector_from_vectors(c[i], c[j], c[k]) for (i, j, k) in TRIPLES5]
     minv = linalg.inverse(linalg.transpose(stack(first, second)))
     coords = [linalg.mat_vec(minv, row) for row in a.matrix]
     x = [row[:10] for row in coords]
     y = [row[10:] for row in coords]
-    return linalg.mat_mul(linalg.mat_mul(linalg.inverse(x), y), wedge.chart_pairing_matrix())
+    return mat_mul(mat_mul(linalg.inverse(x), y), dense_chart_pairing())
+
+
+def graph_reference(v0, c, g):
+    """Fraction graph map: row i is first_i + sum_k T[i][k] second_k with
+    T = G P^t, for the dense pairing matrix P."""
+    v0, c, g = linalg.fvec(v0), linalg.fmat(c), linalg.fmat(g)
+    first = [trivector_from_vectors(v0, c[p], c[q]) for (p, q) in PAIRS5]
+    second = [trivector_from_vectors(c[i], c[j], c[k]) for (i, j, k) in TRIPLES5]
+    t = mat_mul(g, linalg.transpose(dense_chart_pairing()))
+    return LagrangianFrame([[x + y for x, y in zip(f, r)]
+                            for f, r in zip(first, mat_mul(t, second))])
+
+
+def _graph_case(rng, n):
+    """Case n of the graph-map comparison: corank n % 4; the standard chart
+    for even n, otherwise a random one, rational when n % 3 == 0; a
+    rational Gram when n % 5 < 2."""
+    k = n % 4
+    if k == 0:
+        g = random_symmetric(rng, 10, invertible=True)
+    else:
+        g = symmetric_with_kernel(rng, 10, [random_vector(rng, 10) for _ in range(k)])
+    if n % 5 < 2:
+        g = [[x / (n % 7 + 2) for x in row] for row in g]
+    if n % 2 == 0:
+        v0, c = standard_chart_basis()
+        return v0, c, g
+    while True:
+        v0 = random_vector(rng, 6, nonzero=True)
+        c = [random_vector(rng, 6) for _ in range(5)]
+        if n % 3 == 0:
+            c[1] = [x / 3 for x in c[1]]
+            v0 = [x / 5 for x in v0]
+        if rank(stack([v0], c)) == 6:
+            return v0, c, g
+
+
+def test_graph_map_matches_fraction_reference():
+    rng = random.Random(27)
+    for n in range(40):
+        v0, c, g = _graph_case(rng, n)
+        a = lagrangian_from_graph_basis(v0, c, g)
+        assert a == graph_reference(v0, c, g)
+        assert degeneracy_dim(a, v0) == n % 4
 
 
 def test_graph_gram_matches_fraction_reference():
