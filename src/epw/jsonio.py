@@ -178,8 +178,10 @@ _LOADERS = {
 _DUMPERS = {
     "lagrangian_frame": frame_to_json,
     "subspace3": subspace3_to_json,
+    "vector": vec_to_json,
     "even_lattice": lattice_to_json,
     "polynomial": poly_to_json,
+    "hilb_class": hilb_class_to_json,
 }
 
 
@@ -199,10 +201,6 @@ def load_document(text: str):
 
 
 def dump_value(kind: str, value) -> str:
-    if kind == "vector":
-        return dumps(vec_to_json(value))
-    if kind == "hilb_class":
-        return dumps(hilb_class_to_json(value))
     return dumps(_DUMPERS[kind](value))
 
 

@@ -11,8 +11,9 @@ planes (without which the Eichler criterion is refused).
 
 The lattice layer computes in integers only.  Gram matrices of
 complements and overlattices, and the isometry test, are one
-`zlinalg.int_gram` congruence product each, coordinates in a
-sublattice basis come from one fraction-free solve per basis, and the
+`zlinalg.int_gram` congruence product each; coordinates in a sublattice
+basis and the swap involution are one fraction-free solve each; the
+induced action on the discriminant group maps integer lifts; and the
 discriminant group needs nothing beyond its Smith transform: from
 U G V = D it follows that G^-1 U^-1 = V D^-1, so the lift of the i-th
 generator (the solution of G x = U^-1 e_i) is the column V e_i / d_i.
@@ -423,35 +424,19 @@ def reflection(v0, l: EvenLattice, disc: DiscGroup = None):
     m = reflection_matrix(v0, l)
     mi = [[int(x) for x in row] for row in m]
     disc = disc or DiscGroup(l)
-    stable = _acts_trivially_on_disc(mi, l, disc)
+    stable = all(img == el for el, img in induced_disc_action(mi, l, disc).items())
     return mi, stable
 
 
-def _acts_trivially_on_disc(m, l, disc: DiscGroup) -> bool:
-    for el in _disc_generators(disc):
-        w = disc.lift(el)
-        img = [sum(w[i] * m[i][j] for i in range(l.rank)) for j in range(l.rank)]
-        if disc.class_of(img) != el:
-            return False
-    return True
-
-
-def _disc_generators(disc: DiscGroup):
-    gens = []
-    for i in range(len(disc.invariants)):
-        e = [0] * len(disc.invariants)
-        e[i] = 1
-        gens.append(tuple(e))
-    return gens
-
-
 def induced_disc_action(m, l: EvenLattice, disc: DiscGroup):
-    """Images of the discriminant generators under an isometry matrix."""
+    """Images of the discriminant generators under an isometry matrix: each
+    integer lift num/den goes to (num m)/den, read back as a class."""
+    n = len(disc.invariants)
     out = {}
-    for el in _disc_generators(disc):
-        w = disc.lift(el)
-        img = [sum(w[i] * m[i][j] for i in range(l.rank)) for j in range(l.rank)]
-        out[el] = disc.class_of(img)
+    for i in range(n):
+        el = tuple(int(t == i) for t in range(n))
+        num, den = disc._lift_num(el)
+        out[el] = disc._class_of_num([_dot(num, col) for col in zip(*m)], den)
     return out
 
 
@@ -524,16 +509,16 @@ def iota_swap(lam: EvenLattice, disc: DiscGroup = None):
     e1, e2 = lam.vector("e1"), lam.vector("e2")
     comp = zlinalg.int_kernel([lam.gram_vec(e1), lam.gram_vec(e2)])
     t = [e1, e2] + comp
-    # in the basis t the swap permutes the first two rows: m = t^-1 s t
-    tf = linalg.fmat(t)
-    m = linalg.mat_mul(linalg.inverse(tf), [tf[1], tf[0]] + tf[2:])
-    if any(x.denominator != 1 for row in m for x in row):
+    # in the basis t the swap permutes the first two rows: t m = s t, one
+    # fraction-free solve giving det * m
+    det, y = zlinalg.bareiss_solve(t, [t[1], t[0]] + t[2:])
+    if any(x % det for row in y for x in row):
         raise AssertionError("swap involution is not integral on this lattice")
-    mi = [[int(x) for x in row] for row in m]
+    mi = [[x // det for x in row] for row in y]
     if not is_isometry(mi, lam):
         raise AssertionError("swap matrix is not an isometry")
     disc = disc or DiscGroup(lam)
-    stable = _acts_trivially_on_disc(mi, lam, disc)
+    stable = all(img == el for el, img in induced_disc_action(mi, lam, disc).items())
     return mi, stable
 
 

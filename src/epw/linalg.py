@@ -61,15 +61,11 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_mul(a, b):
-    n, k, c = len(a), len(b), len(b[0])
-    assert len(a[0]) == k, "shape mismatch"
-    bt = transpose(b)
-    return [[sum(ra[t] * cb[t] for t in range(k)) for cb in bt] for ra in a]
-
-
 def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    """a v; raises ValueError when a row's length is not len(v)."""
+    if any(len(row) != len(v) for row in a):
+        raise ValueError("vector of length %d does not match the matrix rows" % len(v))
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def mat_sub(a, b):
@@ -172,7 +168,9 @@ def solve(a, b):
 
 def inverse(m):
     """Exact inverse: one fraction-free solve of the integer-scaled matrix
-    L m against L * identity, divided once by its determinant."""
+    L m against L * identity, divided once by its determinant.  Nothing
+    in src calls it; it stays because perfbench/tracer.py looks it up by
+    name and tests use it as a reference."""
     den, a = scaled_int_rows(m)
     n = len(a)
     d, y = bareiss_solve(a, [[den if i == j else 0 for j in range(n)] for i in range(n)])

@@ -16,7 +16,7 @@ import random
 
 from . import linalg
 from .linalg import fvec, rank, stack
-from .zlinalg import bareiss_solve
+from .zlinalg import bareiss_solve, int_det
 
 DIM = 6
 TRIPLES = tuple(combinations(range(DIM), 3))          # 20 basis trivectors
@@ -69,15 +69,20 @@ def basis_trivector(i, j, k):
     return v
 
 
+def _int_trivector(u, v, w):
+    """u ^ v ^ w for integer vectors: the 3x3 minors, in TRIPLES order."""
+    return [u[i] * (v[j] * w[k] - v[k] * w[j])
+            - u[j] * (v[i] * w[k] - v[k] * w[i])
+            + u[k] * (v[i] * w[j] - v[j] * w[i])
+            for (i, j, k) in TRIPLES]
+
+
 def trivector_from_vectors(u, v, w):
     """Coordinates of u ^ v ^ w in the lexicographic trivector basis: the
     3x3 minors of the integer-scaled rows, divided once."""
     den, (u, v, w) = linalg.scaled_int_rows((fvec(u), fvec(v), fvec(w)))
     den = den ** 3
-    return [Fraction(u[i] * (v[j] * w[k] - v[k] * w[j])
-                     - u[j] * (v[i] * w[k] - v[k] * w[i])
-                     + u[k] * (v[i] * w[j] - v[j] * w[i]), den)
-            for (i, j, k) in TRIPLES]
+    return [Fraction(x, den) for x in _int_trivector(u, v, w)]
 
 
 def wedge_vector_trivector(v, t):
@@ -302,17 +307,13 @@ def vol5_sign(indices):
     return perm_sign(indices)
 
 
-def chart_pairing_matrix():
-    """P[k][j] = vol0(gamma_k ^ beta_j) for the chart bases; a signed
-    permutation, with integer entries."""
-    p = [[0] * 10 for _ in range(10)]
-    for k, tri in enumerate(TRIPLES5):
-        rest = tuple(sorted(set(range(5)) - set(tri)))
-        p[k][PAIR5_INDEX[rest]] = vol5_sign(tri + rest)
-    return p
-
-
-_P5 = chart_pairing_matrix()
+# The chart pairing P[k][j] = vol0(gamma_k ^ beta_j) is a signed
+# permutation: trivector k pairs only with the bivector on its complement
+# j = pi(k), with sign s_k.  _P5[k] = (pi(k), s_k).
+_P5 = []
+for _t in TRIPLES5:
+    _c = tuple(i for i in range(5) if i not in _t)
+    _P5.append((PAIR5_INDEX[_c], vol5_sign(_t + _c)))
 
 
 def pluecker_coefficient_matrices():
@@ -338,13 +339,17 @@ _B5 = pluecker_coefficient_matrices()
 
 
 def chart_trivectors(v0, cbasis):
-    """The chart basis of Lambda^3 V as (first, second): the ten v0 ^ c_p ^ c_q
-    in PAIRS5 order and the ten c_i ^ c_j ^ c_k (a basis of Lambda^3 V0) in
-    TRIPLES5 order.  Together a basis exactly when v0 and cbasis span V."""
-    v0 = fvec(v0)
-    c = [fvec(x) for x in cbasis]
-    first = [trivector_from_vectors(v0, c[p], c[q]) for (p, q) in PAIRS5]
-    second = [trivector_from_vectors(c[i], c[j], c[k]) for (i, j, k) in TRIPLES5]
+    """The chart basis of Lambda^3 V as integer rows (first, second): the ten
+    v0 ^ c_p ^ c_q in PAIRS5 order and the ten c_i ^ c_j ^ c_k (a basis of
+    Lambda^3 V0) in TRIPLES5 order, for v0 and cbasis scaled to integers by
+    one lcm L, so all twenty carry the same factor L^3.  Raises ValueError
+    unless v0 and cbasis span V, i.e. unless the twenty are a basis."""
+    _, rows = linalg.scaled_int_rows([v0] + list(cbasis))
+    if len(rows) != DIM or int_det(rows) == 0:
+        raise ValueError("v0 and the chart basis do not span V")
+    v0, *c = rows
+    first = [_int_trivector(v0, c[p], c[q]) for (p, q) in PAIRS5]
+    second = [_int_trivector(c[i], c[j], c[k]) for (i, j, k) in TRIPLES5]
     return first, second
 
 
@@ -353,18 +358,25 @@ def lagrangian_from_graph_basis(v0, cbasis, gram) -> LagrangianFrame:
 
     cbasis: five vectors spanning a complement of [v0]; gram: 10x10
     symmetric matrix of the quadratic form on Lambda^2 V0 in the
-    lexicographic pair basis, through the vol0 identification.
+    lexicographic pair basis, through the vol0 identification.  Row i
+    of the graph is first[i] + sum_k T[i][k] second[k] with T = G P^t,
+    i.e. T[i][k] = s_k G[i][pi(k)]; with G scaled to integers by L it is
+    built as L first[i] + sum_k s_k (L G)[i][pi(k)] second[k], the same
+    row times L, so the row space is unchanged.
     """
-    g = linalg.fmat(gram)
+    den, g = linalg.scaled_int_rows(gram)
     if not linalg.is_symmetric(g):
         raise ValueError("Gram matrix must be symmetric (otherwise the graph is not Lagrangian)")
-    if rank(stack([fvec(v0)], linalg.fmat(cbasis))) != 6:
-        raise ValueError("v0 and the chart basis do not span V")
     first, second = chart_trivectors(v0, cbasis)
-    # row i is first[i] + sum_k T[i][k] second[k], T = G * P^{-1} = G * P^t
-    t = linalg.mat_mul(g, linalg.transpose(_P5))
-    return LagrangianFrame([[x + y for x, y in zip(f, r)]
-                            for f, r in zip(first, linalg.mat_mul(t, second))])
+    rows = []
+    for gi, f in zip(g, first):
+        row = [den * x for x in f]
+        for (j, s), sec in zip(_P5, second):
+            if gi[j]:
+                c = s * gi[j]
+                row = [x + c * y for x, y in zip(row, sec)]
+        rows.append(row)
+    return LagrangianFrame(rows)
 
 
 def lagrangian_from_graph(chart, gram) -> LagrangianFrame:
@@ -379,19 +391,18 @@ def graph_gram(a: LagrangianFrame, v0, cbasis):
     cbasis do not span V, or if Lambda^3 V0 meets A (A is then not a
     graph in this chart).  Two integer solves: the coordinates [X | Y] of
     the rows of A in the chart basis, known up to one scalar that
-    T = X^{-1} Y does not see, then X T = Y.
+    T = X^{-1} Y does not see, then X T = Y.  G = T P: entry (i, pi(k))
+    of G is s_k T[i][k].
     """
     first, second = chart_trivectors(v0, cbasis)
-    _, m = linalg.scaled_int_rows(first + second)
     _, rows = linalg.scaled_int_rows(a.matrix)
-    det, coords = bareiss_solve(linalg.transpose(m), linalg.transpose(rows))
-    if det == 0:
-        raise ValueError("v0 and the chart basis do not span V")
+    _, coords = bareiss_solve(linalg.transpose(first + second), linalg.transpose(rows))
     # coords[:, r] is a nonzero multiple of row r of [X | Y]
     det, t = bareiss_solve(linalg.transpose(coords[:10]), linalg.transpose(coords[10:]))
     if det == 0:
         raise ValueError("Lambda^3 V0 meets A: chart is not transversal")
-    g = [[Fraction(x, det) for x in row] for row in linalg.mat_mul(t, _P5)]
+    cols = sorted((j, k, s) for k, (j, s) in enumerate(_P5))
+    g = [[Fraction(s * row[k], det) for _, k, s in cols] for row in t]
     if not linalg.is_symmetric(g):
         raise AssertionError("extracted Gram is not symmetric; sign conventions broken")
     return g

@@ -12,9 +12,15 @@ import pytest
 
 from epw import linalg, zlinalg
 from epw.linalg import (
-    inverse, mat_mul, mat_vec, nullspace, rank, restrict_gram, rref, scaled_ints, solve,
+    inverse, mat_vec, nullspace, rank, restrict_gram, rref, scaled_ints, solve,
 )
 from epw.zlinalg import bareiss_solve, int_det
+
+
+def mat_mul(a, b):
+    """Dense Fraction matrix product, the reference arithmetic."""
+    bt = linalg.transpose(b)
+    return [[sum(x * y for x, y in zip(ra, cb)) for cb in bt] for ra in a]
 
 
 def reference_rref(m):
@@ -145,6 +151,15 @@ def test_nullspace_is_a_canonical_kernel_basis():
         for v in basis:
             assert all(x == 0 for x in mat_vec(m, v))
     assert nullspace([[1, 2, 3]]) == [[-2, 1, 0], [-3, 0, 1]]
+
+
+def test_mat_vec_rejects_a_length_mismatch():
+    m = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    assert mat_vec(m, [1, 1, 1]) == [1, 2, 3]
+    with pytest.raises(ValueError, match="length 2"):
+        mat_vec(m, [1, 1])
+    with pytest.raises(ValueError):
+        mat_vec(m, [1, 1, 1, 1])
 
 
 def test_solve_consistent_and_inconsistent():

@@ -132,8 +132,7 @@ def rand_pencil(rng, d, m, base=None, kill_kernel_of=None):
             kern = linalg.nullspace(kill_kernel_of)
             # project the form so it vanishes on the kernel block
             ann = linalg.nullspace(kern) if kern else linalg.identity(d)
-            b = linalg.mat_mul(linalg.mat_mul(linalg.transpose(ann),
-                                              linalg.restrict_gram(b, ann)), ann)
+            b = linalg.restrict_gram(linalg.restrict_gram(b, ann), linalg.transpose(ann))
         coeffs.append(b)
     return PencilFamily(QuadSpace(base), coeffs)
 

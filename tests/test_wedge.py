@@ -310,6 +310,26 @@ def test_graph_gram_matches_fraction_reference():
         assert graph_gram(frame, v0, c) == graph_gram_reference(frame, v0, c)
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_flipped_chart_pairing_sign_breaks_isotropy(monkeypatch, k):
+    """A round trip reads the same _P5 both ways, so only the isotropy
+    check sees a wrong sign: every random symmetric Gram is rejected."""
+    flipped = list(wedge._P5)
+    j, sign = flipped[k]
+    flipped[k] = (j, -sign)
+    monkeypatch.setattr(wedge, "_P5", flipped)
+    rng = random.Random(8)
+    for n in range(10):
+        v0, c = standard_chart_basis()
+        while n % 2:
+            v0 = random_vector(rng, 6, nonzero=True)
+            c = [random_vector(rng, 6) for _ in range(5)]
+            if rank(stack([v0], c)) == 6:
+                break
+        with pytest.raises(ValueError, match="not isotropic"):
+            lagrangian_from_graph_basis(v0, c, random_symmetric(rng, 10))
+
+
 def test_graph_needs_a_spanning_chart():
     with pytest.raises(ValueError, match="do not span V"):
         lagrangian_from_graph_basis(unit(1), [unit(1), unit(3), unit(4), unit(5), unit(6)],
