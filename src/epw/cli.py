@@ -69,7 +69,10 @@ def _parse_point(text, length):
 
 def _resolve_lattice(args):
     if getattr(args, "lattice_json", None):
-        return _load(args.lattice_json, "even_lattice")
+        l = _load(args.lattice_json, "even_lattice")
+        if l.det() == 0:
+            raise UsageError("%s: degenerate Gram matrix" % args.lattice_json)
+        return l
     name = getattr(args, "lattice", None) or "lambda"
     if name not in lattices.NAMED_LATTICES:
         raise UsageError("unknown lattice %r; known: %s"
@@ -268,6 +271,8 @@ def cmd_disc_group(cfg):
 
 def cmd_classify_root(cfg):
     l = _resolve_lattice(cfg.args)
+    if not {"e1", "e2"} <= set(l.named):
+        raise UsageError("classify-root needs a polarized lattice with named vectors e1 and e2")
     v = _parse_lattice_vector(l, cfg.args.vector)
     try:
         tag = lattices.classify_negative_root(v, l)

@@ -372,7 +372,9 @@ def _normalize(f: MultiPoly) -> MultiPoly:
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """gcd up to scalar, via primitive pseudo-remainder sequences."""
+    """The gcd scaled to graded-lex leading coefficient 1, so it is unique:
+    primitive pseudo-remainder sequences in the first active variable, the
+    same loop whether one variable is active or several."""
     if f.vars != g.vars:
         raise ValueError("variable contexts differ")
     if f.is_zero():
@@ -383,10 +385,8 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if not active:
         return MultiPoly.const(f.vars, 1)
     x = active[0]
-    if len(active) == 1:
-        return _univariate_gcd(f, g, x)
     cf, cg = content_wrt(f, x), content_wrt(g, x)
-    a, b = div_exact(f, cf), div_exact(g, cg)
+    a, b = _primitive(f, cf), _primitive(g, cg)
     cont = poly_gcd(cf, cg)
     while True:
         if b.is_zero():
@@ -396,13 +396,18 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         if r.is_zero():
             res = b
             break
-        r = div_exact(r, content_wrt(r, x))
-        a, b = b, r
+        a, b = b, _primitive(r, content_wrt(r, x))
         if b.degree_in(x) <= 0:
             res = MultiPoly.const(f.vars, 1)
             break
-    res = div_exact(res, content_wrt(res, x))
-    return _normalize(res * cont)
+    return _normalize(_primitive(res, content_wrt(res, x)) * cont)
+
+
+def _primitive(f: MultiPoly, content: MultiPoly) -> MultiPoly:
+    """f divided by its content, scaled to leading coefficient 1; over Q a
+    constant content is a unit, and the scaling keeps the coefficients of a
+    univariate sequence from growing."""
+    return _normalize(f if content.degree() == 0 else div_exact(f, content))
 
 
 def _coeff_in(f: MultiPoly, name: str, k: int) -> MultiPoly:
@@ -418,40 +423,16 @@ def _coeff_in(f: MultiPoly, name: str, k: int) -> MultiPoly:
 
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
     """Pseudo-remainder of a by b with respect to the main variable x."""
-    da, db = a.degree_in(x), b.degree_in(x)
+    i, db = a.vars.index(x), b.degree_in(x)
     lb = _coeff_in(b, x, db)
     r = a
     while not r.is_zero() and r.degree_in(x) >= db:
         dr = r.degree_in(x)
-        lr = _coeff_in(r, x, dr)
-        xshift = MultiPoly.var(a.vars, x) ** (dr - db)
-        r = r * lb - b * (lr * xshift)
+        # the leading coefficient of r in x, times x^(dr - db)
+        lead = MultiPoly(a.vars, {e[:i] + (dr - db,) + e[i + 1:]: c
+                                  for e, c in r.terms.items() if e[i] == dr})
+        r = r * lb - b * lead
     return r
-
-
-def _univariate_gcd(f: MultiPoly, g: MultiPoly, x: str) -> MultiPoly:
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, _poly_rem_univ(a, b, x)
-    return _normalize(a)
-
-
-def _poly_rem_univ(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
-    db = b.degree_in(x)
-    lb = _coeff_in(b, x, db).constant_term()
-    r = a
-    while not r.is_zero() and r.degree_in(x) >= db:
-        dr = r.degree_in(x)
-        lr = _coeff_in(r, x, dr).constant_term()
-        shift = MultiPoly(a.vars, {_unit_exp(a.vars, x, dr - db): lr / lb})
-        r = r - shift * b
-    return r
-
-
-def _unit_exp(variables, x, k):
-    e = [0] * len(variables)
-    e[variables.index(x)] = k
-    return tuple(e)
 
 
 def squarefree_part(f: MultiPoly) -> MultiPoly:

@@ -1,22 +1,20 @@
 """Polynomial matrices and exact determinants.
 
-Three determinant routes, all returning identical results:
+Every polynomial determinant takes one of two routes, and a third
+serves as the reference:
 
-* cofactor expansion (reference oracle, small sides only);
-* fraction-free Bareiss elimination over the polynomial ring;
-* evaluation/interpolation: clear every coefficient denominator of the
-  matrix by one lcm L, evaluate the integer entries at the integer grid
-  points, take integer determinants (zlinalg.int_det), rebuild the
-  polynomial on a triangular interpolation grid and divide it once by
-  L^side.
-
-det_poly_matrix uses Bareiss for sides <= 2 and interpolation for every
-larger side.
-
-An affine pencil base + sum_a t_a M_a of constant rational matrices
-(the chart pencil det(q_A + q_v), the congruent Schur pencil and the
-pencils det(q_* + q(t)) of varquad) never becomes a PolyMatrix: Pencil
-scales it to integers once and evaluates it directly at each grid point.
+* Bareiss: fraction-free elimination over the polynomial ring
+  (det_bareiss), the one route for a symbolic PolyMatrix.  det_poly_matrix
+  and adjugate_poly_matrix reach it at every side.
+* Pencil: an affine pencil base + sum_a t_a M_a of constant rational
+  matrices (the chart pencil det(q_A + q_v), the congruent Schur pencil
+  and the pencils det(q_* + q(t)) of varquad) is scaled to integers by one
+  lcm L, evaluated at the points of a triangular interpolation grid, one
+  integer determinant (zlinalg.int_det) per point, interpolated and
+  divided once by L^side.  det_interpolate reads an affine PolyMatrix
+  into a Pencil.
+* cofactor expansion (det_cofactor): the reference oracle, small sides
+  only.
 
 The interpolation core (interpolate_poly_map) works for any
 vector-valued polynomial map and is reused to reconstruct Schur
@@ -84,16 +82,6 @@ class PolyMatrix:
 
     def transpose(self):
         return PolyMatrix([list(c) for c in zip(*self.entries)])
-
-    def degree_bound(self):
-        """Sum over rows of the max entry degree: a bound on deg(det)."""
-        total = 0
-        for row in self.entries:
-            d = max((p.degree() for p in row), default=-1)
-            if d < 0:
-                return -1  # a zero row
-            total += d
-        return total
 
     def __eq__(self, other):
         return (
@@ -257,58 +245,6 @@ def interpolate_poly_map(oracle, variables, degree, width):
             for tab in tables]
 
 
-def _int_evaluator(m: PolyMatrix):
-    """(L, ev) for a polynomial matrix m: L is the lcm of the denominators
-    of all its coefficients, and ev(pt) the integer matrix L * m at the
-    integer point pt."""
-    top = [max((e[i] for row in m.entries for p in row for e in p.terms), default=0)
-           for i in range(len(m.vars))]
-    den, flat = scaled_ints([c for row in m.entries for p in row for c in p.terms.values()])
-    coeffs = iter(flat)
-    # each entry as [(L * coefficient, ((variable index, exponent), ...))]
-    entries = [[[(next(coeffs), tuple((i, k) for i, k in enumerate(e) if k))
-                 for e in p.terms] for p in row] for row in m.entries]
-
-    def ev(pt):
-        pows = [[x ** k for k in range(d + 1)] for x, d in zip(pt, top)]
-        out = []
-        for row in entries:
-            vals = []
-            for terms in row:
-                s = 0
-                for c, mono in terms:
-                    for i, k in mono:
-                        c *= pows[i][k]
-                    s += c
-                vals.append(s)
-            out.append(vals)
-        return out
-
-    return den, ev
-
-
-def det_interpolate(m: PolyMatrix, degree=None) -> MultiPoly:
-    """Determinant by integer evaluation at grid points plus interpolation.
-
-    The coefficients are scaled to integers by one lcm L; each grid point
-    costs one integer evaluation of the entries and one int_det, and the
-    interpolated determinant of L * m is divided once by L^side.  degree
-    defaults to m.degree_bound(), a bound on the total degree of the
-    determinant.
-    """
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    if degree is None:
-        degree = m.degree_bound()
-    if degree < 0:
-        return MultiPoly.zero(m.vars)
-    den, ev = _int_evaluator(m)
-    scale = Fraction(1, den ** m.rows)
-    if not m.vars or degree == 0:
-        return MultiPoly.const(m.vars, int_det(ev((0,) * len(m.vars))) * scale)
-    return interpolate_poly_map(lambda pt: (int_det(ev(pt)),), m.vars, degree, 1)[0] * scale
-
-
 class Pencil:
     """The affine pencil base + sum_a t_a moves[a] of square rational matrices.
 
@@ -322,6 +258,8 @@ class Pencil:
 
     def __init__(self, base, moves):
         n = len(base)
+        if any(len(m) != n or any(len(row) != n for row in m) for m in [base, *moves]):
+            raise ValueError("pencil base and moves must be square matrices of one side")
         self.den, rows = scaled_int_rows([row for m in [base, *moves] for row in m])
         self.base = rows[:n]
         self.moves = [[(i, j, c) for i, row in enumerate(rows[n * a:n * a + n])
@@ -347,10 +285,9 @@ class Pencil:
         interpolated from one int_det per grid point and divided once by
         L^side.
 
-        degree is a bound on its total degree.  It defaults to the row
-        bound PolyMatrix.degree_bound gives on the same matrix: 1 for a
-        row that a move touches, 0 for a row of the base only, and a zero
-        row makes the determinant zero.
+        degree is a bound on its total degree.  It defaults to the sum of
+        the row degrees: 1 for a row that a move touches, 0 for a row of
+        the base only, and a zero row makes the determinant zero.
         """
         if degree is None:
             moving = {i for move in self.moves for i, _, _ in move}
@@ -374,19 +311,29 @@ class Pencil:
         return PolyMatrix([[MultiPoly(variables, t) for t in row] for row in terms])
 
 
-def det_poly_matrix(m: PolyMatrix) -> MultiPoly:
-    """Exact determinant; result is identical to cofactor expansion.
+def det_interpolate(m: PolyMatrix, degree=None) -> MultiPoly:
+    """Determinant of an affine PolyMatrix, read as a Pencil.
 
-    Bareiss over Q[t] for sides <= 2 and det_interpolate (integer
-    evaluation, one int_det per grid point) for every larger side.
+    The constant coefficients of the entries form the base and the
+    coefficients of each variable one move; Pencil.det_poly does the rest.
+    Raises ValueError if an entry has degree > 1 (use det_bareiss) or if
+    m is not square.
     """
+    if any(sum(e) > 1 for row in m.entries for p in row for e in p.terms):
+        raise ValueError("det_interpolate needs entries of degree <= 1")
+    k = len(m.vars)
+    monomials = [(0,) * k] + [tuple(int(a == b) for b in range(k)) for a in range(k)]
+    base, *moves = [[[p.coeff(e) for p in row] for row in m.entries] for e in monomials]
+    return Pencil(base, moves).det_poly(m.vars, degree)
+
+
+def det_poly_matrix(m: PolyMatrix) -> MultiPoly:
+    """Exact determinant by Bareiss over Q[t]; identical to cofactor expansion."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     if m.rows > MAX_SIDE:
         raise ValueError("side %d exceeds the supported bound %d" % (m.rows, MAX_SIDE))
-    if m.rows <= 2:
-        return det_bareiss(m)
-    return det_interpolate(m)
+    return det_bareiss(m)
 
 
 def adjugate_poly_matrix(m: PolyMatrix) -> PolyMatrix:

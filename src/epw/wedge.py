@@ -364,6 +364,8 @@ def lagrangian_from_graph_basis(v0, cbasis, gram) -> LagrangianFrame:
     built as L first[i] + sum_k s_k (L G)[i][pi(k)] second[k], the same
     row times L, so the row space is unchanged.
     """
+    if len(gram) != 10:
+        raise ValueError("Gram matrix must be 10x10, got %d rows" % len(gram))
     den, g = linalg.scaled_int_rows(gram)
     if not linalg.is_symmetric(g):
         raise ValueError("Gram matrix must be symmetric (otherwise the graph is not Lagrangian)")

@@ -134,6 +134,22 @@ def test_disc_group_malformed_lattice_json_usage_error(tmp_path, extra):
     assert out.startswith("error: ")
 
 
+@pytest.mark.parametrize("verb", ["disc-group", "overlattices"])
+def test_degenerate_lattice_json_usage_error(tmp_path, verb):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"kind": "even_lattice", "rank": 2, "gram": [[0, 0], [0, 0]]}))
+    code, out = run([verb, "--lattice-json", str(path)])
+    assert code == 2
+    assert out.startswith("error: ") and "degenerate" in out
+
+
+@pytest.mark.parametrize("lattice,vector", [("u", "1,-1"), ("e8-minus", "1,0,0,0,0,0,0,0")])
+def test_classify_root_on_an_unpolarized_lattice_usage_error(lattice, vector):
+    code, out = run(["classify-root", "--lattice", lattice, "--vector", vector])
+    assert code == 2
+    assert out.startswith("error: ") and "e1" in out
+
+
 @pytest.mark.parametrize("flag,doc", [
     ("--frame", {"kind": "lagrangian_frame", "matrix": [5] * 10}),
     ("--frame", {"kind": "lagrangian_frame", "matrix": [[i == j for j in range(20)]

@@ -227,6 +227,42 @@ def test_gcd_known_factors():
     assert div_exact(g, p("x + y")).degree() == 0
 
 
+def euclid_gcd_reference(f, g, x):
+    """Monic gcd of two polynomials in the one variable x, by Euclid over Q."""
+    i = f.vars.index(x)
+
+    def lead(r):
+        d = r.degree_in(x)
+        return d, next(c for e, c in r.terms.items() if e[i] == d)
+
+    a, b = f, g
+    while not b.is_zero():
+        db, lb = lead(b)
+        r = a
+        while not r.is_zero() and r.degree_in(x) >= db:
+            dr, lr = lead(r)
+            e = tuple(dr - db if k == i else 0 for k in range(len(f.vars)))
+            r = r - MultiPoly(f.vars, {e: lr / lb}) * b
+        a, b = b, r
+    return a * (1 / a.leading()[1])
+
+
+@pytest.mark.parametrize("variables", [("x",), XY])
+def test_gcd_in_one_active_variable_matches_euclid(variables):
+    """poly_gcd sends one active variable through the same pseudo-remainder
+    loop as several; Euclid over Q is the reference.  In XY the pairs use
+    only y, so the other variable is present but inactive."""
+    rng = random.Random(len(variables))
+    y = variables[-1]
+    for _ in range(40):
+        a, b, c = (rand_poly(rng, (y,), deg=d) for d in (4, 4, 3))
+        f, g = (MultiPoly(variables, {(0,) * (len(variables) - 1) + e: v
+                                      for e, v in h.terms.items()}) for h in (a * c, b * c))
+        if f.is_zero() or g.is_zero():
+            continue
+        assert poly_gcd(f, g) == euclid_gcd_reference(f, g, y)
+
+
 def test_squarefree_part_visible_square():
     f = p("x^2*y")
     s = squarefree_part(f)

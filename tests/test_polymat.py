@@ -173,7 +173,7 @@ def test_interpolation_rejects_bad_input():
         interpolate_poly_map(lambda pt: (1, 2), XY, 2, 1)
 
 
-# -- the integer route of det_interpolate ------------------------------------------
+# -- rational matrices, affine and not --------------------------------------------
 
 XYZ = ("x", "y", "z")
 
@@ -209,7 +209,10 @@ def test_integer_interpolation_matches_cofactor_on_rational_matrices(n, deg, use
             entries[rng.randrange(n)] = [MultiPoly.zero(XYZ)] * n
         m = PolyMatrix(entries)
         expected = det_cofactor(m)
-        assert det_interpolate(m) == expected
+        # only an affine matrix is a pencil; every matrix goes through Bareiss
+        if deg == 1:
+            assert det_interpolate(m) == expected
+        assert det_bareiss(m) == expected
         assert det_poly_matrix(m) == expected
         assert all(e[i] == 0 for e in expected.terms for i in range(3) if i not in used)
 
@@ -229,7 +232,16 @@ def test_integer_interpolation_constant_and_scaled_matrices():
     assert det_interpolate(PolyMatrix([[x + half]]), degree=0) == MultiPoly.const(XY, half)
 
 
-def test_auto_uses_bareiss_only_for_sides_up_to_two(monkeypatch):
+def test_det_interpolate_rejects_entries_above_degree_one():
+    x = MultiPoly.var(XY, "x")
+    one = MultiPoly.const(XY, 1)
+    with pytest.raises(ValueError):
+        det_interpolate(PolyMatrix([[x * x, one], [one, x]]))
+    with pytest.raises(ValueError):
+        det_interpolate(PolyMatrix([[x, x]]))
+
+
+def test_det_poly_matrix_reaches_bareiss_at_every_side(monkeypatch):
     from epw import polymat
 
     calls = []
@@ -247,11 +259,12 @@ def test_auto_uses_bareiss_only_for_sides_up_to_two(monkeypatch):
         monkeypatch.setattr(polymat, name, spy(name))
     rng = random.Random(3)
     x = MultiPoly.var(XY, "x")
+    det_poly_matrix(const_mat([[5]]))
     det_poly_matrix(rand_matrix(rng, 2))
     det_poly_matrix(const_mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
     det_poly_matrix(PolyMatrix([[x, x, x], [x, x * x, x], [x, x, x + 1]]))
     det_poly_matrix(rand_matrix(rng, 6))
-    assert calls == ["det_bareiss", "det_interpolate", "det_interpolate", "det_interpolate"]
+    assert calls == ["det_bareiss"] * 5
 
 
 # -- affine pencils ----------------------------------------------------------
@@ -319,3 +332,23 @@ def test_pencil_degree_edges():
     # a row touched only by a move still counts 1 toward the bound
     s = Pencil([[0, 0], [0, 1]], [[[1, 0], [0, 0]]])
     assert s.det_poly(("t",)) == MultiPoly.var(("t",), "t")
+
+
+@pytest.mark.parametrize("base,moves", [
+    ([[1, 0], [0, 1]], [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]),  # a 3x3 move on a 2x2 base
+    ([[1, 0], [0, 1]], [[[1]]]),                             # a 1x1 move
+    ([[1, 2]], []),                                          # a 1x2 base
+    ([[1, 0], [0, 1]], [[[1, 0], [0, 1, 2]]]),               # a ragged move
+])
+def test_pencil_rejects_mismatched_shapes(base, moves):
+    with pytest.raises(ValueError):
+        Pencil(base, moves)
+
+
+def test_det_strategies_line_can_fail_through_the_pencil(monkeypatch):
+    from epw import checks
+
+    real = Pencil.det_poly
+    monkeypatch.setattr(Pencil, "det_poly", lambda self, *args: real(self, *args) * 2)
+    r = checks.check_algebra_core(8)
+    assert not r.ok and r.detail == "det-strategies-10x10"

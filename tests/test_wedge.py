@@ -362,6 +362,14 @@ def test_nonsymmetric_gram_rejected():
         lagrangian_from_graph_basis(v0, c, g)
 
 
+@pytest.mark.parametrize("side", [9, 11])
+def test_gram_of_the_wrong_side_rejected(side):
+    v0, c = standard_chart_basis()
+    g = random_symmetric(random.Random(side), side)
+    with pytest.raises(ValueError):
+        lagrangian_from_graph_basis(v0, c, g)
+
+
 def test_degeneracy_matches_gram_corank_at_moved_point():
     """Cross-validation: the 20-dim rank computation against the corank of
     the 10x10 pencil Gram at chart points, including degenerate ones."""
