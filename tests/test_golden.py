@@ -20,7 +20,10 @@
   levels 1-3, off the coordinate planes and with an extra Theta plane);
 * the SHA-256 of the swap involution iota_swap(lambda) and its action on
   the discriminant group;
-* the SHA-256 of the stdout of each demo in demos/.
+* the SHA-256 of the stdout of each demo in demos/;
+* the SHA-256 of `varquad-check --count 4` over seeds 1000-1029 and of
+  `hilb-check --seed 0..2`, and of the failure text of `varquad-check`,
+  `hilb-check` and `report` with one check forced to fail.
 """
 
 from fractions import Fraction
@@ -303,3 +306,52 @@ def test_demo_stdout_digest(name):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert _sha(done.stdout) == DEMO_DIGESTS[name]
+
+
+# Ledger wiring: which suites a verb runs, on which seeds, and how a
+# failing check is reported.
+LEDGER_DIGESTS = {
+    "varquad-check": "cc9294b06305b63735dad7332105af3ea89184038b13f1bba985afe019b6d65e",
+    "hilb-check": "eb5574c1d2b14551b8168d56482f2d69d5815e4801b508392fd6823b1c6fe6ec",
+}
+FAILURE_DIGESTS = {
+    "varquad-check": "2b6645035a3c5c1c1f24c8342d5d8d73ed3cbce43574ca6af42e30827bd12e72",
+    "hilb-check": "3522d82f016b5e6c7701ca9165b0e3d85fa8a55ef5ae04c8b6b5efaf25e676e0",
+    "report": "2607a78486dbf402ebc0912e178e0081d7cfff9738e015c785e5cd3078b538ac",
+}
+
+
+def _runs_digest(argvs):
+    parts = []
+    for argv in argvs:
+        code, out = run(argv)
+        parts.append("%s -> %d\n%s" % (" ".join(argv), code, out))
+    return _sha("\n".join(parts))
+
+
+def test_varquad_check_ledger_digest():
+    """varquad-check --count 4 over seeds 1000-1029, the forms workload's draws."""
+    argvs = [["varquad-check", "--count", "4", "--seed", str(s)] for s in range(1000, 1030)]
+    assert _runs_digest(argvs) == LEDGER_DIGESTS["varquad-check"]
+
+
+def test_hilb_check_ledger_digest():
+    argvs = [["hilb-check", "--seed", str(s)] for s in range(3)]
+    assert _runs_digest(argvs) == LEDGER_DIGESTS["hilb-check"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["varquad-check", "--count", "4", "--seed", "3"],
+    ["hilb-check", "--seed", "1"],
+    ["report", "--seed", "1"],
+])
+def test_failure_text_digest(monkeypatch, argv):
+    """One check forced to fail: exit 1 with the ledger and the first failure."""
+    from epw import checks
+    monkeypatch.setattr(checks, "phi2_rank", lambda fam: (0, 1, False))
+    monkeypatch.setattr(checks.hs, "fujiki_quartic", lambda a, b, c, d: 0)
+    code, out = run(argv)
+    assert code == 1
+    first = "fujiki-identity" if argv[0] == "hilb-check" else "phi2-rank-formula"
+    assert out.splitlines()[-1].startswith("first failure: " + first)
+    assert _sha(out) == FAILURE_DIGESTS[argv[0]]
