@@ -17,7 +17,7 @@ print("Pell classes x*mu + y*xi of square 2:")
 for n, x, y in pell_square_two_classes(3):
     print("  n=%+d: (x, y) = (%d, %d), q = %d" % (n, x, y, ns.q((x, y))))
 
-brute = pell_brute_force(1000, 1500)
+brute = pell_brute_force()
 print("\nbrute force over the box finds", len(brute), "solutions")
 
 print("\nnodal classes alpha_n (square -2) and effectivity of 2 alpha_n:")

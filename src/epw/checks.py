@@ -3,6 +3,10 @@
 Each check returns a CheckResult; the CLI report command and the
 acceptance test suite both drive these, so a claim is verified the same
 way everywhere.  All randomness is seeded and echoed.
+
+The four quadratic-form suites share one seeded case loop (_cases), and
+quadratic_form_suites(seed, cases) runs them on seeds seed .. seed + 3
+for `report`, `varquad-check` and the acceptance tests alike.
 """
 
 from fractions import Fraction
@@ -156,22 +160,21 @@ def check_rank_formula(seed=1):
     return CheckResult("rank-f2-formula", ok, "ranks=%s" % (ranks,))
 
 
-def check_schur_identity(seed=1, ks=(1, 2)):
-    """det(q_A + q_v) D^(k-1) = det(M_hat) exactly."""
+def check_schur_identity(seed=1):
+    """det(q_A + q_v) D^(k-1) = det(M_hat) exactly, for k = 1 and 2."""
     rng = random.Random(seed)
-    oks = []
-    for k in ks:
+    oks = {}
+    for k in (1, 2):
         frame, _ = random_graph_lagrangian(rng, corank=k)
         chart = Chart(frame, _unit(0), standard_chart_basis()[1])
-        sd = schur_complement(frame, chart)
-        oks.append(schur_identity_check(frame, chart, sd))
-    return CheckResult("schur-identity", all(oks),
-                       " ".join("k=%d:%s" % (k, o) for k, o in zip(ks, oks)))
+        oks[k] = schur_identity_check(frame, chart, schur_complement(frame, chart))
+    return CheckResult("schur-identity", all(oks.values()),
+                       " ".join("k=%d:%s" % item for item in oks.items()))
 
 
-def formstan_instance(seed=70):
+def formstan_instance():
     """Kernel <w1^w2, w1^u1 + u2^u3> at the center of a plane instance."""
-    rng = random.Random(seed)
+    rng = random.Random(70)
     v0, c = standard_chart_basis()
     k1 = [Fraction(0)] * 10
     k1[PAIR5_INDEX[(0, 1)]] = Fraction(1)
@@ -189,9 +192,9 @@ def formstan_instance(seed=70):
     raise RuntimeError("no normal-form instance found")
 
 
-def check_double_cover_rank(seed=70):
+def check_double_cover_rank():
     """The k = 2 fiber equation has quadratic part of rank exactly 3."""
-    frame, chart, kbasis = formstan_instance(seed)
+    frame, chart, kbasis = formstan_instance()
     dc = double_cover_ideal(frame, chart, k_basis=kbasis)
     fiber = dc.generators[4]            # D xi2^2 - cof(M_hat)_22
     r = quadratic_form_rank(homogeneous_part(fiber, 2))
@@ -203,58 +206,68 @@ def check_double_cover_rank(seed=70):
 # ---------------------------------------------------------------------
 
 
-def check_corank_duality(seed=1, cases=200):
+def _cases(name, seed, cases, case):
+    """The seeded case loop of the quadratic-form suites.
+
+    case(rng) draws one instance and returns None to draw again (a
+    degenerate draw, not counted), or (ok, note) once it is checked.  The
+    first failing case ends the loop with its index and note.
+    """
     rng = random.Random(seed)
     done = 0
     while done < cases:
+        verdict = case(rng)
+        if verdict is None:
+            continue
+        ok, note = verdict
+        if not ok:
+            return CheckResult(name, False, " ".join(filter(None, ["case=%d" % done, note])))
+        done += 1
+    return CheckResult(name, True, "cases=%d" % cases)
+
+
+def check_corank_duality(seed, cases):
+    def case(rng):
         d = rng.randint(2, 8)
         g = random_symmetric(rng, d)
         if linalg.rank(g) != d:
-            continue
+            return None
         q = QuadSpace(g)
-        dual = dual_form(q)
         s = linalg.row_basis([random_vector(rng, d)
                               for _ in range(rng.randint(1, d - 1))])
         if not s:
-            continue
-        if cork_restrict(q, s) != dual.corank_on(ann_of_span(s, d)):
-            return CheckResult("corank-duality", False, "case=%d" % done)
-        done += 1
-    return CheckResult("corank-duality", True, "cases=%d" % cases)
+            return None
+        return cork_restrict(q, s) == dual_form(q).corank_on(ann_of_span(s, d)), ""
+
+    return _cases("corank-duality", seed, cases, case)
 
 
-def check_degenerate_cone(seed=2, cases=200):
-    rng = random.Random(seed)
-    done = 0
-    while done < cases:
+def check_degenerate_cone(seed, cases):
+    def case(rng):
         d = rng.randint(2, 8)
         k = rng.randint(0, min(3, d - 1))
         if k:
             kern = [random_vector(rng, d) for _ in range(k)]
             if linalg.rank(kern) != k:
-                continue
+                return None
             base = symmetric_with_kernel(rng, d, kern)
         else:
             base = random_symmetric(rng, d, invertible=True)
         m = rng.randint(1, 3)
         fam = PencilFamily(QuadSpace(base),
                            [random_symmetric(rng, d) for _ in range(m)])
-        ok, _, _ = degenerate_cone_check(fam)
-        if not ok:
-            return CheckResult("kernel-block-expansion", False, "case=%d" % done)
-        done += 1
-    return CheckResult("kernel-block-expansion", True, "cases=%d" % cases)
+        return degenerate_cone_check(fam)[0], ""
+
+    return _cases("kernel-block-expansion", seed, cases, case)
 
 
-def check_vanishing_kernel(seed=3, cases=200):
-    rng = random.Random(seed)
-    done = 0
-    while done < cases:
+def check_vanishing_kernel(seed, cases):
+    def case(rng):
         d = rng.randint(3, 8)
         k = rng.randint(1, min(2, d - 2))
         s = random_symmetric(rng, d - k)
         if linalg.rank(s) != d - k:
-            continue
+            return None
         base = [[Fraction(0)] * d for _ in range(d)]
         for i in range(d - k):
             for jj in range(d - k):
@@ -266,18 +279,13 @@ def check_vanishing_kernel(seed=3, cases=200):
                 for jj in range(d - k, d):
                     b[i][jj] = Fraction(0)
             coeffs.append(b)
-        fam = PencilFamily(QuadSpace(base), coeffs)
-        ok, _, _ = vanishing_kernel_check(fam)
-        if not ok:
-            return CheckResult("vanishing-kernel-expansion", False, "case=%d" % done)
-        done += 1
-    return CheckResult("vanishing-kernel-expansion", True, "cases=%d" % cases)
+        return vanishing_kernel_check(PencilFamily(QuadSpace(base), coeffs))[0], ""
+
+    return _cases("vanishing-kernel-expansion", seed, cases, case)
 
 
-def check_phi2_rank(seed=4, cases=200):
-    rng = random.Random(seed)
-    done = 0
-    while done < cases:
+def check_phi2_rank(seed, cases):
+    def case(rng):
         d = rng.randint(2, 8)
         e = random_vector(rng, d, nonzero=True)
         base = symmetric_with_kernel(rng, d, [e])
@@ -289,13 +297,20 @@ def check_phi2_rank(seed=4, cases=200):
                 i = next(t for t in range(d) if e[t] != 0)
                 b[i][i] -= val / (e[i] * e[i])
             coeffs.append(b)
-        fam = PencilFamily(QuadSpace(base), coeffs)
-        lhs, rhs, equal = phi2_rank(fam)
-        if not equal:
-            return CheckResult("phi2-rank-formula", False,
-                               "case=%d lhs=%d rhs=%d" % (done, lhs, rhs))
-        done += 1
-    return CheckResult("phi2-rank-formula", True, "cases=%d" % cases)
+        lhs, rhs, equal = phi2_rank(PencilFamily(QuadSpace(base), coeffs))
+        return equal, "lhs=%d rhs=%d" % (lhs, rhs)
+
+    return _cases("phi2-rank-formula", seed, cases, case)
+
+
+def quadratic_form_suites(seed, cases):
+    """The four quadratic-form suites on seeds seed .. seed + 3."""
+    return [
+        check_corank_duality(seed, cases),
+        check_degenerate_cone(seed + 1, cases),
+        check_vanishing_kernel(seed + 2, cases),
+        check_phi2_rank(seed + 3, cases),
+    ]
 
 
 # ---------------------------------------------------------------------
@@ -396,7 +411,7 @@ def check_lattice_ledger(seed=5, root_samples=60):
 # ---------------------------------------------------------------------
 
 
-def check_hilbert_ledger(seed=6, pell_bound=10, fujiki_cases=100):
+def check_hilbert_ledger(seed=6, fujiki_cases=100):
     results = []
     rep = hs.delta_case_check()
     results.append(CheckResult("genus6-case", rep.ok,
@@ -423,12 +438,13 @@ def check_hilbert_ledger(seed=6, pell_bound=10, fujiki_cases=100):
     results.append(CheckResult("quartic-case-minus4-orbit", ok,
                                "div=%d qstar=%s" % (div, dperp.q_value(star))))
 
-    formula = hs.pell_square_two_classes(pell_bound)
-    brute = set(hs.pell_brute_force(1000, 1500))
+    formula = hs.pell_square_two_classes(10)
+    brute = set(hs.pell_brute_force())
     brute |= {(-x, -y) for (x, y) in brute}
+    xmax, ymax = hs.PELL_BOX
     boxed = set()
     for n, x, y in formula:
-        if abs(x) <= 1000 and abs(y) <= 1500:
+        if abs(x) <= xmax and abs(y) <= ymax:
             boxed.add((x, y))
             boxed.add((-x, -y))
     results.append(CheckResult("pell-completeness", boxed == brute,
@@ -465,13 +481,12 @@ def check_algebra_core(seed=8):
     """Determinant strategy agreement, adjugate identity, squarefree parts,
     grading reassembly, ring norms, wedge powers, the trace form and the
     conic-bundle class arithmetic: one worked example each."""
-    import random as _random
     from .poly import MultiPoly, div_exact, poly_from_text, squarefree_part as sqf
     from .polymat import PolyMatrix, adjugate_poly_matrix, det_bareiss, det_interpolate
     from .varquad import decomposable_coords, wedge_power_form
     from .zroot2 import QuadInt, PELL_UNIT
 
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     oks = []
     xy = ("x", "y")
 
@@ -552,8 +567,7 @@ def check_strata_predicates(seed=9):
     oks.append(("two-plane-instance", theta_contains(two, wp)))
     oks.append(("bad-locus-clause1", bscript_membership(two, w123, [wp], _unit(0))))
 
-    import random as _random
-    rng = _random.Random(seed + 2)
+    rng = random.Random(seed + 2)
     from .wedge import lagrangian_from_graph_basis
     v0, c = standard_chart_basis()
     found = False
@@ -643,10 +657,7 @@ def run_report(seed=1, fast=True):
         check_rank_formula(seed),
         check_schur_identity(seed),
         check_double_cover_rank(),
-        check_corank_duality(seed, cases=cases),
-        check_degenerate_cone(seed + 1, cases=cases),
-        check_vanishing_kernel(seed + 2, cases=cases),
-        check_phi2_rank(seed + 3, cases=cases),
+        *quadratic_form_suites(seed, cases),
     ]
     checks.extend(check_lattice_ledger(seed + 4, root_samples=root_samples))
     checks.extend(check_hilbert_ledger(seed + 5, fujiki_cases=fujiki))

@@ -18,18 +18,6 @@ from .jsonio import SchemaError
 from .linalg import frac
 
 
-class RunConfig:
-    """Parsed invocation: verb, input paths, seed, bounds, output format."""
-
-    __slots__ = ("verb", "args", "seed", "fmt")
-
-    def __init__(self, verb, args):
-        self.verb = verb
-        self.args = args
-        self.seed = getattr(args, "seed", 0)
-        self.fmt = getattr(args, "format", "text")
-
-
 class CheckFailure(RuntimeError):
     pass
 
@@ -140,23 +128,23 @@ def _chart_for(frame, point, seed):
         raise CheckFailure(str(e)) from None
 
 
-def cmd_local_sextic(cfg):
+def cmd_local_sextic(args):
     from .local_model import local_sextic
     from .poly import poly_to_json
 
-    frame = _load(cfg.args.frame, "lagrangian_frame")
-    point = _parse_point(cfg.args.point, 6)
-    chart = _chart_for(frame, point, cfg.seed)
+    frame = _load(args.frame, "lagrangian_frame")
+    point = _parse_point(args.point, 6)
+    chart = _chart_for(frame, point, args.seed)
     ls = local_sextic(frame, chart)
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "pathological": ls.is_pathological(),
             "polynomial": poly_to_json(ls.f),
             "parts": [p.to_text() for p in ls.parts],
         }
         return json.dumps(doc, sort_keys=True, indent=1)
-    lines = ["seed: %d" % cfg.seed, "f = %s" % ls.f.to_text()]
+    lines = ["seed: %d" % args.seed, "f = %s" % ls.f.to_text()]
     for i, p in enumerate(ls.parts):
         lines.append("f%d = %s" % (i, p.to_text()))
     if ls.is_pathological():
@@ -164,23 +152,26 @@ def cmd_local_sextic(cfg):
     return "\n".join(lines)
 
 
-def cmd_double_cover(cfg):
+def cmd_double_cover(args):
     from .local_model import double_cover_ideal
 
-    frame = _load(cfg.args.frame, "lagrangian_frame")
-    point = _parse_point(cfg.args.point, 6)
-    chart = _chart_for(frame, point, cfg.seed)
-    dc = double_cover_ideal(frame, chart)
-    if cfg.fmt == "json":
+    frame = _load(args.frame, "lagrangian_frame")
+    point = _parse_point(args.point, 6)
+    chart = _chart_for(frame, point, args.seed)
+    try:
+        dc = double_cover_ideal(frame, chart)
+    except ValueError as e:   # a kernel beyond the model's reach
+        raise UsageError(str(e)) from None
+    if args.format == "json":
         doc = {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "kernel_dimension": dc.k,
             "variables": list(dc.vars),
             "generators": [g.to_text() for g in dc.generators],
             "notice": dc.notice,
         }
         return json.dumps(doc, sort_keys=True, indent=1)
-    lines = ["seed: %d" % cfg.seed, "kernel dimension: %d" % dc.k]
+    lines = ["seed: %d" % args.seed, "kernel dimension: %d" % dc.k]
     if dc.notice:
         lines.append("note: %s" % dc.notice)
     for i, g in enumerate(dc.generators):
@@ -188,44 +179,44 @@ def cmd_double_cover(cfg):
     return "\n".join(lines)
 
 
-def cmd_sextic_sing(cfg):
+def cmd_sextic_sing(args):
     from .local_model import sextic_singularity
 
-    f = _load(cfg.args.poly, "polynomial")
-    point = _parse_point(cfg.args.point, 3)
+    f = _load(args.poly, "polynomial")
+    point = _parse_point(args.point, 3)
     try:
         rep = sextic_singularity(f, point)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    if cfg.fmt == "json":
-        return json.dumps(dict(rep.as_dict(), seed=cfg.seed), sort_keys=True, indent=1)
+    if args.format == "json":
+        return json.dumps(dict(rep.as_dict(), seed=args.seed), sort_keys=True, indent=1)
     d = rep.as_dict()
-    return "\n".join(["seed: %d" % cfg.seed] +
+    return "\n".join(["seed: %d" % args.seed] +
                      ["%s: %s" % (k, d[k]) for k in
                       ("multiplicity", "reduced", "consecutive_triple", "simple")])
 
 
-def cmd_degeneracy(cfg):
+def cmd_degeneracy(args):
     from .wedge import degeneracy_dim
 
-    frame = _load(cfg.args.frame, "lagrangian_frame")
-    point = _parse_point(cfg.args.point, 6)
+    frame = _load(args.frame, "lagrangian_frame")
+    point = _parse_point(args.point, 6)
     k = degeneracy_dim(frame, point)
-    if cfg.fmt == "json":
-        return json.dumps({"seed": cfg.seed, "degeneracy": k}, sort_keys=True)
-    return "seed: %d\ndegeneracy dimension: %d\nin Y_A[k] for k <= %d" % (cfg.seed, k, k)
+    if args.format == "json":
+        return json.dumps({"seed": args.seed, "degeneracy": k}, sort_keys=True)
+    return "seed: %d\ndegeneracy dimension: %d\nin Y_A[k] for k <= %d" % (args.seed, k, k)
 
 
-def cmd_strata(cfg):
+def cmd_strata(args):
     from .wedge import sigma_level
 
-    frame = _load(cfg.args.frame, "lagrangian_frame")
-    w = _load(cfg.args.plane, "subspace3")
+    frame = _load(args.frame, "lagrangian_frame")
+    w = _load(args.plane, "subspace3")
     theta, level = sigma_level(frame, w)
-    if cfg.fmt == "json":
-        return json.dumps({"seed": cfg.seed, "theta": theta, "level": level},
+    if args.format == "json":
+        return json.dumps({"seed": args.seed, "theta": theta, "level": level},
                           sort_keys=True)
-    lines = ["seed: %d" % cfg.seed,
+    lines = ["seed: %d" % args.seed,
              "theta (top wedge contained): %s" % theta,
              "level dim(A ∩ (Λ²W ∧ V)): %d" % level]
     if theta:
@@ -233,35 +224,37 @@ def cmd_strata(cfg):
     return "\n".join(lines)
 
 
-def cmd_varquad_check(cfg):
-    cases = cfg.args.count
-    if cases < 1:
-        raise UsageError("--count must be positive")
-    results = [
-        checks.check_corank_duality(cfg.seed, cases=cases),
-        checks.check_degenerate_cone(cfg.seed + 1, cases=cases),
-        checks.check_vanishing_kernel(cfg.seed + 2, cases=cases),
-        checks.check_phi2_rank(cfg.seed + 3, cases=cases),
-    ]
-    lines = ["seed: %d" % cfg.seed] + [r.line() for r in results]
+def _ledger(seed, results):
+    """The seed and one line per check; exit 1 naming the first failure."""
+    lines = ["seed: %d" % seed] + [r.line() for r in results]
     if not all(r.ok for r in results):
         raise CheckFailure("\n".join(lines) + "\nfirst failure: " +
                            next(r.name for r in results if not r.ok))
     return "\n".join(lines)
 
 
-def cmd_disc_group(cfg):
-    l = _resolve_lattice(cfg.args)
+def cmd_varquad_check(args):
+    if args.count < 1:
+        raise UsageError("--count must be positive")
+    return _ledger(args.seed, checks.quadratic_form_suites(args.seed, args.count))
+
+
+def cmd_disc_group(args):
+    l = _resolve_lattice(args)
     d = lattices.disc_group(l)
-    if cfg.fmt == "json":
+    if args.format == "json":
+        try:
+            els = d.elements()
+        except ValueError as e:   # too large to enumerate
+            raise UsageError(str(e)) from None
         doc = {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "invariants": d.invariants,
             "order": d.order,
-            "q_values": [[list(e), str(d.q_value(e))] for e in d.elements()],
+            "q_values": [[list(e), str(d.q_value(e))] for e in els],
         }
         return json.dumps(doc, sort_keys=True, indent=1)
-    lines = ["seed: %d" % cfg.seed,
+    lines = ["seed: %d" % args.seed,
              "invariant factors: %s" % (d.invariants or "trivial")]
     if d.order <= 64:
         for e in d.elements():
@@ -269,27 +262,30 @@ def cmd_disc_group(cfg):
     return "\n".join(lines)
 
 
-def cmd_classify_root(cfg):
-    l = _resolve_lattice(cfg.args)
+def cmd_classify_root(args):
+    l = _resolve_lattice(args)
     if not {"e1", "e2"} <= set(l.named):
         raise UsageError("classify-root needs a polarized lattice with named vectors e1 and e2")
-    v = _parse_lattice_vector(l, cfg.args.vector)
+    v = _parse_lattice_vector(l, args.vector)
     try:
         tag = lattices.classify_negative_root(v, l)
     except (ValueError, lattices.ClassificationError) as e:
         raise CheckFailure("classification failed: %s" % e) from None
-    if cfg.fmt == "json":
-        return json.dumps({"seed": cfg.seed, "tag": tag, "square": l.square(v)},
+    if args.format == "json":
+        return json.dumps({"seed": args.seed, "tag": tag, "square": l.square(v)},
                           sort_keys=True)
-    return "seed: %d\nsquare: %d\ntag: %s" % (cfg.seed, l.square(v), tag)
+    return "seed: %d\nsquare: %d\ntag: %s" % (args.seed, l.square(v), tag)
 
 
-def cmd_overlattices(cfg):
-    l = _resolve_lattice(cfg.args)
-    ovs = lattices.overlattices(l)
-    if cfg.fmt == "json":
+def cmd_overlattices(args):
+    l = _resolve_lattice(args)
+    try:
+        ovs = lattices.overlattices(l)
+    except ValueError as e:   # a discriminant group too large to enumerate
+        raise UsageError(str(e)) from None
+    if args.format == "json":
         doc = {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "count": len(ovs),
             "overlattices": [
                 {"index": o.index,
@@ -300,7 +296,7 @@ def cmd_overlattices(cfg):
             ],
         }
         return json.dumps(doc, sort_keys=True, indent=1)
-    lines = ["seed: %d" % cfg.seed, "even index-2 overlattices: %d" % len(ovs)]
+    lines = ["seed: %d" % args.seed, "even index-2 overlattices: %d" % len(ovs)]
     for i, o in enumerate(ovs):
         pos, neg = o.lattice.signature()
         lines.append("#%d: index=%d det=%d signature=(%d,%d) rank=%d"
@@ -308,32 +304,31 @@ def cmd_overlattices(cfg):
     return "\n".join(lines)
 
 
-def cmd_pell(cfg):
-    if cfg.args.bound < 0:
-        raise UsageError("--bound must be nonnegative")
-    rows = hs.pell_square_two_classes(cfg.args.bound)
-    if cfg.fmt == "json":
-        return json.dumps({"seed": cfg.seed,
+# pell's output grows with the square of --bound: 1000 writes 1.5 MB.
+PELL_BOUND_MAX = 1000
+
+
+def cmd_pell(args):
+    if not 0 <= args.bound <= PELL_BOUND_MAX:
+        raise UsageError("--bound must be between 0 and %d" % PELL_BOUND_MAX)
+    rows = hs.pell_square_two_classes(args.bound)
+    if args.format == "json":
+        return json.dumps({"seed": args.seed,
                            "classes": [{"n": n, "x": x, "y": y} for n, x, y in rows]},
                           sort_keys=True, indent=1)
-    lines = ["seed: %d" % cfg.seed,
+    lines = ["seed: %d" % args.seed,
              "square-2 classes x*mu + y*xi with y + x*sqrt2 = (-1+sqrt2)(3+2sqrt2)^n"]
     for n, x, y in rows:
         lines.append("n=%+d  x=%d  y=%d" % (n, x, y))
     return "\n".join(lines)
 
 
-def cmd_hilb_check(cfg):
-    results = checks.check_hilbert_ledger(cfg.seed)
-    lines = ["seed: %d" % cfg.seed] + [r.line() for r in results]
-    if not all(r.ok for r in results):
-        raise CheckFailure("\n".join(lines) + "\nfirst failure: " +
-                           next(r.name for r in results if not r.ok))
-    return "\n".join(lines)
+def cmd_hilb_check(args):
+    return _ledger(args.seed, checks.check_hilbert_ledger(args.seed))
 
 
-def cmd_report(cfg):
-    ok, text = checks.run_report(seed=cfg.seed, fast=not cfg.args.full)
+def cmd_report(args):
+    ok, text = checks.run_report(seed=args.seed, fast=not args.full)
     if not ok:
         first = next(line for line in text.splitlines() if line.startswith("FAIL"))
         raise CheckFailure(text.rstrip("\n") + "\nfirst failure: " + first[5:])
@@ -435,9 +430,8 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return (int(e.code) if e.code else 0), ""
-    cfg = RunConfig(args.verb, args)
     try:
-        out = VERBS[args.verb](cfg)
+        out = VERBS[args.verb](args)
         return 0, out
     except UsageError as e:
         return 2, "error: %s" % e

@@ -9,20 +9,17 @@ rank-2 Picard lattice handled through the ring Z[sqrt(2)]: Pell classes
 of square 2, the nodal classes alpha_n, and the obstruction pairings.
 """
 
+from functools import cache
 from math import isqrt
 
 from . import lattices
 from .zroot2 import QuadInt, PELL_UNIT
 
-_MODEL = None
 
-
+@cache
 def model() -> lattices.EvenLattice:
     """The rank-23 lattice with xi = the named (-2) generator."""
-    global _MODEL
-    if _MODEL is None:
-        _MODEL = lattices.lambda_tilde()
-    return _MODEL
+    return lattices.lambda_tilde()
 
 
 XI_INDEX = 22
@@ -77,11 +74,10 @@ def fujiki_quartic(a, b, c, d) -> int:
 
 
 class ConicClassReport:
-    __slots__ = ("q_zeta", "steps", "ok")
+    __slots__ = ("q_zeta", "ok")
 
-    def __init__(self, q_zeta, steps, ok):
+    def __init__(self, q_zeta, ok):
         self.q_zeta = q_zeta
-        self.steps = steps
         self.ok = ok
 
 
@@ -106,14 +102,7 @@ def conic_class_arithmetic(h_square=2, fiber_integral=-2) -> ConicClassReport:
     h = HilbClass(v1[:K3_RANK], v1[K3_RANK])
     zeta = HilbClass(e1[:K3_RANK], e1[K3_RANK])
     integral = fujiki_quartic(h, h, zeta, zeta)
-    steps = [
-        ("fiber integral of zeta", fiber_integral),
-        ("integral of h^2 zeta^2 = 2 * fiber integral", total),
-        ("q(h) q(zeta) = integral", 2 * q_zeta),
-        ("q(zeta)", q_zeta),
-        ("integral of h^2 zeta^2 on the model classes", integral),
-    ]
-    return ConicClassReport(q_zeta, steps, integral == total)
+    return ConicClassReport(q_zeta, integral == total)
 
 
 class NSRank2:
@@ -248,11 +237,16 @@ def pell_square_two_classes(bound: int):
     return out
 
 
-def pell_brute_force(xmax=1000, ymax=1500):
-    """Independent oracle: all (x, y), x > 0, with 4x^2 - 2y^2 = 2 in the box.
+# The box |x| <= 1000, |y| <= 1500 that pell_brute_force searches.
+PELL_BOX = (1000, 1500)
+
+
+def pell_brute_force():
+    """Independent oracle: all (x, y), x > 0, with 4x^2 - 2y^2 = 2 in PELL_BOX.
 
     Solves y^2 = 2x^2 - 1 by perfect-square testing.
     """
+    xmax, ymax = PELL_BOX
     out = []
     for x in range(1, xmax + 1):
         y2 = 2 * x * x - 1

@@ -162,7 +162,8 @@ def _int_vector(v, length, where):
 def polynomial_from_json(obj):
     try:
         return poly_from_json(obj)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
+        # OverflowError: a JSON Infinity as an exponent or coefficient
         raise SchemaError("polynomial: %s" % e) from None
 
 
@@ -214,16 +215,8 @@ def io_roundtrip(text: str) -> bool:
     out2 = dump_value(kind2, value2)
     if out != out2:
         return False
-    if kind == "lagrangian_frame":
-        return value2 == value
-    if kind in ("subspace3",):
-        return value2 == value
-    if kind == "polynomial":
-        return value2 == value
     if kind == "even_lattice":
         return value2.gram == value.gram and value2.named == value.named
-    if kind == "vector":
-        return value2 == value
     if kind == "hilb_class":
-        return value2.a == value.a and value2.m == value.m
-    return True
+        return value2.full() == value.full()
+    return value2 == value

@@ -138,7 +138,7 @@ def e8_minus():
     return EvenLattice([[-x for x in row] for row in _E8_CARTAN])
 
 
-def direct_sum(*lattices, named=None, u2_pairs=None):
+def direct_sum(*lattices):
     n = sum(l.rank for l in lattices)
     g = [[0] * n for _ in range(n)]
     off = 0
@@ -147,7 +147,7 @@ def direct_sum(*lattices, named=None, u2_pairs=None):
             for j in range(l.rank):
                 g[off + i][off + j] = l.gram[i][j]
         off += l.rank
-    return EvenLattice(g, named=named, u2_pairs=u2_pairs)
+    return EvenLattice(g)
 
 
 def _dot(a, b):
@@ -322,9 +322,6 @@ class DiscGroup:
 
     def add(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariants))
-
-    def neg(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.invariants))
 
     def q_value(self, el):
         """q(el) in Q/2Z, canonical representative in [0, 2)."""
@@ -551,13 +548,12 @@ def disc_autos_preserving_q(disc: DiscGroup):
 
 
 class Overlattice:
-    __slots__ = ("lattice", "index", "sub_in_super", "isotropic_class")
+    __slots__ = ("lattice", "index", "sub_in_super")
 
-    def __init__(self, lattice, index, sub_in_super, isotropic_class):
+    def __init__(self, lattice, index, sub_in_super):
         self.lattice = lattice
         self.index = index
         self.sub_in_super = sub_in_super  # rows: old basis in new coordinates
-        self.isotropic_class = isotropic_class
 
 
 def overlattices(l: EvenLattice):
@@ -593,8 +589,7 @@ def overlattices(l: EvenLattice):
         pairs = list(zip(flat[0::2], flat[1::2]))
         sub = coords[-n:]
         index = abs(zlinalg.int_det(sub))
-        out.append(Overlattice(EvenLattice(gi, named=named, u2_pairs=pairs),
-                               index, sub, el))
+        out.append(Overlattice(EvenLattice(gi, named=named, u2_pairs=pairs), index, sub))
     return out
 
 

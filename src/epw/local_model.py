@@ -28,6 +28,7 @@ by M_hat * xi and D^(k-1) * xi xi^t - cof(M_hat).
 """
 
 from fractions import Fraction
+from functools import cache
 import random
 
 from . import linalg, wedge
@@ -75,7 +76,6 @@ class Chart:
         return 10 - rank(self.gram_form)
 
 
-_RANK_BOUND = None
 # Any rational point gives a valid certificate; a generic one gives the
 # sharpest.
 _CERT_POINT = (1, 2, 3, 5, 8)
@@ -86,6 +86,7 @@ def moving_int_matrices():
     return [[[-int(x) for x in row] for row in b] for b in wedge._B5]
 
 
+@cache
 def pencil_rank_bound() -> int:
     """Certified bound r >= rank over Q(t) of M(t) = sum_a t_a B_a.
 
@@ -96,23 +97,20 @@ def pencil_rank_bound() -> int:
     rank at any specialization, so dim ker M(t) >= r0 and r = 10 - r0.
     Computed on first use and cached for the process.
     """
-    global _RANK_BOUND
-    if _RANK_BOUND is None:
-        bs = wedge._B5
-        n = len(bs[0])
-        rows = []
-        for a in range(5):
-            for b in range(a, 5):
-                for i in range(n):
-                    row = [Fraction(0)] * (5 * n)
-                    for j in range(n):
-                        row[n * b + j] += bs[a][i][j]
-                        row[n * a + j] += bs[b][i][j]
-                    rows.append(row)
-        values = [[sum(t * sol[n * a + j] for a, t in enumerate(_CERT_POINT))
-                   for j in range(n)] for sol in linalg.nullspace(rows)]
-        _RANK_BOUND = n - rank(values)
-    return _RANK_BOUND
+    bs = wedge._B5
+    n = len(bs[0])
+    rows = []
+    for a in range(5):
+        for b in range(a, 5):
+            for i in range(n):
+                row = [Fraction(0)] * (5 * n)
+                for j in range(n):
+                    row[n * b + j] += bs[a][i][j]
+                    row[n * a + j] += bs[b][i][j]
+                rows.append(row)
+    values = [[sum(t * sol[n * a + j] for a, t in enumerate(_CERT_POINT))
+               for j in range(n)] for sol in linalg.nullspace(rows)]
+    return n - rank(values)
 
 
 def chart_pencil(chart) -> Pencil:
@@ -229,7 +227,7 @@ def taylor_order_check(frame, chart, known_theta=(), sextic=None) -> TaylorRepor
     return TaylorReport(k, False, checks)
 
 
-def rank_f2(frame, w: wedge.Subspace3, known_theta, chart: Chart, sextic=None) -> int:
+def rank_f2(frame, w: wedge.Subspace3, known_theta, chart: Chart) -> int:
     """Rank of the quadratic Taylor term at a point of P(W) off the curve.
 
     Equals 4 - dim(A ∩ (Λ²W ∧ V)); a mismatch raises, since it would
@@ -241,8 +239,7 @@ def rank_f2(frame, w: wedge.Subspace3, known_theta, chart: Chart, sextic=None) -
         raise ValueError("Lambda^3 W is not contained in A")
     if wedge.degeneracy_dim(frame, chart.v0) != 1:
         raise ValueError("chart center lies on the curve (degeneracy >= 2)")
-    ls = sextic if sextic is not None else local_sextic(frame, chart)
-    r = quadratic_form_rank(ls.part(2))
+    r = quadratic_form_rank(local_sextic(frame, chart).part(2))
     _, level = wedge.sigma_level(frame, w)
     if r != 4 - level:
         raise AssertionError(
@@ -259,17 +256,16 @@ def rank_f2(frame, w: wedge.Subspace3, known_theta, chart: Chart, sextic=None) -
 class SchurData:
     """Exact Schur reduction of q_A + q_v by the nondegenerate block.
 
-    Fields: j_indices (coordinate bivectors spanning J), k_basis (rows
-    spanning ker q_A), the common denominator `denom` = det(N_J + Q_J),
-    and m_hat with M_J = m_hat / denom.
+    Fields: j_indices (coordinate bivectors spanning J), the common
+    denominator `denom` = det(N_J + Q_J), and m_hat with
+    M_J = m_hat / denom.
     """
 
-    __slots__ = ("k", "j_indices", "k_basis", "denom", "m_hat", "adapted")
+    __slots__ = ("k", "j_indices", "denom", "m_hat", "adapted")
 
-    def __init__(self, k, j_indices, k_basis, denom, m_hat, adapted):
+    def __init__(self, k, j_indices, denom, m_hat, adapted):
         self.k = k
         self.j_indices = j_indices
-        self.k_basis = k_basis
         self.denom = denom
         self.m_hat = m_hat
         self.adapted = adapted   # 10x10 integer change of basis (rows = adapted basis)
@@ -344,7 +340,7 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
 
     if k == 0:
         denom = pencil.det_poly(CHART_VARS, pencil_rank_bound())
-        return SchurData(0, j, [], denom, None, c)
+        return SchurData(0, j, denom, None, c)
 
     def oracle(pt):
         s, m = pencil.at(pt)
@@ -370,19 +366,18 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
     flat = interpolate_poly_map(oracle, CHART_VARS, degree, 1 + k * k)
     denom = flat[0]
     m_hat = PolyMatrix([[flat[1 + i * k + jj] for jj in range(k)] for i in range(k)])
-    return SchurData(k, j, kern, denom, m_hat, c)
+    return SchurData(k, j, denom, m_hat, c)
 
 
-def schur_identity_check(frame, chart: Chart, sd: SchurData, sextic=None) -> bool:
+def schur_identity_check(frame, chart: Chart, sd: SchurData) -> bool:
     """det(q_A + q_v) * D^(k-1) == det(M_hat), as exact polynomials.
 
     Both sides live in the adapted basis; the left side is obtained from
     the chart determinant by the congruence scale det(C)^2.  For k = 0
     the identity degenerates to D == det(q_A + q_v).
     """
-    ls = sextic if sextic is not None else local_sextic(frame, chart)
     scale = linalg.det(sd.adapted) ** 2
-    f = ls.f * scale
+    f = local_sextic(frame, chart).f * scale
     if sd.k == 0:
         return f == sd.denom
     lhs = f

@@ -251,7 +251,8 @@ class Pencil:
     Base and moves are scaled to integers by one lcm L of all their
     denominators.  at(t) returns (s, m) with m = s * (base + sum_a t_a
     moves[a]) an integer matrix, where s = L * lcm(denominators of t); on
-    the integer interpolation grid s is L.
+    the integer interpolation grid s is L.  A point has one coordinate,
+    and det_poly one variable, per move (ValueError otherwise).
     """
 
     __slots__ = ("den", "base", "moves")
@@ -267,6 +268,9 @@ class Pencil:
                       for a in range(1, len(moves) + 1)]
 
     def at(self, pt):
+        if len(pt) != len(self.moves):
+            raise ValueError("pencil with %d moves at a point of %d coordinates"
+                             % (len(self.moves), len(pt)))
         q, qt = scaled_ints(pt)
         m = [[x * q for x in row] for row in self.base]
         for t, move in zip(qt, self.moves):
@@ -289,6 +293,9 @@ class Pencil:
         the row degrees: 1 for a row that a move touches, 0 for a row of
         the base only, and a zero row makes the determinant zero.
         """
+        if len(variables) != len(self.moves):
+            raise ValueError("pencil with %d moves in %d variables"
+                             % (len(self.moves), len(variables)))
         if degree is None:
             moving = {i for move in self.moves for i, _, _ in move}
             rows = [1 if i in moving else 0 if any(row) else -1

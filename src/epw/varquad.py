@@ -142,7 +142,7 @@ class PencilFamily:
 
     __slots__ = ("base", "coeffs", "varnames", "pencil")
 
-    def __init__(self, base: QuadSpace, coeffs, varnames=None):
+    def __init__(self, base: QuadSpace, coeffs):
         self.base = base
         self.coeffs = [fmat(b) for b in coeffs]
         if len(self.coeffs) > 5:
@@ -150,7 +150,7 @@ class PencilFamily:
         for b in self.coeffs:
             if len(b) != base.dim or not linalg.is_symmetric(b):
                 raise ValueError("coefficient matrices must be symmetric of matching size")
-        self.varnames = tuple(varnames or ("t%d" % (a + 1) for a in range(len(self.coeffs))))
+        self.varnames = tuple("t%d" % (a + 1) for a in range(len(self.coeffs)))
         self.pencil = Pencil(base.gram, self.coeffs)
 
 

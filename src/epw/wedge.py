@@ -2,7 +2,10 @@
 
 Fixed basis e1..e6; Lambda^3 V has the 20 lexicographic basis trivectors
 e_ijk (i<j<k) and carries the symplectic wedge pairing normalized by
-vol(e1^...^e6) = 1.  All signs flow from lexicographic index order.
+vol(e1^...^e6) = 1.  All signs flow from lexicographic index order.  The
+pairing is the Gram matrix PAIRING, a signed permutation (e_I pairs only
+with its complement), so pairings and the isotropy test are congruence
+products linalg.restrict_gram(PAIRING, rows).
 
 Lagrangian subspaces are stored as reduced-echelon 10x20 rational
 matrices.  Degeneracy loci, the Theta condition, sigma levels, the dual
@@ -39,25 +42,13 @@ def perm_sign(seq):
     return sign
 
 
-# pairing sign between complementary triples: e_I ^ e_J = s * e_123456
-_PAIRING_SIGN = {}
-for _t in TRIPLES:
-    _c = tuple(sorted(set(range(DIM)) - set(_t)))
-    _PAIRING_SIGN[_t] = (perm_sign(_t + _c), _c)
+# The wedge pairing as a Gram matrix: e_I ^ e_J = PAIRING[I][J] e_123456.
+PAIRING = [[perm_sign(s + t) for t in TRIPLES] for s in TRIPLES]
 
 
 def symplectic_pairing(a, b) -> Fraction:
     """Coefficient of e1^...^e6 in a ^ b; bilinear and antisymmetric."""
-    a, b = fvec(a), fvec(b)
-    total = Fraction(0)
-    for i, t in enumerate(TRIPLES):
-        if a[i] == 0:
-            continue
-        s, c = _PAIRING_SIGN[t]
-        j = TRIPLE_INDEX[c]
-        if b[j] != 0:
-            total += s * a[i] * b[j]
-    return total
+    return linalg.restrict_gram(PAIRING, [a, b])[0][1]
 
 
 def basis_trivector(i, j, k):
@@ -102,17 +93,8 @@ def wedge_vector_trivector(v, t):
 
 def wedge_bivector_basis(v):
     """Spanning rows of v ^ Lambda^2 V inside Lambda^3 V (rank 10 for v != 0)."""
-    v = fvec(v)
-    rows = []
-    for (i, j) in PAIRS6:
-        row = [Fraction(0)] * 20
-        for a in range(DIM):
-            if v[a] == 0 or a in (i, j):
-                continue
-            s = perm_sign((a, i, j))
-            row[TRIPLE_INDEX[tuple(sorted((a, i, j)))]] += s * v[a]
-        rows.append(row)
-    return linalg.row_basis(rows)
+    return linalg.row_basis([trivector_from_vectors(v, _unit(i), _unit(j))
+                             for (i, j) in PAIRS6])
 
 
 class Subspace3:
@@ -146,9 +128,7 @@ class Subspace3:
         for a in range(3):
             for b in range(a + 1, 3):
                 for k in range(DIM):
-                    ek = [Fraction(0)] * DIM
-                    ek[k] = Fraction(1)
-                    rows.append(trivector_from_vectors(w[a], w[b], ek))
+                    rows.append(trivector_from_vectors(w[a], w[b], _unit(k)))
         return linalg.row_basis(rows)
 
 
@@ -157,11 +137,11 @@ class LagrangianFrame:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, rows, check=True):
+    def __init__(self, rows):
         m = linalg.row_basis(linalg.fmat(rows))
         if len(m) != 10:
             raise ValueError("expected rank 10, got %d" % len(m))
-        if check and not _pairings_vanish(m):
+        if not _isotropic(m):
             raise ValueError("subspace is not isotropic for the wedge pairing")
         self.matrix = m
 
@@ -179,14 +159,14 @@ class LagrangianFrame:
         return linalg.in_rowspace(self.matrix, fvec(trivector))
 
 
-def _pairings_vanish(rows):
-    return all(symplectic_pairing(a, b) == 0 for a, b in combinations(rows, 2))
+def _isotropic(rows):
+    return not any(any(row) for row in linalg.restrict_gram(PAIRING, rows))
 
 
 def is_lagrangian(rows) -> bool:
     """True iff the rows span a 10-space on which the wedge pairing vanishes."""
     m = linalg.row_basis(linalg.fmat(rows))
-    return len(m) == 10 and _pairings_vanish(m)
+    return len(m) == 10 and _isotropic(m)
 
 
 def degeneracy_dim(a: LagrangianFrame, v) -> int:
@@ -302,18 +282,13 @@ TRIPLES5 = tuple(combinations(range(5), 3))   # trivector index order for Λ³V0
 PAIR5_INDEX = {p: i for i, p in enumerate(PAIRS5)}
 
 
-def vol5_sign(indices):
-    """Sign of e_{i1}^...^e_{i5} against the ordered chart basis, or 0."""
-    return perm_sign(indices)
-
-
 # The chart pairing P[k][j] = vol0(gamma_k ^ beta_j) is a signed
 # permutation: trivector k pairs only with the bivector on its complement
 # j = pi(k), with sign s_k.  _P5[k] = (pi(k), s_k).
 _P5 = []
 for _t in TRIPLES5:
     _c = tuple(i for i in range(5) if i not in _t)
-    _P5.append((PAIR5_INDEX[_c], vol5_sign(_t + _c)))
+    _P5.append((PAIR5_INDEX[_c], perm_sign(_t + _c)))
 
 
 def pluecker_coefficient_matrices():
@@ -330,7 +305,7 @@ def pluecker_coefficient_matrices():
             for j, q in enumerate(PAIRS5):
                 seq = (a,) + p + q
                 if len(set(seq)) == 5:
-                    m[i][j] = Fraction(vol5_sign(seq))
+                    m[i][j] = Fraction(perm_sign(seq))
         mats.append(m)
     return mats
 
@@ -509,7 +484,7 @@ class ConstraintError(RuntimeError):
     """Raised when a sampler cannot satisfy its constraints."""
 
 
-def lagrangian_containing(w: Subspace3, level=1, extra_theta=(), seed=0, attempts=100):
+def lagrangian_containing(w: Subspace3, level=1, extra_theta=(), seed=0):
     """Seeded Lagrangian A with Lambda^3 W ⊂ A and sigma level exactly `level`.
 
     extra_theta: at most one further 3-space W' with dim(W ∩ W') = 1; its
@@ -553,7 +528,7 @@ def lagrangian_containing(w: Subspace3, level=1, extra_theta=(), seed=0, attempt
 
     # Gram constraints in the lexicographic pair basis over c1..c5:
     # pairs containing c1 or c2 occupy the first seven slots.
-    for _ in range(attempts):
+    for _ in range(100):
         kernel7 = [[Fraction(1)] + [Fraction(0)] * 6]
         for _ in range(level - 1):
             kernel7.append(random_vector(rng, 7))
@@ -581,4 +556,4 @@ def lagrangian_containing(w: Subspace3, level=1, extra_theta=(), seed=0, attempt
         if extra_theta and not theta_contains(frame, extra_theta[0]):
             continue
         return frame
-    raise ConstraintError("sampler failed after %d attempts" % attempts)
+    raise ConstraintError("sampler failed after 100 attempts")

@@ -104,7 +104,5 @@ class QuadInt:
         return result
 
 
-ONE = QuadInt(1, 0)
-SQRT2 = QuadInt(0, 1)
 FUNDAMENTAL_UNIT = QuadInt(1, 1)          # 1 + √2, norm -1
 PELL_UNIT = QuadInt(3, 2)                 # 3 + 2√2 = (1+√2)^2, norm 1

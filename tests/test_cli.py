@@ -5,9 +5,10 @@ import random
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from epw import jsonio
+from epw import cli, jsonio
 from epw.cli import run
 from epw.poly import poly_from_text, poly_to_json
 from epw.wedge import Subspace3, lagrangian_containing, random_graph_lagrangian, _unit
@@ -95,6 +96,17 @@ def test_sextic_sing_short_exponent_usage_error(tmp_path):
     assert out.startswith("error: ")
 
 
+@pytest.mark.parametrize("field", ["exponents", "coeff"])
+def test_sextic_sing_infinite_term_usage_error(tmp_path, field):
+    doc = poly_to_json(poly_from_text("x^6 - y^3*z^3", ("x", "y", "z")))
+    doc["terms"][0][field] = [float("inf"), 0, 0] if field == "exponents" else float("inf")
+    path = tmp_path / "infinite.json"
+    path.write_text(jsonio.dumps(doc))
+    code, out = run(["sextic-sing", "--poly", str(path), "--point", "0,0,1"])
+    assert code == 2
+    assert out.startswith("error: ")
+
+
 @pytest.mark.parametrize("field, value", [
     ("m", "x"), ("m", 1.5), ("m", True), ("a", "0"), ("a", 0.0), ("a", False),
 ])
@@ -141,6 +153,34 @@ def test_degenerate_lattice_json_usage_error(tmp_path, verb):
     code, out = run([verb, "--lattice-json", str(path)])
     assert code == 2
     assert out.startswith("error: ") and "degenerate" in out
+
+
+@pytest.mark.parametrize("verb,extra", [("disc-group", ["--format", "json"]),
+                                        ("overlattices", [])])
+def test_too_large_discriminant_group_usage_error(tmp_path, verb, extra):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"kind": "even_lattice", "rank": 2, "gram": [[2, 0], [0, 8194]]}))
+    code, out = run([verb, "--lattice-json", str(path)] + extra)
+    assert (code, out) == (2, "error: discriminant group too large to enumerate")
+
+
+def test_double_cover_beyond_kernel_dimension_three_usage_error(tmp_path):
+    frame, _ = random_graph_lagrangian(random.Random(3), corank=4)
+    path = tmp_path / "frame.json"
+    path.write_text(jsonio.dump_value("lagrangian_frame", frame))
+    code, out = run(["double-cover", "--frame", str(path), "--point", "1,0,0,0,0,0"])
+    assert code == 2
+    assert out == "error: double cover model implemented for kernel dimension <= 3"
+
+
+@pytest.mark.parametrize("bound", [str(cli.PELL_BOUND_MAX + 1), str(10 ** 20)])
+def test_pell_bound_above_the_cap_usage_error(monkeypatch, bound):
+    def no_work(bound):
+        raise AssertionError("pell classes computed for a rejected bound")
+
+    monkeypatch.setattr(cli.hs, "pell_square_two_classes", no_work)
+    code, out = run(["pell", "--bound", bound])
+    assert (code, out) == (2, "error: --bound must be between 0 and 1000")
 
 
 @pytest.mark.parametrize("lattice,vector", [("u", "1,-1"), ("e8-minus", "1,0,0,0,0,0,0,0")])
@@ -247,3 +287,96 @@ def test_cli_subprocess_deterministic():
     b = subprocess.run(cmd, capture_output=True, text=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# -- any argv, any document: exit 0, 1 or 2 and no traceback ------------------
+
+FUZZ_KINDS = ("lagrangian_frame", "subspace3", "vector", "even_lattice", "polynomial",
+              "hilb_class", "nope")
+FUZZ_FIELDS = ("matrix", "rows", "coords", "rank", "gram", "named", "u2_pairs",
+               "variables", "terms", "a", "m")
+json_leaves = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+               | st.sampled_from(["1/2", "1/0", "x", ""]))
+json_values = st.recursive(json_leaves, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.sampled_from(FUZZ_FIELDS), inner, max_size=3),
+                           max_leaves=12)
+malformed_docs = st.one_of(
+    st.sampled_from(["", "{", "[]", "null", '{"kind": 5}']),
+    st.builds(lambda kind, body: json.dumps(dict(body, kind=kind)), st.sampled_from(FUZZ_KINDS),
+              st.dictionaries(st.sampled_from(FUZZ_FIELDS), json_values, max_size=3)),
+)
+# "@name" stands for a file of the fuzz_files fixture; "@doc" for the drawn document.
+# Hypothesis favours the first choice of a sampled_from or one_of, so the inputs
+# at a model's limits come first: a corank-4 frame, its center, a huge group.
+FRAMES = ("@frame-corank4", "@frame-corank1", "@frame-corank0", "@doc", "/nonexistent.json")
+POINTS = st.one_of(
+    st.sampled_from(["1,0,0,0,0,0", "0,0,0,0,0,1", "0,0,0,0,0,0", "1,1", "1/0,0,0,0,0,1"]),
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6).map(lambda v: ",".join(map(str, v))),
+)
+LATTICE_FLAGS = st.one_of(
+    st.tuples(st.just("--lattice-json"), st.sampled_from(["@lattice-big", "@lattice-u", "@doc"])),
+    st.tuples(st.just("--lattice"), st.sampled_from(sorted(cli.lattices.NAMED_LATTICES) + ["x"])),
+)
+FRAME_AT_POINT = st.tuples(st.just("--frame"), st.sampled_from(FRAMES), st.just("--point"), POINTS)
+VERB_FLAGS = {
+    "local-sextic": FRAME_AT_POINT,
+    "double-cover": FRAME_AT_POINT,
+    "degeneracy": FRAME_AT_POINT,
+    "strata": st.tuples(st.just("--frame"), st.sampled_from(FRAMES),
+                        st.just("--plane"), st.sampled_from(["@plane", "@doc"])),
+    "sextic-sing": st.tuples(st.just("--poly"), st.sampled_from(["@sextic", "@doc"]),
+                             st.just("--point"), st.sampled_from(["0,0,1", "1,1,1", "0,0,0", "1,2"])),
+    "varquad-check": st.tuples(st.just("--count"), st.integers(-1, 3).map(str)),
+    "disc-group": LATTICE_FLAGS,
+    "overlattices": LATTICE_FLAGS,
+    "classify-root": st.tuples(LATTICE_FLAGS, st.just("--vector"),
+                               st.sampled_from(["e1+e2", "2*e1-e2", "v3", "e9", "1,-1", "x*e1"])),
+    "pell": st.tuples(st.just("--bound"), st.integers(-2, 1200).map(str)),
+    "hilb-check": st.just(()),
+}
+FORMATTED = set(VERB_FLAGS) - {"varquad-check", "hilb-check"}
+
+
+def _flatten(flags):
+    for x in flags:
+        yield from (_flatten(x) if isinstance(x, tuple) else [x])
+
+
+@st.composite
+def cli_inputs(draw):
+    verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
+    argv = [verb, "--seed", str(draw(st.integers(-2, 3)))] + list(_flatten(draw(VERB_FLAGS[verb])))
+    if verb in FORMATTED and draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv, draw(malformed_docs)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    docs = {"plane": jsonio.dump_value("subspace3", Subspace3([_unit(0), _unit(1), _unit(2)])),
+            "sextic": jsonio.dump_value("polynomial", poly_from_text("x^6 - y^3*z^3", ("x", "y", "z"))),
+            "lattice-u": json.dumps({"kind": "even_lattice", "rank": 2, "gram": [[0, 1], [1, 0]]}),
+            "lattice-big": json.dumps({"kind": "even_lattice", "rank": 2,
+                                       "gram": [[2, 0], [0, 8194]]})}
+    for k in (0, 1, 4):
+        frame, _ = random_graph_lagrangian(random.Random(3), corank=k)
+        docs["frame-corank%d" % k] = jsonio.dump_value("lagrangian_frame", frame)
+    paths = {}
+    for name, text in docs.items():
+        paths["@" + name] = str(base / (name + ".json"))
+        (base / (name + ".json")).write_text(text)
+    paths["@doc"] = str(base / "doc.json")
+    return paths
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=cli_inputs())
+def test_cli_exit_codes_on_drawn_argv_and_documents(fuzz_files, drawn):
+    argv, doc = drawn
+    with open(fuzz_files["@doc"], "w") as fh:
+        fh.write(doc)
+    code, out = run([fuzz_files.get(a, a) for a in argv])
+    assert code in (0, 1, 2)
+    assert code != 2 or out == "" or out.startswith("error: ")

@@ -7,7 +7,7 @@ import pytest
 from epw.hilbert_square import (
     HilbClass, NSRank2, model, bb_form, bb_square, fujiki_quartic,
     conic_class_arithmetic, delta_case_check, degree2_case_check,
-    pell_square_two_classes, pell_brute_force, trace_pairing,
+    PELL_BOX, pell_square_two_classes, pell_brute_force, trace_pairing,
     alpha_class, is_effective_double, obstruction_pairing, psi,
 )
 from epw.lattices import lambda_lattice, classify_negative_root, S2_STAR
@@ -122,10 +122,11 @@ def test_pell_classes_have_square_two_and_positive_h_pairing():
 
 
 def test_pell_completeness_against_brute_force():
-    brute = set(pell_brute_force(1000, 1500))
+    brute = set(pell_brute_force())
+    xmax, ymax = PELL_BOX
     formula = set()
     for n, x, y in pell_square_two_classes(10):
-        if abs(x) <= 1000 and abs(y) <= 1500:
+        if abs(x) <= xmax and abs(y) <= ymax:
             formula.add((x, y))
             formula.add((-x, -y))
     brute_all = brute | {(-x, -y) for (x, y) in brute}

@@ -234,8 +234,11 @@ def test_flipped_sign_raises_the_certified_bound(monkeypatch):
     b5[2][0][9] = -b5[2][0][9]
     assert b5[2][0][9] != 0
     monkeypatch.setattr(wedge, "_B5", b5)
-    monkeypatch.setattr(local_model, "_RANK_BOUND", None)
-    assert pencil_rank_bound() > 6 or not checks.check_epw_degree_bound(seed=1, count=4).ok
+    pencil_rank_bound.cache_clear()
+    try:
+        assert pencil_rank_bound() > 6 or not checks.check_epw_degree_bound(seed=1, count=4).ok
+    finally:
+        pencil_rank_bound.cache_clear()
 
 
 def test_off_grid_check_catches_a_low_degree_bound(monkeypatch):
@@ -295,7 +298,7 @@ def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
     moves = [[[sum(c[r][x] * b[x][y] * c[q][y] for x in range(10) for y in range(10))
                for q in range(jdim, 10)] for r in range(jdim, 10)]
              for b in local_model.moving_int_matrices()]
-    points = [(1, 0, 2, -1, 0, 3), (2, 1, 1, 1, 0, -1), (0, 0, 0, 0, 0, 1)]
+    points = [(1, 0, 2, -1, 0), (2, 1, 1, 1, 0), (0, 0, 0, 0, 0)]
     solved = [oracles[0](pt) for pt in points]
     solve = local_model.bareiss_solve
     monkeypatch.setattr(local_model, "bareiss_solve", lambda m, rhs: (solve(m, rhs)[0], None))

@@ -345,6 +345,22 @@ def test_pencil_rejects_mismatched_shapes(base, moves):
         Pencil(base, moves)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: p.det_poly(("t",)),
+    lambda p: p.det_poly(("s", "t", "u")),
+    lambda p: p.at((1,)),
+    lambda p: p.det((1,)),
+    lambda p: p.det((1, 2, 3)),
+])
+def test_pencil_needs_one_variable_per_move(call):
+    """Two moves: a point or variable list of another length is refused
+    (zip used to drop the extra moves: det((1,)) read as det((1, 0)))."""
+    p = Pencil([[1, 0], [0, 1]], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    assert p.det((1, 2)) == 6
+    with pytest.raises(ValueError, match="pencil with 2 moves"):
+        call(p)
+
+
 def test_det_strategies_line_can_fail_through_the_pencil(monkeypatch):
     from epw import checks
 

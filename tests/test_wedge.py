@@ -98,12 +98,13 @@ def test_non_isotropic_10_space_rejected():
 
 
 def test_flipped_pairing_sign_rejects_a_graph_frame(monkeypatch):
-    """The isotropy check reads _PAIRING_SIGN, so a wrong sign shows: row 0
-    of the frame has e123 coefficient 1 and another row meets e456."""
+    """The isotropy check reads the PAIRING Gram, so a wrong sign shows:
+    row 0 of the frame has e123 coefficient 1 and another row meets e456."""
     frame, _ = random_graph_lagrangian(random.Random(3))
     LagrangianFrame(frame.matrix)
-    sign, comp = wedge._PAIRING_SIGN[(0, 1, 2)]
-    monkeypatch.setitem(wedge._PAIRING_SIGN, (0, 1, 2), (-sign, comp))
+    flipped = [row[:] for row in wedge.PAIRING]
+    flipped[0][19] = -flipped[0][19]
+    monkeypatch.setattr(wedge, "PAIRING", flipped)
     with pytest.raises(ValueError, match="not isotropic"):
         LagrangianFrame(frame.matrix)
 
