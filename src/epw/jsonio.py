@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 from . import lattices, wedge
-from .poly import poly_from_json, poly_to_json
+from .poly import MultiPoly, poly_to_json
 
 
 class SchemaError(ValueError):
@@ -159,11 +159,28 @@ def _int_vector(v, length, where):
             raise SchemaError("%s[%d]: expected an integer, got %r" % (where, j, x))
 
 
-def polynomial_from_json(obj):
+def polynomial_from_json(obj) -> MultiPoly:
+    if not isinstance(obj, dict) or obj.get("kind") != "polynomial":
+        raise SchemaError("kind: expected 'polynomial'")
+    variables = obj.get("variables")
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise SchemaError("variables: expected a list of names")
+    terms = obj.get("terms")
+    if not isinstance(terms, list):
+        raise SchemaError("terms: expected a list of terms")
+    coeffs = {}
+    for i, t in enumerate(terms):
+        where = "terms[%d]" % i
+        if not isinstance(t, dict):
+            raise SchemaError("%s: expected an object with exponents and coeff" % where)
+        _int_vector(t.get("exponents"), len(variables), where + ".exponents")
+        e = tuple(t["exponents"])
+        if e in coeffs:
+            raise SchemaError("%s.exponents: duplicate exponent vector" % where)
+        coeffs[e] = _parse_fr(t.get("coeff"), where + ".coeff")
     try:
-        return poly_from_json(obj)
-    except (ValueError, KeyError, TypeError, OverflowError) as e:
-        # OverflowError: a JSON Infinity as an exponent or coefficient
+        return MultiPoly(variables, coeffs)
+    except ValueError as e:
         raise SchemaError("polynomial: %s" % e) from None
 
 

@@ -17,6 +17,8 @@ induced action on the discriminant group maps integer lifts; and the
 discriminant group needs nothing beyond its Smith transform: from
 U G V = D it follows that G^-1 U^-1 = V D^-1, so the lift of the i-th
 generator (the solution of G x = U^-1 e_i) is the column V e_i / d_i.
+The signature is read off the characteristic polynomial det(G - x I),
+interpolated from integer determinants by one polymat.Pencil.
 Fractions appear only where the public API returns them: `gen_lifts`,
 `lift`, `q_value` and `reflection_matrix`.
 """
@@ -25,6 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg, zlinalg
+from .polymat import Pencil
 
 
 class ClassificationError(RuntimeError):
@@ -90,7 +93,18 @@ class EvenLattice:
         return zlinalg.int_det(self.gram)
 
     def signature(self):
-        return linalg.signature(self.gram)
+        """(positive, negative) inertia of the Gram matrix G.
+
+        p(x) = det(G - x I) is real-rooted, so by Descartes' rule the sign
+        changes of its nonzero coefficients count the positive roots; its
+        lowest nonzero degree is the dimension of the kernel.
+        """
+        n = self.rank
+        minus_id = [[-int(i == j) for j in range(n)] for i in range(n)]
+        p = Pencil(self.gram, [minus_id]).det_poly(("x",))
+        coeffs = [c for _, c in sorted(p.terms.items())]
+        pos = sum((a > 0) != (b > 0) for a, b in zip(coeffs, coeffs[1:]))
+        return pos, n - min(p.terms)[0] - pos
 
     def is_primitive(self, v):
         g = 0

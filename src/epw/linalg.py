@@ -68,10 +68,6 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def is_symmetric(m):
     n = len(m)
     return all(len(r) == n for r in m) and all(
@@ -230,59 +226,3 @@ def restrict_gram(g, rows):
     den = gd * rd * rd
     return [[Fraction(x, den) for x in row] for row in int_gram(gi, ri)]
 
-
-def symmetric_diagonalize(g):
-    """Diagonal of a congruent diagonalization c g c^t of a symmetric
-    matrix (c itself is not built).  Exact, used for signatures."""
-    n = len(g)
-    a = [row[:] for row in g]
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if a[i][i] != 0:
-                    piv = i
-                    break
-            if piv is not None:
-                a[k], a[piv] = a[piv], a[k]
-                for row in a:
-                    row[k], row[piv] = row[piv], row[k]
-            else:
-                # all remaining diagonal entries vanish; pull in an off-diagonal one
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    break
-                i, j = found
-                for t in range(n):
-                    a[i][t] += a[j][t]
-                for t in range(n):
-                    a[t][i] += a[t][j]
-                if i != k:
-                    a[k], a[i] = a[i], a[k]
-                    for row in a:
-                        row[k], row[i] = row[i], row[k]
-        if a[k][k] == 0:
-            continue
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / a[k][k]
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
-    return [a[i][i] for i in range(n)]
-
-
-def signature(g):
-    """(positive, negative) inertia indices of a symmetric rational matrix."""
-    d = symmetric_diagonalize(fmat(g))
-    pos = sum(1 for x in d if x > 0)
-    neg = sum(1 for x in d if x < 0)
-    return pos, neg

@@ -57,17 +57,6 @@ class Chart:
         # raises ValueError unless v0 and basis span V and Lambda^3 V0 ∩ A = 0
         self.gram_form = wedge.graph_gram(frame, self.v0, self.basis)
 
-    def gram_at(self, tvals):
-        """Numeric Gram of the local pencil at chart coordinates t.
-
-        An element v0 ^ alpha + q~(alpha) of the graph lies over the point
-        [v0 + v] exactly when q~(alpha) = v ^ alpha, so the pencil whose
-        corank computes the degeneracy dimension is G_A minus the moving
-        Pluecker Gram of v.
-        """
-        qv = wedge.pluecker_gram_numeric(tvals)
-        return linalg.mat_sub(self.gram_form, qv)
-
     def kernel(self):
         """Canonical basis of ker q_A (bivector coordinates)."""
         return linalg.nullspace(self.gram_form)
@@ -116,8 +105,11 @@ def pencil_rank_bound() -> int:
 def chart_pencil(chart) -> Pencil:
     """The chart pencil G_A - sum_a t_a B_a of det(q_A + q_v).
 
-    The moves are integers, so at(t) on the integer grid is den(G_A)
-    times the pencil.
+    An element v0 ^ alpha + q~(alpha) of the graph lies over the point
+    [v0 + v] exactly when q~(alpha) = v ^ alpha, so the pencil whose
+    corank computes the degeneracy dimension is G_A minus the moving
+    Pluecker Gram of v.  The moves are integers, so at(t) on the integer
+    grid is den(G_A) times the pencil.
     """
     return Pencil(chart.gram_form, moving_int_matrices())
 

@@ -554,20 +554,6 @@ def poly_to_json(f: MultiPoly) -> dict:
     }
 
 
-def poly_from_json(obj) -> MultiPoly:
-    if not isinstance(obj, dict) or obj.get("kind") != "polynomial":
-        raise ValueError("not a polynomial object (field 'kind')")
-    variables = obj["variables"]
-    terms = {}
-    for i, t in enumerate(obj["terms"]):
-        e = tuple(int(x) for x in t["exponents"])
-        c = Fraction(t["coeff"])
-        if e in terms:
-            raise ValueError("duplicate exponent vector in terms[%d]" % i)
-        terms[e] = c
-    return MultiPoly(variables, terms)
-
-
 def quadratic_form_gram(f: MultiPoly):
     """Symmetric Gram matrix of a (at most) quadratic polynomial's degree-2
     part, over the full variable context."""

@@ -318,9 +318,12 @@ def chart_trivectors(v0, cbasis):
     v0 ^ c_p ^ c_q in PAIRS5 order and the ten c_i ^ c_j ^ c_k (a basis of
     Lambda^3 V0) in TRIPLES5 order, for v0 and cbasis scaled to integers by
     one lcm L, so all twenty carry the same factor L^3.  Raises ValueError
-    unless v0 and cbasis span V, i.e. unless the twenty are a basis."""
+    unless v0 and cbasis are six vectors of V that span it, i.e. unless the
+    twenty are a basis."""
     _, rows = linalg.scaled_int_rows([v0] + list(cbasis))
-    if len(rows) != DIM or int_det(rows) == 0:
+    if len(rows) != DIM or any(len(r) != DIM for r in rows):
+        raise ValueError("v0 and the chart basis must be %d vectors of %d coordinates" % (DIM, DIM))
+    if int_det(rows) == 0:
         raise ValueError("v0 and the chart basis do not span V")
     v0, *c = rows
     first = [_int_trivector(v0, c[p], c[q]) for (p, q) in PAIRS5]
@@ -382,21 +385,6 @@ def graph_gram(a: LagrangianFrame, v0, cbasis):
     g = [[Fraction(s * row[k], det) for _, k, s in cols] for row in t]
     if not linalg.is_symmetric(g):
         raise AssertionError("extracted Gram is not symmetric; sign conventions broken")
-    return g
-
-
-def pluecker_gram_numeric(tvals):
-    """Gram matrix of the variable quadratic form at chart coordinates t."""
-    tvals = fvec(tvals)
-    g = [[Fraction(0)] * 10 for _ in range(10)]
-    for a in range(5):
-        if tvals[a] == 0:
-            continue
-        ba = _B5[a]
-        for i in range(10):
-            for j in range(10):
-                if ba[i][j] != 0:
-                    g[i][j] += tvals[a] * ba[i][j]
     return g
 
 

@@ -1,5 +1,6 @@
 """CLI: verbs, exit codes, determinism, file I/O."""
 
+import copy
 import json
 import random
 import subprocess
@@ -105,6 +106,29 @@ def test_sextic_sing_infinite_term_usage_error(tmp_path, field):
     code, out = run(["sextic-sing", "--poly", str(path), "--point", "0,0,1"])
     assert code == 2
     assert out.startswith("error: ")
+
+
+SEXTIC_DOC = poly_to_json(poly_from_text("x^6 - y^3*z^3", ("x", "y", "z")))
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("exponents", 6.0, "terms[0].exponents[0]"), ("exponents", "6", "terms[0].exponents[0]"),
+    ("exponents", True, "terms[0].exponents[0]"), ("coeff", 1.5, "terms[0].coeff"),
+    ("coeff", True, "terms[0].coeff"),
+])
+def test_sextic_sing_non_integer_exponent_or_non_rational_coeff(tmp_path, field, value, where):
+    # the 6 of x^6 or the coefficient 1 of x^6 replaced
+    doc = copy.deepcopy(SEXTIC_DOC)
+    if field == "exponents":
+        doc["terms"][0]["exponents"][0] = value
+    else:
+        doc["terms"][0]["coeff"] = value
+    path = tmp_path / "sextic.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["sextic-sing", "--poly", str(path), "--point", "0,0,1"])
+    assert code == 2
+    assert out.startswith("error: ")
+    assert "%s: expected" % where in out
 
 
 @pytest.mark.parametrize("field, value", [
@@ -305,6 +329,26 @@ malformed_docs = st.one_of(
     st.builds(lambda kind, body: json.dumps(dict(body, kind=kind)), st.sampled_from(FUZZ_KINDS),
               st.dictionaries(st.sampled_from(FUZZ_FIELDS), json_values, max_size=3)),
 )
+# Exponents are JSON integers; coefficients are rational strings or JSON integers, so
+# a numeric string, a negative or a huge integer is a well-formed coefficient.
+BAD_EXPONENTS = st.sampled_from([6.0, "6", True, -1, 10 ** 30, [6], None])
+BAD_COEFFS = st.sampled_from([1.5, -1.0, 1e300, "1/0", "x", True, ["1"], None])
+
+
+@st.composite
+def perturbed_sextic_docs(draw):
+    """The well-formed sextic document with one exponent replaced by a float,
+    numeric string, bool, negative, huge or nested value, or one coefficient
+    by a float, bad string, bool or nested value."""
+    doc = copy.deepcopy(SEXTIC_DOC)
+    term = doc["terms"][draw(st.integers(0, len(doc["terms"]) - 1))]
+    if draw(st.booleans()):
+        term["exponents"][draw(st.integers(0, 2))] = draw(BAD_EXPONENTS)
+    else:
+        term["coeff"] = draw(BAD_COEFFS)
+    return json.dumps(doc)
+
+
 # "@name" stands for a file of the fuzz_files fixture; "@doc" for the drawn document.
 # Hypothesis favours the first choice of a sampled_from or one_of, so the inputs
 # at a model's limits come first: a corank-4 frame, its center, a huge group.
@@ -380,3 +424,13 @@ def test_cli_exit_codes_on_drawn_argv_and_documents(fuzz_files, drawn):
     code, out = run([fuzz_files.get(a, a) for a in argv])
     assert code in (0, 1, 2)
     assert code != 2 or out == "" or out.startswith("error: ")
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(doc=perturbed_sextic_docs())
+def test_sextic_sing_on_perturbed_documents_exits_2(fuzz_files, doc):
+    with open(fuzz_files["@doc"], "w") as fh:
+        fh.write(doc)
+    code, out = run(["sextic-sing", "--poly", fuzz_files["@doc"], "--point", "0,0,1"])
+    assert code == 2
+    assert out.startswith("error: ")

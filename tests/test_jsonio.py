@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -38,6 +39,24 @@ def test_polynomial_roundtrip():
     assert io_roundtrip(text)
     _, value = load_document(text)
     assert value == f
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"variables": "xy", "terms": []}, "variables"),
+    ({"variables": ["x", 1], "terms": []}, "variables"),
+    ({"variables": ["x", "y"], "terms": {}}, "terms"),
+    ({"variables": ["x", "y"], "terms": [[1, 0]]}, "terms[0]"),
+    ({"variables": ["x", "y"], "terms": [{"coeff": "1"}]}, "terms[0].exponents"),
+    ({"variables": ["x", "y"], "terms": [{"exponents": [1, 0]}]}, "terms[0].coeff"),
+    ({"variables": ["x", "y"], "terms": [{"exponents": [1, 0], "coeff": "1"},
+                                         {"exponents": [1, 0], "coeff": "2"}]},
+     "terms[1].exponents"),
+    ({"variables": ["x", "y"], "terms": [{"exponents": [-1, 0], "coeff": "1"}]}, "polynomial"),
+    ({"variables": ["x", "x"], "terms": []}, "polynomial"),
+])
+def test_malformed_polynomial_names_the_field(doc, where):
+    with pytest.raises(SchemaError, match="^" + re.escape(where) + ": "):
+        load_document(json.dumps(dict(doc, kind="polynomial")))
 
 
 def test_subspace_and_vector_roundtrip():

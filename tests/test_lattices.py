@@ -52,6 +52,97 @@ def test_odd_diagonal_rejected():
         EvenLattice([[1]])
 
 
+def reference_signature(g):
+    """(positive, negative) inertia by congruent Fraction diagonalization:
+    a zero pivot is replaced by a later nonzero diagonal entry or, when
+    every remaining diagonal entry vanishes, by adding a row and column
+    with a nonzero off-diagonal entry."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if piv is not None:
+                a[k], a[piv] = a[piv], a[k]
+                for row in a:
+                    row[k], row[piv] = row[piv], row[k]
+            else:
+                found = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                              if a[i][j] != 0), None)
+                if found is None:
+                    break
+                i, j = found
+                for t in range(n):
+                    a[i][t] += a[j][t]
+                for t in range(n):
+                    a[t][i] += a[t][j]
+                if i != k:
+                    a[k], a[i] = a[i], a[k]
+                    for row in a:
+                        row[k], row[i] = row[i], row[k]
+        if a[k][k] == 0:
+            continue
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / a[k][k]
+                for t in range(n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][i] -= f * a[t][k]
+    d = [a[i][i] for i in range(n)]
+    return sum(x > 0 for x in d), sum(x < 0 for x in d)
+
+
+def _seeded_even_gram(rng, n):
+    """C^t D C for D a block sum of [2a], [0] and U = [[0, 1], [1, 0]]: even,
+    often degenerate; with C a permutation the zero diagonals of U stay."""
+    d = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        kind = rng.choice(["a", "0", "u"] if i + 1 < n else ["a", "0"])
+        if kind == "u":
+            d[i][i + 1] = d[i + 1][i] = 1
+            i += 2
+        else:
+            d[i][i] = 2 * rng.randint(-3, 3) if kind == "a" else 0
+            i += 1
+    if rng.random() < 0.3:
+        perm = rng.sample(range(n), n)
+        c = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    else:
+        c = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    dc = [[sum(d[i][k] * c[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(c[k][i] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_LATTICES))
+def test_signature_matches_reference_on_named_lattices(name):
+    l = NAMED_LATTICES[name]()
+    assert l.signature() == reference_signature(l.gram)
+
+
+def test_signature_matches_reference_on_seeded_even_grams():
+    rng = random.Random(13)
+    kernels = zero_diagonals = 0
+    for n in range(1, 10):
+        for _ in range(30):
+            g = _seeded_even_gram(rng, n)
+            pos, neg = EvenLattice(g).signature()
+            assert (pos, neg) == reference_signature(g)
+            kernels += pos + neg < n
+            zero_diagonals += any(g[i][i] == 0 for i in range(n))
+    assert kernels >= 50 and zero_diagonals >= 50
+
+
+def test_signature_reads_zero_roots_and_zero_middle_coefficients():
+    # det(U - x I) = x^2 - 1 has a zero middle coefficient; the zero
+    # block adds a root x = 0, so the lowest degree of p(x) is 1
+    assert EvenLattice([[0, 1, 0], [1, 0, 0], [0, 0, 0]]).signature() == (1, 1)
+    assert EvenLattice([[0, 0], [0, 0]]).signature() == (0, 0)
+    assert EvenLattice([[-2, 0], [0, 0]]).signature() == (0, 1)
+    assert EvenLattice([]).signature() == (0, 0)
+
+
 # -- discriminant groups ---------------------------------------------------------
 
 def test_disc_group_unimodular_trivial():

@@ -29,6 +29,12 @@ def unit(i):
     return _unit(i - 1)
 
 
+def reference_pencil_gram(g, t):
+    """G - sum_a t_a B_a in Fractions, entry by entry from wedge._B5."""
+    return [[Fraction(g[i][j]) - sum(Fraction(x) * b[i][j] for x, b in zip(t, wedge._B5))
+             for j in range(10)] for i in range(10)]
+
+
 def vee_wedge_all(v0):
     """v0 ^ Lambda^2 V as a frame (dimension 10)."""
     rows = []
@@ -337,6 +343,22 @@ def test_graph_needs_a_spanning_chart():
                                     [[0] * 10 for _ in range(10)])
 
 
+@pytest.mark.parametrize("which", [0, 1, 5])
+@pytest.mark.parametrize("length", [5, 7])
+def test_chart_vectors_of_the_wrong_length_rejected(which, length):
+    v0, c = standard_chart_basis()
+    vectors = [list(v0)] + [list(x) for x in c]
+    vectors[which] = (vectors[which] + [Fraction(0)])[:length]
+    v0, c = vectors[0], vectors[1:]
+    frame, g = random_graph_lagrangian(random.Random(which), corank=0)
+    with pytest.raises(ValueError, match="6 coordinates"):
+        wedge.chart_trivectors(v0, c)
+    with pytest.raises(ValueError, match="6 coordinates"):
+        graph_gram(frame, v0, c)
+    with pytest.raises(ValueError, match="6 coordinates"):
+        lagrangian_from_graph_basis(v0, c, g)
+
+
 def test_graph_degeneracy_equals_corank():
     rng = random.Random(10)
     for corank in (0, 1, 2, 3):
@@ -374,7 +396,6 @@ def test_gram_of_the_wrong_side_rejected(side):
 def test_degeneracy_matches_gram_corank_at_moved_point():
     """Cross-validation: the 20-dim rank computation against the corank of
     the 10x10 pencil Gram at chart points, including degenerate ones."""
-    from epw.wedge import pluecker_gram_numeric
     rng = random.Random(33)
     frame, g = random_graph_lagrangian(rng)
     v0, c = standard_chart_basis()
@@ -383,7 +404,7 @@ def test_degeneracy_matches_gram_corank_at_moved_point():
         point = list(v0)
         for a in range(5):
             point = [x + t[a] * y for x, y in zip(point, c[a])]
-        total = linalg.mat_sub(g, pluecker_gram_numeric(t))
+        total = reference_pencil_gram(g, t)
         assert degeneracy_dim(frame, point) == 10 - rank(total)
     # non-vacuous part: plane points of a Theta instance have corank >= 1
     a = lagrangian_containing(W123, level=1, seed=23)
@@ -394,7 +415,7 @@ def test_degeneracy_matches_gram_corank_at_moved_point():
         # chart coordinates of the plane point e1 + lam e2: t = (lam,0,0,0,0)
         t = [Fraction(lam), 0, 0, 0, 0]
         point = [x + t[0] * y for x, y in zip(v0, c[0])]
-        total = linalg.mat_sub(g2, pluecker_gram_numeric(t))
+        total = reference_pencil_gram(g2, t)
         k = degeneracy_dim(a, point)
         assert k == 10 - rank(total)
         if k >= 1:
