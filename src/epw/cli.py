@@ -15,7 +15,6 @@ import sys
 from . import checks, jsonio, lattices
 from . import hilbert_square as hs
 from .jsonio import SchemaError
-from .linalg import frac
 
 
 class CheckFailure(RuntimeError):
@@ -47,8 +46,8 @@ def _parse_point(text, length):
     if len(parts) != length:
         raise UsageError("expected %d comma-separated rationals, got %r" % (length, text))
     try:
-        point = [frac(p) for p in parts]
-    except (ValueError, ZeroDivisionError):
+        point = [jsonio.parse_rational(p) for p in parts]
+    except ValueError:
         raise UsageError("bad rational in point %r" % text) from None
     if all(x == 0 for x in point):
         raise UsageError("point %r is the zero vector, not a projective point" % text)

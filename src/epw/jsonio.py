@@ -6,6 +6,7 @@ parse -> serialize -> parse is a fixed point byte for byte.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from . import lattices, wedge
@@ -20,12 +21,27 @@ def _fr(x) -> str:
     return str(Fraction(x))
 
 
-def _parse_fr(s, where):
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise SchemaError("%s: expected a rational string, got %r" % (where, s))
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text) -> Fraction:
+    """The rational written "[-]digits" or "[-]digits/digits" with a
+    nonzero denominator; ValueError for any other value."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError("expected a rational p or p/q, got %r" % (text,))
     try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
+def _parse_fr(s, where):
+    """A rational field: a parse_rational string or a JSON integer."""
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+    try:
+        return parse_rational(s)
+    except ValueError:
         raise SchemaError("%s: expected a rational string, got %r" % (where, s)) from None
 
 

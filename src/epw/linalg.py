@@ -7,7 +7,9 @@ so values can be shared freely between threads or worker pools.
 The hot routines scale their input to integers once (scaled_int_rows)
 and run on the integer kernels of zlinalg: det and inverse on the Bareiss
 elimination, and restrict_gram, the one congruence product rows g rows^t
-that carries a form to another basis, on int_gram.
+that carries a form to another basis, on int_gram.  rref and solve share
+one fraction-free Gauss-Jordan loop (_gauss_jordan); solve carries all
+its right sides through one elimination.
 """
 
 from fractions import Fraction
@@ -62,10 +64,14 @@ def transpose(m):
 
 
 def mat_vec(a, v):
-    """a v; raises ValueError when a row's length is not len(v)."""
+    """a v: a and v are each scaled to integers once, and each entry is one
+    Fraction.  Raises ValueError when a row's length is not len(v)."""
     if any(len(row) != len(v) for row in a):
         raise ValueError("vector of length %d does not match the matrix rows" % len(v))
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    ad, ai = scaled_int_rows(a)
+    vd, vi = scaled_ints(fvec(v))
+    den = ad * vd
+    return [Fraction(sum(x * y for x, y in zip(row, vi)), den) for row in ai]
 
 
 def is_symmetric(m):
@@ -81,21 +87,23 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
+def _gauss_jordan(m, ncols):
+    """Fraction-free Gauss-Jordan on the rows of m, pivoting only in the
+    first ncols columns; any further columns (right sides) are carried
+    along.  Returns (a, pivot_columns) with a the reduced integer rows.
 
-    Fraction-free Gauss-Jordan: each row is scaled to
-    integers once, a row update is pivot * row - entry * pivot_row and
-    is divided by its gcd, and R is read off with one Fraction(x, pivot)
-    per entry at the end.  Rows only change by nonzero factors, so the
-    pivots, and R, are those of Fraction Gauss-Jordan.
+    Each row is scaled to integers once, a row update is pivot * row -
+    entry * pivot_row and is divided by its gcd.  Rows only change by
+    nonzero factors, so the pivots, and each row divided by its pivot,
+    are those of Fraction Gauss-Jordan.
     """
     a = [_primitive(scaled_ints(row)[1]) for row in m]
     rows = len(a)
-    cols = len(a[0]) if rows else 0
     pivots = []
     lead = 0
-    for col in range(cols):
+    for col in range(ncols):
+        if lead == rows:
+            break
         piv = None
         for i in range(lead, rows):
             if a[i][col]:
@@ -112,11 +120,19 @@ def rref(m):
                 a[i] = _primitive([pc * x - f * y for x, y in zip(a[i], p)])
         pivots.append(col)
         lead += 1
-        if lead == rows:
-            break
+    return a, pivots
+
+
+def rref(m):
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    R is read off _gauss_jordan with one Fraction(x, pivot) per entry.
+    """
+    cols = len(m[0]) if m else 0
+    a, pivots = _gauss_jordan(m, cols)
     zero = Fraction(0)
     r = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(a, pivots)]
-    r.extend([zero] * cols for _ in range(rows - lead))
+    r.extend([zero] * cols for _ in range(len(a) - len(pivots)))
     return r, pivots
 
 
@@ -150,16 +166,31 @@ def nullspace(m):
 
 
 def solve(a, b):
-    """A solution x of a x = b, or None if inconsistent."""
-    rows, cols = len(a), len(a[0])
-    aug = [a[i][:] + [frac(b[i])] for i in range(rows)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for i, p in enumerate(pivots):
-        x[p] = r[i][cols]
-    return x
+    """A solution x of a x = b, with its free coordinates 0, or None if
+    the system is inconsistent.
+
+    b is one right side, or a list of right sides, which gives the list
+    of their solutions (None for each inconsistent side).  All sides go
+    through one _gauss_jordan of [a | b_1 ... b_k] that pivots in the
+    columns of a only.
+    """
+    several = not b or isinstance(b[0], (list, tuple))
+    sides = b if several else [b]
+    rows, cols = len(a), len(a[0]) if a else 0
+    if any(len(side) != rows for side in sides):
+        raise ValueError("right side of length other than %d" % rows)
+    r, pivots = _gauss_jordan([list(a[i]) + [frac(side[i]) for side in sides]
+                               for i in range(rows)], cols)
+    out = []
+    for c in range(cols, cols + len(sides)):
+        if any(row[c] for row in r[len(pivots):]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * cols
+        for row, p in zip(r, pivots):
+            x[p] = Fraction(row[c], row[p])
+        out.append(x)
+    return out if several else out[0]
 
 
 def inverse(m):

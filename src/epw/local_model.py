@@ -118,6 +118,8 @@ def make_chart(frame: wedge.LagrangianFrame, v0, seed=0, attempts=40) -> Chart:
     """Find a chart at [v0]: try coordinate complements, then seeded random
     ones, and keep the first whose Lambda^3 V0 meets A only in 0."""
     v0 = fvec(v0)
+    if len(v0) != 6:
+        raise ValueError("v0 must have 6 coordinates, got %d" % len(v0))
     if all(x == 0 for x in v0):
         raise ValueError("v0 must be nonzero")
     tried = 0

@@ -12,7 +12,12 @@ serves as the reference:
   lcm L, evaluated at the points of a triangular interpolation grid, one
   integer determinant (zlinalg.int_det) per point, interpolated and
   divided once by L^side.  det_interpolate reads an affine PolyMatrix
-  into a Pencil.
+  into a Pencil.  Pencil.graded_parts(variables, top) is the graded
+  route: only the homogeneous parts Phi_0..Phi_top, from the univariate
+  det(base + s Q_u) along the directions u = (1, y) of one triangular
+  y-grid of degree top.  varquad's statements read it to the last piece
+  each uses: the kernel block to Phi_k (k = cork q_*), the vanishing
+  kernel to Phi_2k, the corank-one rank formula Phi_2.
 * cofactor expansion (det_cofactor): the reference oracle, small sides
   only.
 
@@ -23,6 +28,8 @@ the triangular grid {a in N^n : |a| <= degree}, builds the Newton table
 of forward differences in place in integer arithmetic, one variable at a
 time, converts the binomial Newton basis to monomials by Stirling
 numbers of the first kind, and divides once per coefficient at the end.
+The graded route runs its univariate step and its y-grid on the same
+integer core (_newton_stirling).
 """
 
 from fractions import Fraction
@@ -187,43 +194,19 @@ def _stirling1(n):
     return s
 
 
-def interpolate_poly_map(oracle, variables, degree, width):
-    """Reconstruct a vector of polynomials from point evaluations.
+def _newton_stirling(grid, degree, tables):
+    """The integer core of interpolation on the triangular grid.
 
-    oracle(point) must return a sequence of `width` rationals, the values
-    of `width` polynomials of total degree <= degree at the point.  It is
-    called exactly once at each of the C(degree + nvars, nvars) points of
-    the triangular grid {a in N^nvars : |a| <= degree}, given as tuples
-    of integers, so vector components share every call.
-
-    The Newton form on this lower set (Sauer-Xu; de Boor-Ron) is
-
-        f(x) = sum_{|a| <= degree} (Delta^a f)(0) * prod_i binom(x_i, a_i)
-
-    with forward differences Delta.  The values are scaled once to
-    integers by the lcm L of their denominators, and the difference
-    table is built in place, one variable at a time.  Multiplying the
-    entry at a by degree!/prod_i a_i! (an integer) turns the binomials
-    into falling factorials, which Stirling numbers of the first kind
-    expand into monomials, again one variable at a time.  All of this is
-    integer arithmetic; each coefficient is divided by L * degree! once
-    at the end.
+    Each table holds integer values at the points of grid =
+    _simplex_grid(nvars, degree), in its order.  In place, it becomes the
+    integer monomial coefficients, indexed like the grid, of degree!
+    times the interpolating polynomial of total degree <= degree: the
+    forward differences of the Newton form, the weights degree!/prod_i
+    a_i! that turn binomials into falling factorials, and Stirling
+    numbers of the first kind, each one variable at a time.
     """
-    variables = tuple(variables)
-    if degree < 0:
-        raise ValueError("degree bound must be nonnegative")
-    grid = _simplex_grid(len(variables), degree)
-    columns = [[] for _ in range(width)]
-    for pt in grid:
-        val = [frac(x) for x in oracle(pt)]
-        if len(val) != width:
-            raise ValueError("oracle returned wrong width")
-        for col, v in zip(columns, val):
-            col.append(v)
-    den, tables = scaled_int_rows(columns)
-
     index = {a: p for p, a in enumerate(grid)}
-    lines = [line for i in range(len(variables)) for line in _grid_lines(grid, index, i)]
+    lines = [line for i in range(len(grid[0])) for line in _grid_lines(grid, index, i)]
     top = factorial(degree)
     weights = [top // prod(factorial(x) for x in a) for a in grid]
     stirling = _stirling1(degree)
@@ -240,7 +223,41 @@ def interpolate_poly_map(oracle, variables, degree, width):
             old = [tab[p] for p in line]
             for k, p in enumerate(line):
                 tab[p] = sum(stirling[a][k] * old[a] for a in range(k, len(line)))
-    scale = den * top
+
+
+def interpolate_poly_map(oracle, variables, degree, width):
+    """Reconstruct a vector of polynomials from point evaluations.
+
+    oracle(point) must return a sequence of `width` rationals, the values
+    of `width` polynomials of total degree <= degree at the point.  It is
+    called exactly once at each of the C(degree + nvars, nvars) points of
+    the triangular grid {a in N^nvars : |a| <= degree}, given as tuples
+    of integers, so vector components share every call.
+
+    The Newton form on this lower set (Sauer-Xu; de Boor-Ron) is
+
+        f(x) = sum_{|a| <= degree} (Delta^a f)(0) * prod_i binom(x_i, a_i)
+
+    with forward differences Delta.  The values are scaled once to
+    integers by the lcm L of their denominators, and _newton_stirling
+    turns the tables into degree! times the monomial coefficients in
+    integer arithmetic; each coefficient is divided by L * degree! once
+    at the end.
+    """
+    variables = tuple(variables)
+    if degree < 0:
+        raise ValueError("degree bound must be nonnegative")
+    grid = _simplex_grid(len(variables), degree)
+    columns = [[] for _ in range(width)]
+    for pt in grid:
+        val = [frac(x) for x in oracle(pt)]
+        if len(val) != width:
+            raise ValueError("oracle returned wrong width")
+        for col, v in zip(columns, val):
+            col.append(v)
+    den, tables = scaled_int_rows(columns)
+    _newton_stirling(grid, degree, tables)
+    scale = den * factorial(degree)
     return [MultiPoly(variables, {a: Fraction(c, scale) for a, c in zip(grid, tab) if c})
             for tab in tables]
 
@@ -289,22 +306,80 @@ class Pencil:
         interpolated from one int_det per grid point and divided once by
         L^side.
 
-        degree is a bound on its total degree.  It defaults to the sum of
-        the row degrees: 1 for a row that a move touches, 0 for a row of
-        the base only, and a zero row makes the determinant zero.
+        degree is a bound on its total degree.  It defaults to the row
+        bound (_row_bound): the sum of the row degrees, -1 (a zero
+        determinant) when a row is zero.
         """
-        if len(variables) != len(self.moves):
-            raise ValueError("pencil with %d moves in %d variables"
-                             % (len(self.moves), len(variables)))
+        self._check_variables(variables)
         if degree is None:
-            moving = {i for move in self.moves for i, _, _ in move}
-            rows = [1 if i in moving else 0 if any(row) else -1
-                    for i, row in enumerate(self.base)]
-            degree = -1 if -1 in rows else sum(rows)
+            degree = self._row_bound()
         if degree < 0:
             return MultiPoly.zero(variables)
         f = interpolate_poly_map(lambda pt: (int_det(self.at(pt)[1]),), variables, degree, 1)[0]
         return f * Fraction(1, self.den ** len(self.base))
+
+    def graded_parts(self, variables, top):
+        """[Phi_0, ..., Phi_top]: the homogeneous parts of degree 0..top of
+        det_poly(variables), without the parts above top.
+
+        Along a direction u = (1, y) with y integral, g_u(s) = det(base +
+        s Q_u), Q_u = sum_a u_a moves[a], is sum_i s^i Phi_i(u), of degree
+        at most the row bound d of det_poly.  Its d + 1 values at s = 0..d
+        (s = 0 is det(base) for every u; each further s adds Q_u to the
+        matrix) fix Phi_i(u).  Phi_i(1, y) has degree <= i in y, so one
+        triangular y-grid of degree min(top, d) fixes Phi_0..Phi_top at
+        once, and Phi_i is its homogenization.  Both steps run on
+        _newton_stirling, and each coefficient is divided once at the end.
+        Parts above d are zero.
+        """
+        self._check_variables(variables)
+        if top < 0:
+            raise ValueError("top degree must be nonnegative")
+        d = self._row_bound()
+        zero = MultiPoly.zero(variables)
+        reach = min(top, d)
+        if reach < 0:
+            return [zero] * (top + 1)
+        n = len(self.base)
+        det0 = int_det(self.base)
+        if reach == 0:
+            return [MultiPoly.const(variables, Fraction(det0, self.den ** n))] + [zero] * top
+        ygrid = _simplex_grid(len(self.moves) - 1, reach)
+        series = []  # series[p][s] = L^n g_u(s) at the direction u = (1, ygrid[p])
+        for y in ygrid:
+            step = {}
+            for ua, move in zip((1,) + y, self.moves):
+                if ua:
+                    for i, j, c in move:
+                        step[i, j] = step.get((i, j), 0) + ua * c
+            m = [row[:] for row in self.base]
+            vals = [det0]
+            for _ in range(d):
+                for (i, j), c in step.items():
+                    m[i][j] += c
+                vals.append(int_det(m))
+            series.append(vals)
+        _newton_stirling(_simplex_grid(1, d), d, series)
+        tables = [[vals[i] for vals in series] for i in range(reach + 1)]
+        _newton_stirling(ygrid, reach, tables)
+        scale = self.den ** n * factorial(d) * factorial(reach)
+        return [MultiPoly(variables, {(i - sum(b),) + b: Fraction(c, scale)
+                                      for b, c in zip(ygrid, tab) if c})
+                for i, tab in enumerate(tables)] + [zero] * (top - reach)
+
+    def _check_variables(self, variables):
+        if len(variables) != len(self.moves):
+            raise ValueError("pencil with %d moves in %d variables"
+                             % (len(self.moves), len(variables)))
+
+    def _row_bound(self):
+        """The sum of the row degrees of the pencil: 1 for a row that a move
+        touches, 0 for a row of the base only; -1 if a row is zero, which
+        makes the determinant zero."""
+        moving = {i for move in self.moves for i, _, _ in move}
+        rows = [1 if i in moving else 0 if any(row) else -1
+                for i, row in enumerate(self.base)]
+        return -1 if -1 in rows else sum(rows)
 
     def poly_matrix(self, variables) -> PolyMatrix:
         """The pencil as a PolyMatrix in the variables (one per move)."""

@@ -70,12 +70,10 @@ class DualForm:
 
         The covectors must lie in Ann(ker q).
         """
-        coords = []
-        for phi in covector_rows:
-            x = linalg.solve(linalg.transpose(self.ann_basis), fvec(phi))
-            if x is None:
-                raise ValueError("covector is not in Ann(ker q)")
-            coords.append(x)
+        coords = linalg.solve(linalg.transpose(self.ann_basis),
+                              [fvec(phi) for phi in covector_rows])
+        if None in coords:
+            raise ValueError("covector is not in Ann(ker q)")
         basis = linalg.row_basis(coords)
         if not basis:
             return 0
@@ -91,11 +89,8 @@ def dual_form(q: QuadSpace) -> DualForm:
     For nondegenerate q this is the inverse Gram matrix in disguise.
     """
     ann = linalg.row_basis(q.gram)
-    xs = []
-    for phi in ann:
-        x = linalg.solve(q.gram, phi)
-        assert x is not None  # rows of the Gram span its column space
-        xs.append(x)
+    xs = linalg.solve(q.gram, ann)
+    assert None not in xs  # rows of the Gram span its column space
     # phi_j(x_i) = x_i . G x_j, a congruence of the symmetric G
     return DualForm(ann, restrict_gram(q.gram, xs))
 
@@ -164,10 +159,11 @@ def degenerate_cone_check(fam: PencilFamily):
     """Kernel-block statement: with k = cork q_*, Phi_i = 0 for i < k and
     Phi_k(q) = c det(q|_K) for a single nonzero constant c.
 
-    Returns (ok, c, phis).
+    Returns (ok, c, phis), with phis = [Phi_0, ..., Phi_k], the pieces
+    the statement reads.
     """
     k = fam.base.corank()
-    phis = phi_expansion(fam)
+    phis = fam.pencil.graded_parts(fam.varnames, k)
     for i in range(k):
         if not phis[i].is_zero():
             return False, None, phis
@@ -206,13 +202,14 @@ def vanishing_kernel_check(fam: PencilFamily):
     kernel K of q_*, then Phi_i = 0 for i < 2k and Phi_2k(q) =
     c det(q_*^dual restricted to q~(K)).
 
-    Returns (ok, c, phis).  Raises if the family is not inside V_K.
+    Returns (ok, c, phis), with phis = [Phi_0, ..., Phi_2k], the pieces
+    the statement reads.  Raises if the family is not inside V_K.
     """
     k = fam.base.corank()
     kern = fam.base.kernel()
     if any(x for b in fam.coeffs for row in restrict_gram(b, kern) for x in row):
         raise ValueError("family does not vanish on ker q_*")
-    phis = phi_expansion(fam)
+    phis = fam.pencil.graded_parts(fam.varnames, 2 * k)
     for i in range(2 * k):
         if not phis[i].is_zero():
             return False, None, phis
@@ -222,13 +219,10 @@ def vanishing_kernel_check(fam: PencilFamily):
     # quadratic in t: with q_* x_ia = B_a kappa_i, the t_a t_b coefficient
     # of entry (i, j) is x_ia . B_b kappa_j = x_ia . q_* x_jb.
     m = len(fam.coeffs)
-    xs = []  # xs[i * m + a] = x_ia
-    for u in kern:
-        for b in fam.coeffs:
-            x = linalg.solve(fam.base.gram, linalg.mat_vec(b, u))
-            if x is None:
-                raise ValueError("q~(K) does not land in the image of q_*")
-            xs.append(x)
+    # xs[i * m + a] = x_ia
+    xs = linalg.solve(fam.base.gram, [linalg.mat_vec(b, u) for u in kern for b in fam.coeffs])
+    if None in xs:
+        raise ValueError("q~(K) does not land in the image of q_*")
     pairs = restrict_gram(fam.base.gram, xs)
     entries = []
     for i in range(k):
@@ -267,8 +261,7 @@ def phi2_rank(fam: PencilFamily):
     d = fam.base.dim
     if any(restrict_gram(b, [e])[0][0] for b in fam.coeffs):
         raise ValueError("family does not kill the kernel vector")
-    phis = phi_expansion(fam)
-    lhs = quadratic_form_rank(phis[2])
+    lhs = quadratic_form_rank(fam.pencil.graded_parts(fam.varnames, 2)[2])
     # T = Ann of the span of B_a e
     images = [linalg.mat_vec(b, e) for b in fam.coeffs]
     img_basis = linalg.row_basis(images)

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
@@ -78,6 +79,24 @@ def test_zero_point_usage_error(frame_file, verb):
     code, out = run([verb, "--frame", frame_file, "--point", "0,0,0,0,0,0"])
     assert code == 2
     assert out.startswith("error: ")
+
+
+@pytest.mark.parametrize("point", ["1e10000000,0,0,0,0,1", "1.5,0,0,0,0,1",
+                                   "1/0,0,0,0,0,1", "+1,0,0,0,0,0", "1,0,0,0,0,0x1"])
+def test_point_outside_the_rational_form_usage_error(frame_file, point):
+    start = time.perf_counter()
+    code, out = run(["degeneracy", "--frame", frame_file, "--point", point])
+    assert (code, out) == (2, "error: bad rational in point %r" % point)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sextic_sing_point_outside_the_rational_form_usage_error(tmp_path):
+    path = tmp_path / "sextic.json"
+    f = poly_from_text("x^6 - y^3*z^3", ("x", "y", "z"))
+    path.write_text(jsonio.dump_value("polynomial", f))
+    for point in ("1e10000000,0,1", "0,0,1.5"):
+        code, out = run(["sextic-sing", "--poly", str(path), "--point", point])
+        assert code == 2 and out.startswith("error: ")
 
 
 def test_sextic_sing_missing_file_usage_error(tmp_path):

@@ -3,6 +3,8 @@
 import json
 import random
 import re
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -136,3 +138,33 @@ def test_malformed_lattice_rejected(field, value):
     with pytest.raises(SchemaError) as err:
         load_document(json.dumps(bad))
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("17", 17), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
+    ("007/010", Fraction(7, 10)), ("1" + "0" * 40, 10 ** 40),
+])
+def test_parse_rational_reads_digits_and_digits_over_digits(text, value):
+    assert jsonio.parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e10000000", "1.5", "1E3", "+1", " 1", "1 ", "1\n", "1/0", "-1/0", "1/-2", "1/+2",
+    "", "-", "/2", "1/", "1//2", "1_000", "0x10", "inf", "nan", "½", "١", 1, 1.5, None, True,
+])
+def test_parse_rational_refuses_every_other_form(text):
+    with pytest.raises(ValueError):
+        jsonio.parse_rational(text)
+
+
+@pytest.mark.parametrize("coord", ["1e10000000", "1.5", "1/0", "+2", 1.5, True])
+def test_vector_coordinate_outside_the_rational_form_is_a_schema_error(coord):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match=r"^coords\[1\]: "):
+        load_document(json.dumps({"kind": "vector", "coords": ["1", coord]}))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_json_integer_coordinates_stay_rationals():
+    _, value = load_document(json.dumps({"kind": "vector", "coords": [3, "-1/2"]}))
+    assert value == [3, Fraction(-1, 2)]

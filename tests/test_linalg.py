@@ -174,6 +174,74 @@ def test_solve_consistent_and_inconsistent():
     assert solve([[0, 0]], [Fraction(1, 2)]) is None
 
 
+def reference_solve(a, b):
+    """One side at a time: the Gauss-Jordan form of [a | b] over Fraction."""
+    cols = len(a[0])
+    r, pivots = reference_rref([list(row) + [x] for row, x in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for i, p in enumerate(pivots):
+        x[p] = r[i][cols]
+    return x
+
+
+def test_solve_takes_all_right_sides_at_once():
+    """Consistent, zero and drawn (often inconsistent) sides of singular
+    and regular systems, solved together, equal the one-side reference."""
+    rng = random.Random(8)
+    inconsistent = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.7:
+            a = rank_deficient(rng, rows, cols)
+        else:
+            a = [[rand_q(rng) for _ in range(cols)] for _ in range(rows)]
+        sides = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                sides.append(mat_vec(a, [rand_q(rng) for _ in range(cols)]))
+            elif kind == 1:
+                sides.append([Fraction(0)] * rows)
+            else:
+                sides.append([rand_q(rng) for _ in range(rows)])
+        expected = [reference_solve(a, b) for b in sides]
+        inconsistent += expected.count(None)
+        assert solve(a, sides) == expected
+        assert [solve(a, b) for b in sides] == expected
+    assert inconsistent > 50
+
+
+def test_solve_an_inconsistent_side_between_consistent_ones():
+    a = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]          # singular: row 2 = 2 * row 1
+    good1, bad, good2, zero = [6, 12, 2], [1, 3, 0], [Fraction(1, 2), 1, 0], [0, 0, 0]
+    xs = solve(a, [good1, bad, good2, zero])
+    assert xs[1] is None
+    assert xs == [solve(a, good1), None, solve(a, good2), solve(a, zero)]
+    assert xs[3] == [0, 0, 0]
+    for x, b in ((xs[0], good1), (xs[2], good2)):
+        assert mat_vec(a, x) == b
+    assert solve(a, []) == []
+    with pytest.raises(ValueError):
+        solve(a, [good1, [1, 2]])
+
+
+def test_mat_vec_matches_the_fraction_product():
+    rng = random.Random(9)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(0, 6)
+        a = [[rand_q(rng) if rng.random() < 0.8 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        v = [rand_q(rng) for _ in range(cols)]
+        out = mat_vec(a, v)
+        assert out == [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0))
+                       for row in a]
+        assert all(type(x) is Fraction for x in out)
+        with pytest.raises(ValueError, match="length %d" % (cols + 1)):
+            mat_vec(a, v + [Fraction(1)])
+
+
 def test_inverse_and_singular():
     rng = random.Random(7)
     for n in range(1, 6):

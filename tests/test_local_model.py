@@ -73,6 +73,13 @@ def test_chart_rejects_non_transversal_and_non_spanning_bases():
         Chart(frame, unit(1), [unit(2), unit(3), unit(4), unit(5), [1, 1, 1, 1, 1, 0]])
 
 
+@pytest.mark.parametrize("center", [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], []])
+def test_make_chart_rejects_a_center_without_six_coordinates(center):
+    frame, _ = random_graph_lagrangian(random.Random(1))
+    with pytest.raises(ValueError, match="6 coordinates"):
+        make_chart(frame, center)
+
+
 def test_make_chart_vee_wedge_any_complement():
     frame = vee_frame(unit(1))
     ch = make_chart(frame, unit(1))

@@ -351,6 +351,8 @@ def test_pencil_rejects_mismatched_shapes(base, moves):
     lambda p: p.at((1,)),
     lambda p: p.det((1,)),
     lambda p: p.det((1, 2, 3)),
+    lambda p: p.graded_parts(("t",), 2),
+    lambda p: p.graded_parts(("s", "t", "u"), 0),
 ])
 def test_pencil_needs_one_variable_per_move(call):
     """Two moves: a point or variable list of another length is refused

@@ -7,6 +7,7 @@ import pytest
 
 from epw import linalg
 from epw.linalg import rank
+from epw.poly import MultiPoly
 from epw.varquad import (
     QuadSpace, PencilFamily, cork_restrict, dual_form, ann_of_span,
     wedge_power_form, decomposable_coords, phi_expansion, phi2_rank,
@@ -280,3 +281,85 @@ def test_phi2_rank_random_sweep():
         lhs, rhs, equal = phi2_rank(fam)
         assert equal, "rank formula failed: %d vs %d" % (lhs, rhs)
         cases += 1
+
+
+# -- graded parts ---------------------------------------------------------------
+
+def graded_family(rng, m):
+    """A family with m moves on Q^n, n <= 5, whose base is invertible,
+    singular, rational with mixed denominators, or has zero rows (touched
+    by a move or not)."""
+    n = rng.randint(1, 5)
+    kind = rng.randrange(4)
+    if kind == 1 and n > 1:
+        base = symmetric_with_kernel(rng, n, [random_vector(rng, n, nonzero=True)])
+    else:
+        base = rand_sym_ints(rng, n)
+    coeffs = [rand_sym_ints(rng, n) for _ in range(m)]
+    if kind == 2:
+        dens = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        for mat in [base] + coeffs:
+            for i in range(n):
+                for j in range(i, n):
+                    mat[i][j] = mat[j][i] = mat[i][j] / (dens[i][j] * dens[j][i])
+    if kind == 3:
+        zero = rng.sample(range(n), rng.randint(1, n))
+        for mat in [base] + (coeffs if rng.random() < 0.5 else []):
+            for i in zero:
+                for j in range(n):
+                    mat[i][j] = mat[j][i] = Fraction(0)
+    return PencilFamily(QuadSpace(base), coeffs)
+
+
+def test_graded_parts_match_phi_expansion():
+    """Phi_0..Phi_top of the graded route equal the full expansion's, for
+    every top up to two past the dimension, where the parts are zero."""
+    rng = random.Random(314)
+    for case in range(300):
+        fam = graded_family(rng, 1 + case % 5)
+        full = phi_expansion(fam)
+        zero = full[0] * 0
+        for top in range(fam.base.dim + 3):
+            parts = fam.pencil.graded_parts(fam.varnames, top)
+            assert parts == (full + [zero] * 2)[:top + 1], (case, top)
+
+
+def test_graded_parts_without_moves_and_below_degree_zero():
+    fam = PencilFamily(QuadSpace(diag(2, 3)), [])
+    assert fam.pencil.graded_parts((), 3) == phi_expansion(fam) + [phi_expansion(fam)[1]]
+    with pytest.raises(ValueError, match="nonnegative"):
+        fam.pencil.graded_parts((), -1)
+
+
+def _last_part_coefficient_doubled(real):
+    def graded_parts(self, variables, top):
+        parts = real(self, variables, top)
+        if not parts[-1].is_zero():
+            e, c = parts[-1].leading()
+            parts[-1] = parts[-1] + MultiPoly(variables, {e: c})
+        return parts
+    return graded_parts
+
+
+def _last_part_homogenized_one_degree_up(real):
+    def graded_parts(self, variables, top):
+        parts = real(self, variables, top)
+        parts[-1] = MultiPoly(variables, {(e[0] + 1,) + e[1:]: c
+                                          for e, c in parts[-1].terms.items()})
+        return parts
+    return graded_parts
+
+
+@pytest.mark.parametrize("mutant", [_last_part_coefficient_doubled,
+                                    _last_part_homogenized_one_degree_up])
+def test_every_graded_ledger_line_fails_on_a_perturbed_graded_route(monkeypatch, mutant):
+    """A piece of the graded route scaled in one coefficient, or
+    homogenized one degree too high, turns each of the three statements
+    that read it to FAIL; corank duality does not read it."""
+    from epw import checks
+    from epw.polymat import Pencil
+
+    monkeypatch.setattr(Pencil, "graded_parts", mutant(Pencil.graded_parts))
+    verdicts = {r.name: r.ok for r in checks.quadratic_form_suites(1, 20)}
+    assert verdicts == {"corank-duality": True, "kernel-block-expansion": False,
+                        "vanishing-kernel-expansion": False, "phi2-rank-formula": False}
