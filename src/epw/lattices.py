@@ -9,6 +9,11 @@ A lattice may carry named distinguished vectors (v1, e1, e2, e3, v3) and
 a constructive certificate that it contains two orthogonal hyperbolic
 planes (without which the Eichler criterion is refused).
 
+An `EvenLattice` is a value: no function writes to its `gram`, `named`
+or `u2_pairs` after `__init__`, and `vector()` returns a copy.  So each
+constructor in `NAMED_LATTICES` is cached: the named tower is built once
+per process and shared by every caller.
+
 The lattice layer computes in integers only.  Gram matrices of
 complements and overlattices, and the isometry test, are one
 `zlinalg.int_gram` congruence product each; coordinates in a sublattice
@@ -24,6 +29,7 @@ Fractions appear only where the public API returns them: `gen_lifts`,
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from . import linalg, zlinalg
@@ -126,6 +132,7 @@ class EvenLattice:
 # ---------------------------------------------------------------------
 
 
+@cache
 def hyperbolic_plane():
     return EvenLattice([[0, 1], [1, 0]])
 
@@ -148,6 +155,7 @@ _E8_CARTAN = [
 ]
 
 
+@cache
 def e8_minus():
     return EvenLattice([[-x for x in row] for row in _E8_CARTAN])
 
@@ -175,6 +183,7 @@ def _unit(n, i):
     return v
 
 
+@cache
 def lambda_tilde() -> EvenLattice:
     """U^3 + E8(-1)^2 + (-2), rank 23: the Hilbert-square second cohomology.
 
@@ -630,24 +639,28 @@ def sublattice_index_and_discr(l_super: EvenLattice, sub_rows):
 # ---------------------------------------------------------------------
 
 
+@cache
 def lambda_lattice() -> EvenLattice:
     """v1^perp in the rank-23 lattice: the polarized period lattice."""
     lt = lambda_tilde()
     return orth_complement(lt, lt.vector("v1"))
 
 
+@cache
 def gamma_tilde() -> EvenLattice:
     """e3^perp in the rank-23 lattice."""
     lt = lambda_tilde()
     return orth_complement(lt, lt.vector("e3"))
 
 
+@cache
 def gamma_lattice() -> EvenLattice:
     """e3^perp inside the polarized lattice (rank 21)."""
     lam = lambda_lattice()
     return orth_complement(lam, lam.vector("e3"))
 
 
+@cache
 def phi_tilde() -> EvenLattice:
     """The unique even index-2 overlattice of gamma_tilde (the K3 lattice)."""
     gt = gamma_tilde()
@@ -657,6 +670,7 @@ def phi_tilde() -> EvenLattice:
     return ovs[0].lattice
 
 
+@cache
 def phi_lattice() -> EvenLattice:
     """v1^perp in the K3 lattice: degree-2 polarized K3 periods."""
     pt = phi_tilde()

@@ -425,6 +425,8 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
     """Pseudo-remainder of a by b with respect to the main variable x."""
     i, db = a.vars.index(x), b.degree_in(x)
     lb = _coeff_in(b, x, db)
+    if lb.degree() == 0:   # a constant: __mul__'s scalar branch, not the packed kernel
+        lb = lb.constant_term()
     r = a
     while not r.is_zero() and r.degree_in(x) >= db:
         dr = r.degree_in(x)

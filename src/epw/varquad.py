@@ -17,6 +17,13 @@ from .poly import MultiPoly, homogeneous_part, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_poly_matrix
 
 
+def _matrix(m):
+    """m as a Fraction matrix; ValueError unless m is a list of rows."""
+    if not isinstance(m, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in m):
+        raise ValueError("a Gram or coefficient matrix must be a list of rows")
+    return fmat(m)
+
+
 class QuadSpace:
     """A quadratic form on Q^d, d <= 10, by its symmetric Gram matrix.
 
@@ -26,7 +33,7 @@ class QuadSpace:
     __slots__ = ("dim", "gram")
 
     def __init__(self, gram, _cap=10):
-        g = fmat(gram)
+        g = _matrix(gram)
         if _cap is not None and len(g) > _cap:
             raise ValueError("dimension bound is %d" % _cap)
         if not linalg.is_symmetric(g):
@@ -139,7 +146,7 @@ class PencilFamily:
 
     def __init__(self, base: QuadSpace, coeffs):
         self.base = base
-        self.coeffs = [fmat(b) for b in coeffs]
+        self.coeffs = [_matrix(b) for b in coeffs]
         if len(self.coeffs) > 5:
             raise ValueError("at most five parameters")
         for b in self.coeffs:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from epw import linalg, zlinalg
+from epw import checks, cli, linalg, zlinalg
 from epw.lattices import (
     DiscGroup, EvenLattice, _coords_in, reflection_matrix,
     hyperbolic_plane, rank_one, e8_minus, direct_sum,
@@ -660,3 +660,59 @@ def test_phi_lattice_invariants():
     assert ph.signature() == (2, 19)
     d = disc_group(ph)
     assert d.invariants == [2]
+
+
+# -- the shared named tower -------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(NAMED_LATTICES))
+def test_named_lattice_is_built_once(name):
+    assert NAMED_LATTICES[name]() is NAMED_LATTICES[name]()
+
+
+def _run_tower_users():
+    """Every verb and ledger that reads the shared tower."""
+    for name in sorted(NAMED_LATTICES):
+        polarized = {"e1", "e2"} <= set(NAMED_LATTICES[name]().named)
+        assert cli.run(["disc-group", "--lattice", name])[0] == 0
+        assert cli.run(["classify-root", "--lattice", name, "--vector", "e1"])[0] \
+            == (0 if polarized else 2)
+        assert cli.run(["overlattices", "--lattice", name])[0] == 0
+    assert cli.run(["hilb-check"])[0] == 0
+    assert all(r.ok for r in checks.check_lattice_ledger())
+    assert all(r.ok for r in checks.check_hilbert_ledger())
+
+
+def _assert_tower_equals_fresh_builds():
+    for name, ctor in NAMED_LATTICES.items():
+        shared, fresh = ctor(), ctor.__wrapped__()
+        assert (shared.gram, shared.named, shared.u2_pairs) \
+            == (fresh.gram, fresh.named, fresh.u2_pairs), name
+
+
+def test_no_verb_or_ledger_mutates_the_shared_tower():
+    _run_tower_users()
+    _assert_tower_equals_fresh_builds()
+
+
+@pytest.fixture
+def rebuilt_tower():
+    """Drop the cached tower afterwards, so a mutated lattice is not shared
+    with later tests."""
+    yield
+    for ctor in NAMED_LATTICES.values():
+        ctor.cache_clear()
+
+
+def test_tower_guard_catches_a_verb_that_mutates_lambda(monkeypatch, rebuilt_tower):
+    classify = cli.VERBS["classify-root"]
+
+    def mutant(args):
+        if args.lattice == "lambda":
+            e1 = lambda_lattice().named["e1"]
+            e1[:] = [-x for x in e1]
+        return classify(args)
+
+    monkeypatch.setitem(cli.VERBS, "classify-root", mutant)
+    _run_tower_users()
+    with pytest.raises(AssertionError, match="lambda"):
+        _assert_tower_equals_fresh_builds()

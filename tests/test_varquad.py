@@ -238,6 +238,14 @@ def test_value_and_pairing_reject_a_vector_of_the_wrong_length():
             q.pairing([1, 0, 0], v)
 
 
+@pytest.mark.parametrize("bad", [5, "12", [5], [[1, 0], 1], None])
+def test_quad_space_and_family_refuse_a_matrix_that_is_not_rows(bad):
+    with pytest.raises(ValueError, match="list of rows"):
+        QuadSpace(bad)
+    with pytest.raises(ValueError, match="list of rows"):
+        PencilFamily(QuadSpace(diag(1, 0)), [diag(0, 1), bad])
+
+
 # -- phi2 rank formula ----------------------------------------------------------
 
 def test_phi2_rank_empty_family():
