@@ -10,6 +10,7 @@ for `report`, `varquad-check` and the acceptance tests alike.
 """
 
 from fractions import Fraction
+from math import gcd
 import random
 import time
 
@@ -318,6 +319,29 @@ def quadratic_form_suites(seed, cases):
 # ---------------------------------------------------------------------
 
 
+def _reference_root_tag(v, lam, e1, e2):
+    """The orbit tag of a root of lam read without the discriminant group.
+
+    div(v) is the gcd of G v.  A root of div 2 has v* = v/2 mod lam, and
+    v/2 = w/2 mod lam exactly when v = w mod 2 lam, so its class is the
+    parity class of v among e1, e2 and e1 + e2.  None: no orbit fits.
+    """
+    sq = lam.square(v)
+    div = gcd(*lam.gram_vec(v))
+    if div == 1:
+        return S2_STAR if sq == -2 else None
+    if div != 2:
+        return None
+    parity = [x % 2 for x in v]
+    if sq == -2 and parity == [x % 2 for x in e1]:
+        return S2_PRIME
+    if sq == -2 and parity == [x % 2 for x in e2]:
+        return S2_DPRIME
+    if sq == -4 and parity == [(a + b) % 2 for a, b in zip(e1, e2)]:
+        return S4
+    return None
+
+
 def check_lattice_ledger(seed=5, root_samples=60):
     results = []
     lam = lambda_lattice()
@@ -359,10 +383,12 @@ def check_lattice_ledger(seed=5, root_samples=60):
         if not is_root(v, lam):
             continue
         try:
-            tagged.add(classify_negative_root(v, lam, d))
+            tag = classify_negative_root(v, lam, d)
         except Exception:
             ok = False
             break
+        tagged.add(tag)
+        ok = ok and tag == _reference_root_tag(v, lam, e1, e2)
         found += 1
     results.append(CheckResult("sampled-roots-tagged", ok and found == root_samples,
                                "samples=%d tags=%s" % (found, ",".join(sorted(tagged)))))

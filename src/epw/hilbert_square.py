@@ -9,16 +9,15 @@ rank-2 Picard lattice handled through the ring Z[sqrt(2)]: Pell classes
 of square 2, the nodal classes alpha_n, and the obstruction pairings.
 """
 
-from functools import cache
 from math import isqrt
 
 from . import lattices
 from .zroot2 import QuadInt, PELL_UNIT
 
 
-@cache
 def model() -> lattices.EvenLattice:
-    """The rank-23 lattice with xi = the named (-2) generator."""
+    """The rank-23 lattice with xi = the named (-2) generator: the shared
+    `lattices.lambda_tilde()`, so clearing the tower's caches reaches it."""
     return lattices.lambda_tilde()
 
 

@@ -12,7 +12,12 @@ planes (without which the Eichler criterion is refused).
 An `EvenLattice` is a value: no function writes to its `gram`, `named`
 or `u2_pairs` after `__init__`, and `vector()` returns a copy.  So each
 constructor in `NAMED_LATTICES` is cached: the named tower is built once
-per process and shared by every caller.
+per process and shared by every caller.  Two derived slots ride along:
+the nonzero entries (j, g_ij) of each Gram row, which every pairing
+walks instead of the dense matrix, and the discriminant group, which
+`disc_group` builds on first use and the lattice then holds.  So the
+Smith normal form of a named lattice runs once per process, and the
+group of any other lattice lives exactly as long as the lattice.
 
 The lattice layer computes in integers only.  Gram matrices of
 complements and overlattices, and the isometry test, are one
@@ -48,7 +53,7 @@ ROOT_TAGS = (S2_STAR, S2_PRIME, S2_DPRIME, S4)
 
 
 class EvenLattice:
-    __slots__ = ("rank", "gram", "named", "u2_pairs")
+    __slots__ = ("rank", "gram", "named", "u2_pairs", "_rows", "_disc")
 
     def __init__(self, gram, named=None, u2_pairs=None):
         g = [[int(x) for x in row] for row in gram]
@@ -63,6 +68,8 @@ class EvenLattice:
                 raise ValueError("diagonal entries must be even")
         self.rank = n
         self.gram = g
+        self._rows = [[(j, x) for j, x in enumerate(row) if x] for row in g]
+        self._disc = None
         self.named = {k: [int(x) for x in v] for k, v in (named or {}).items()}
         for k, v in self.named.items():
             if len(v) != n:
@@ -86,14 +93,26 @@ class EvenLattice:
     # -- basic form operations ------------------------------------------
 
     def pair(self, v, w):
-        return _dot([int(x) for x in v], self.gram_vec(w))
+        if len(v) != len(w):
+            raise ValueError("vectors of lengths %d and %d" % (len(v), len(w)))
+        return sum(int(x) * y for x, y in zip(v, self.gram_vec(w)) if x)
 
     def square(self, v):
         return self.pair(v, v)
 
     def gram_vec(self, v):
-        nz = [(j, int(x)) for j, x in enumerate(v) if x]
-        return [sum(row[j] * x for j, x in nz) for row in self.gram]
+        """G v, walking only the nonzero coordinates of v and the nonzero
+        entries of their Gram rows (G is symmetric)."""
+        if len(v) != self.rank:
+            raise ValueError("vector of length %d in a lattice of rank %d"
+                             % (len(v), self.rank))
+        out = [0] * self.rank
+        for x, row in zip(v, self._rows):
+            if x:
+                x = int(x)
+                for j, g in row:
+                    out[j] += g * x
+        return out
 
     def det(self):
         return zlinalg.int_det(self.gram)
@@ -363,7 +382,10 @@ class DiscGroup:
 
 
 def disc_group(l: EvenLattice) -> DiscGroup:
-    return DiscGroup(l)
+    """The discriminant group of l, built on first use and held by l."""
+    if l._disc is None:
+        l._disc = DiscGroup(l)
+    return l._disc
 
 
 # ---------------------------------------------------------------------
@@ -386,7 +408,7 @@ def divisibility_and_star(v, l: EvenLattice, disc: DiscGroup = None):
     d = 0
     for x in gv:
         d = gcd(d, x)
-    disc = disc or DiscGroup(l)
+    disc = disc or disc_group(l)
     star = disc._class_of_num(v, d)
     return d, star
 
@@ -443,7 +465,7 @@ def reflection(v0, l: EvenLattice, disc: DiscGroup = None):
         raise ValueError("reflection defined for square-2 vectors")
     m = reflection_matrix(v0, l)
     mi = [[int(x) for x in row] for row in m]
-    disc = disc or DiscGroup(l)
+    disc = disc or disc_group(l)
     stable = all(img == el for el, img in induced_disc_action(mi, l, disc).items())
     return mi, stable
 
@@ -478,7 +500,7 @@ def eichler_equivalent(v1, v2, l: EvenLattice, disc: DiscGroup = None) -> bool:
     """
     if len(l.u2_pairs) < 2:
         raise ValueError("no U^2 certificate: Eichler criterion refused")
-    disc = disc or DiscGroup(l)
+    disc = disc or disc_group(l)
     if l.square(v1) != l.square(v2):
         return False
     _, s1 = divisibility_and_star(v1, l, disc)
@@ -501,7 +523,7 @@ def classify_negative_root(v, lam: EvenLattice, disc: DiscGroup = None) -> str:
         raise ValueError("vector is not a root")
     if sq not in (-2, -4):
         raise ClassificationError("negative root of square %d outside the table" % sq)
-    disc = disc or DiscGroup(lam)
+    disc = disc or disc_group(lam)
     d, star = divisibility_and_star(v, lam, disc)
     _, e1s = divisibility_and_star(lam.vector("e1"), lam, disc)
     _, e2s = divisibility_and_star(lam.vector("e2"), lam, disc)
@@ -537,7 +559,7 @@ def iota_swap(lam: EvenLattice, disc: DiscGroup = None):
     mi = [[x // det for x in row] for row in y]
     if not is_isometry(mi, lam):
         raise AssertionError("swap matrix is not an isometry")
-    disc = disc or DiscGroup(lam)
+    disc = disc or disc_group(lam)
     stable = all(img == el for el, img in induced_disc_action(mi, lam, disc).items())
     return mi, stable
 
@@ -586,7 +608,7 @@ def overlattices(l: EvenLattice):
     q(x) = 0 in Q/2Z; each is returned with its Gram matrix, the index,
     and the embedding of L.
     """
-    disc = DiscGroup(l)
+    disc = disc_group(l)
     out = []
     if disc.order == 1:
         return out

@@ -1,11 +1,12 @@
 """Even lattices: discriminant groups, roots, orbits, overlattices."""
 
 from fractions import Fraction
+import gc
 import random
 
 import pytest
 
-from epw import checks, cli, linalg, zlinalg
+from epw import checks, cli, hilbert_square, jsonio, linalg, zlinalg
 from epw.lattices import (
     DiscGroup, EvenLattice, _coords_in, reflection_matrix,
     hyperbolic_plane, rank_one, e8_minus, direct_sum,
@@ -141,6 +142,71 @@ def test_signature_reads_zero_roots_and_zero_middle_coefficients():
     assert EvenLattice([[0, 0], [0, 0]]).signature() == (0, 0)
     assert EvenLattice([[-2, 0], [0, 0]]).signature() == (0, 1)
     assert EvenLattice([]).signature() == (0, 0)
+
+
+# -- sparse pairing -------------------------------------------------------------
+
+def _dense_gram_vec(g, v):
+    return [sum(g[i][j] * v[j] for j in range(len(v))) for i in range(len(g))]
+
+
+def _pairing_vectors(rng, n, fixed=()):
+    """Vectors with zeros, negative coordinates and coordinates above 10^6."""
+    out = [[0] * n] + [unit(n, i) for i in range(n)] + [list(v) for v in fixed]
+    for _ in range(6):
+        out.append([rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)])
+        out.append([rng.choice([0, rng.randint(-10**9, 10**9), -1]) for _ in range(n)])
+        out.append([rng.randint(10**6, 10**12) * rng.choice([-1, 1]) for _ in range(n)])
+    return out
+
+
+def _assert_sparse_pairing_matches_dense(l, vectors):
+    g = l.gram
+    for k, v in enumerate(vectors):
+        gv = _dense_gram_vec(g, v)
+        assert l.gram_vec(v) == gv
+        assert l.square(v) == sum(x * y for x, y in zip(v, gv))
+        w = vectors[(7 * k + 3) % len(vectors)]
+        assert l.pair(v, w) == sum(x * y for x, y in zip(w, gv))
+        assert l.pair(w, v) == l.pair(v, w)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_LATTICES))
+def test_sparse_pairing_matches_dense_on_named_lattices(name):
+    l = NAMED_LATTICES[name]()
+    fixed = list(l.named.values()) + [w for ab in l.u2_pairs for w in ab]
+    _assert_sparse_pairing_matches_dense(l, _pairing_vectors(random.Random(name), l.rank, fixed))
+
+
+def test_sparse_pairing_matches_dense_on_seeded_even_grams():
+    rng = random.Random(29)
+    zero_rows = 0
+    for k in range(300):
+        n = 1 + k % 9
+        g = _seeded_even_gram(rng, n)
+        if rng.random() < 0.4:   # zero some rows and their columns: still even
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                for j in range(n):
+                    g[i][j] = g[j][i] = 0
+        zero_rows += any(not any(row) for row in g)
+        l = EvenLattice(g)
+        assert l._rows == [[(j, x) for j, x in enumerate(row) if x] for row in g]
+        _assert_sparse_pairing_matches_dense(l, _pairing_vectors(rng, n))
+    assert zero_rows >= 100
+
+
+@pytest.mark.parametrize("kind", ["short-2", "short-3", "long", "zero-padded"])
+def test_vector_of_wrong_length_rejected(kind):
+    lam = lambda_lattice()
+    e1 = lam.vector("e1")
+    v = {"short-2": [1, 1], "short-3": [1, 0, 0],
+         "long": e1 + [1], "zero-padded": e1 + [0]}[kind]
+    for call in (lambda: lam.gram_vec(v), lambda: lam.square(v),
+                 lambda: lam.pair(v, e1), lambda: lam.pair(e1, v),
+                 lambda: divisibility_and_star(v, lam), lambda: is_root(v, lam),
+                 lambda: classify_negative_root(v, lam), lambda: orth_complement(lam, v)):
+        with pytest.raises(ValueError, match="length"):
+            call()
 
 
 # -- discriminant groups ---------------------------------------------------------
@@ -436,10 +502,28 @@ def test_passed_disc_group_is_not_rebuilt(monkeypatch):
     def refuse(self, lattice):
         raise AssertionError("DiscGroup rebuilt")
 
+    gt = gamma_tilde()
+    disc_group(gt)
+    ovs = [(o.index, o.lattice.gram, o.sub_in_super) for o in overlattices(gt)]
+
     monkeypatch.setattr(DiscGroup, "__init__", refuse)
     assert (iota_swap(lam, d), reflection(lt.vector("v1"), lt, dt),
             eichler_equivalent(lam.vector("e1"), lam.vector("e2"), lam, d),
             classify_negative_root(lam.vector("e1"), lam, d)) == expected
+    # once a lattice holds its group, the defaults read it instead of building
+    assert (iota_swap(lam), reflection(lt.vector("v1"), lt),
+            eichler_equivalent(lam.vector("e1"), lam.vector("e2"), lam),
+            classify_negative_root(lam.vector("e1"), lam)) == expected
+    assert [(o.index, o.lattice.gram, o.sub_in_super) for o in overlattices(gt)] == ovs
+
+
+def test_disc_group_is_held_by_its_lattice():
+    l = direct_sum(rank_one(-2), hyperbolic_plane(), rank_one(4))
+    assert l._disc is None
+    d = disc_group(l)
+    assert disc_group(l) is d and l._disc is d
+    for build in NAMED_LATTICES.values():
+        assert disc_group(build()) is disc_group(build())
 
 
 def test_disc_auto_group_has_order_two():
@@ -683,10 +767,18 @@ def _run_tower_users():
 
 
 def _assert_tower_equals_fresh_builds():
+    """Each shared lattice, its sparse Gram rows and its held discriminant
+    group equal those of a fresh build."""
     for name, ctor in NAMED_LATTICES.items():
         shared, fresh = ctor(), ctor.__wrapped__()
         assert (shared.gram, shared.named, shared.u2_pairs) \
             == (fresh.gram, fresh.named, fresh.u2_pairs), name
+        assert shared._rows == [[(j, x) for j, x in enumerate(row) if x]
+                                for row in shared.gram], name
+        held, built = shared._disc, DiscGroup(fresh)
+        assert held is not None, name
+        assert (held.invariants, held.gen_lifts, held._urows, held._vcols) \
+            == (built.invariants, built.gen_lifts, built._urows, built._vcols), name
 
 
 def test_no_verb_or_ledger_mutates_the_shared_tower():
@@ -716,3 +808,77 @@ def test_tower_guard_catches_a_verb_that_mutates_lambda(monkeypatch, rebuilt_tow
     _run_tower_users()
     with pytest.raises(AssertionError, match="lambda"):
         _assert_tower_equals_fresh_builds()
+
+
+def test_hilbert_model_follows_a_cleared_tower(rebuilt_tower):
+    old = hilbert_square.model()
+    for ctor in NAMED_LATTICES.values():
+        ctor.cache_clear()
+    assert hilbert_square.model() is lambda_tilde() is not old
+
+
+def test_tower_guard_catches_a_verb_that_mutates_the_held_group(monkeypatch, rebuilt_tower):
+    classify = cli.VERBS["classify-root"]
+
+    def mutant(args):
+        if args.lattice == "lambda":
+            # the invariants are 2, 2 and a negated entry keeps every residue
+            # mod 2, so no ledger line changes and only the guard can see it
+            row = disc_group(lambda_lattice())._urows[0]
+            k = next(k for k, x in enumerate(row) if x)
+            row[k] = -row[k]
+        return classify(args)
+
+    monkeypatch.setitem(cli.VERBS, "classify-root", mutant)
+    _run_tower_users()
+    with pytest.raises(AssertionError, match="lambda"):
+        _assert_tower_equals_fresh_builds()
+
+
+def test_lattice_json_group_dies_with_its_lattice(tmp_path, monkeypatch):
+    """A --lattice-json lattice is read per call; its held group must not
+    outlive the call, so no module global may reach it."""
+    path = tmp_path / "lambda.json"
+    path.write_text(jsonio.dump_value("even_lattice", lambda_lattice()))
+    built = []
+    init = DiscGroup.__init__
+
+    def record(self, lattice):
+        init(self, lattice)
+        built.append(id(self))
+
+    def alive():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, DiscGroup) and id(o) in built]
+
+    monkeypatch.setattr(DiscGroup, "__init__", record)
+    code, out = cli.run(["classify-root", "--lattice-json", str(path), "--vector", "e1"])
+    assert (code, out.splitlines()[-1]) == (0, "tag: S2_PRIME")
+    assert len(built) == 1 and alive() == []
+    # the same probe sees a group whose lattice is still referenced
+    held = jsonio.lattice_from_json(jsonio.lattice_to_json(lambda_lattice()))
+    disc_group(held)
+    assert len(built) == 2 and len(alive()) == 1
+    del held
+    assert alive() == []
+
+
+def test_sampled_roots_line_fails_on_a_classifier_wrong_off_the_named_roots(monkeypatch):
+    """The mutant swaps S2' and S2'' and maps S2* to S2' on every root but
+    the named representatives e1, e2, e3 and e1 + e2, which root-orbit-tags
+    already holds to their tags: only the reference for the sampled roots
+    can see it."""
+    lam = lambda_lattice()
+    e1, e2, e3 = lam.vector("e1"), lam.vector("e2"), lam.vector("e3")
+    named = [e1, e2, e3, [a + b for a, b in zip(e1, e2)]]
+    swap = {S2_PRIME: S2_DPRIME, S2_DPRIME: S2_PRIME, S2_STAR: S2_PRIME, S4: S4}
+    classify = checks.classify_negative_root
+
+    def mutant(v, lam, disc=None):
+        tag = classify(v, lam, disc)
+        return tag if list(v) in named else swap[tag]
+
+    assert all(r.ok for r in checks.check_lattice_ledger(root_samples=60))
+    monkeypatch.setattr(checks, "classify_negative_root", mutant)
+    results = checks.check_lattice_ledger(root_samples=60)
+    assert [r.name for r in results if not r.ok] == ["sampled-roots-tagged"]
