@@ -2,7 +2,9 @@
 
 Build a Lagrangian subspace of Lambda^3 Q^6 as the graph of a symmetric
 quadratic form, compute the degree-six local equation of its degeneracy
-locus, and read off the Taylor pieces at the chart center.
+locus, and read off the Taylor pieces at the chart center.  A chart
+keeps the Lagrangian it was built from, so each function below takes
+the chart alone.
 """
 
 import random
@@ -22,7 +24,7 @@ print("is_lagrangian:", is_lagrangian(frame.matrix))
 print("degeneracy dimension at the center:", degeneracy_dim(frame, v0))
 
 chart = Chart(frame, v0, basis)
-sextic = local_sextic(frame, chart)
+sextic = local_sextic(chart)
 print("degree of det(q_A + q_v):", sextic.degree())
 print("number of terms:", len(sextic.f.terms))
 
@@ -33,7 +35,7 @@ for i, part in enumerate(sextic.parts):
         label = label[:67] + "..."
     print("  f%d = %s" % (i, label))
 
-report = taylor_order_check(frame, chart, sextic=sextic)
+report = taylor_order_check(chart)
 print("\nvanishing-order checks (k = %d):" % report.k)
 for line in report.lines():
     print(" ", line)

@@ -7,6 +7,8 @@ as a pair (M_hat, D) with M_J = M_hat / D.  The determinant identity
 
 is verified as an exact polynomial identity, and the cover above an
 etale point (kernel dimension 1) is cut out by two explicit equations.
+Each function takes the chart alone: it keeps the Lagrangian it was
+built from.
 """
 
 import random
@@ -21,14 +23,14 @@ frame, gram = random_graph_lagrangian(rng, corank=1)
 v0, basis = standard_chart_basis()
 chart = Chart(frame, v0, basis)
 
-sd = schur_complement(frame, chart)
+sd = schur_complement(chart)
 print("kernel dimension:", sd.k)
 print("nondegenerate block size:", len(sd.j_indices))
 print("deg D =", sd.denom.degree(), " deg M_hat_11 =", sd.m_hat.entries[0][0].degree())
 print("identity det(q_A+q_v) * D^(k-1) == det(M_hat):",
-      schur_identity_check(frame, chart, sd))
+      schur_identity_check(chart, sd))
 
-dc = double_cover_ideal(frame, chart)
+dc = double_cover_ideal(chart)
 print("\ndouble cover in variables", dc.vars)
 for i, g in enumerate(dc.generators):
     label = g.to_text()

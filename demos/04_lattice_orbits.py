@@ -4,7 +4,8 @@ The rank-23 lattice U^3 + E8(-1)^2 + (-2) governs Hilbert squares of K3
 surfaces; the orthogonal complement of a square-2 vector is the
 polarized period lattice, whose negative roots of square -2 or -4 fall
 into exactly four stable orbits classified by square, divisibility and
-the starred discriminant class.
+the starred discriminant class.  Each lattice holds its discriminant
+group once built, so the functions below take the lattice alone.
 """
 
 from epw.lattices import (
@@ -21,7 +22,7 @@ d = disc_group(lam)
 print("\npolarized lattice: rank=%d det=%d invariants=%s"
       % (lam.rank, lam.det(), d.invariants))
 for name in ("e1", "e2", "e3"):
-    div, star = divisibility_and_star(lam.vector(name), lam, d)
+    div, star = divisibility_and_star(lam.vector(name), lam)
     print("  %s: square=%d div=%d q(star)=%s"
           % (name, lam.square(lam.vector(name)), div, d.q_value(star)))
 
@@ -29,7 +30,7 @@ print("\norbit tags:")
 e12 = [a + b for a, b in zip(lam.vector("e1"), lam.vector("e2"))]
 for label, v in [("e1", lam.vector("e1")), ("e2", lam.vector("e2")),
                  ("e3", lam.vector("e3")), ("e1+e2", e12)]:
-    print("  %-6s -> %s" % (label, classify_negative_root(v, lam, d)))
+    print("  %-6s -> %s" % (label, classify_negative_root(v, lam)))
 
 m, stable = iota_swap(lam)
 print("\nswap involution e1 <-> e2: integral isometry, stable:", stable)

@@ -102,7 +102,7 @@ def check_epw_degree_bound(seed=1, count=20):
         frame, _ = random_graph_lagrangian(rng, corank=rng.choice([0, 0, 0, 1]))
         chart = Chart(frame, _unit(0), standard_chart_basis()[1])
         t0 = time.perf_counter()
-        ls = local_sextic(frame, chart)
+        ls = local_sextic(chart)
         worst = max(worst, time.perf_counter() - t0)
         degrees.append(ls.degree())
         matches = matches and sextic_matches_pencil(chart, ls.f, points)
@@ -139,12 +139,12 @@ def check_taylor_orders(seed=1):
     for k in range(4):
         frame = _corank_instance(rng, k)
         chart = Chart(frame, _unit(0), standard_chart_basis()[1])
-        rep = taylor_order_check(frame, chart)
+        rep = taylor_order_check(chart)
         ok = ok and rep.ok and rep.k == k
         lines.append("k=%d:%s" % (k, "ok" if rep.ok else "FAIL"))
     frame = lagrangian_containing(W123, level=1, seed=seed + 17)
     chart = make_chart(frame, _unit(0))
-    rep = taylor_order_check(frame, chart, known_theta=[W123])
+    rep = taylor_order_check(chart, known_theta=[W123])
     ok = ok and rep.theta_case and rep.ok
     lines.append("plane:%s" % ("ok" if rep.ok else "FAIL"))
     return CheckResult("taylor-orders", ok, " ".join(lines))
@@ -155,8 +155,7 @@ def check_rank_formula(seed=1):
     ranks = []
     for level in (1, 2, 3):
         frame = lagrangian_containing(W123, level=level, seed=seed + level)
-        chart = make_chart(frame, _unit(0))
-        ranks.append(rank_f2(frame, W123, [W123], chart))
+        ranks.append(rank_f2(make_chart(frame, _unit(0)), W123))
     ok = ranks == [3, 2, 1]
     return CheckResult("rank-f2-formula", ok, "ranks=%s" % (ranks,))
 
@@ -168,7 +167,7 @@ def check_schur_identity(seed=1):
     for k in (1, 2):
         frame, _ = random_graph_lagrangian(rng, corank=k)
         chart = Chart(frame, _unit(0), standard_chart_basis()[1])
-        oks[k] = schur_identity_check(frame, chart, schur_complement(frame, chart))
+        oks[k] = schur_identity_check(chart, schur_complement(chart))
     return CheckResult("schur-identity", all(oks.values()),
                        " ".join("k=%d:%s" % item for item in oks.items()))
 
@@ -189,14 +188,14 @@ def formstan_instance():
             continue
         if sigma_level(frame, W123) != (True, 1):
             continue
-        return frame, Chart(frame, v0, c), [k1, k2]
+        return Chart(frame, v0, c), [k1, k2]
     raise RuntimeError("no normal-form instance found")
 
 
 def check_double_cover_rank():
     """The k = 2 fiber equation has quadratic part of rank exactly 3."""
-    frame, chart, kbasis = formstan_instance()
-    dc = double_cover_ideal(frame, chart, k_basis=kbasis)
+    chart, kbasis = formstan_instance()
+    dc = double_cover_ideal(chart, k_basis=kbasis)
     fiber = dc.generators[4]            # D xi2^2 - cof(M_hat)_22
     r = quadratic_form_rank(homogeneous_part(fiber, 2))
     return CheckResult("double-cover-quadratic-rank", r == 3, "rank=%d" % r)
@@ -347,8 +346,8 @@ def check_lattice_ledger(seed=5, root_samples=60):
     lam = lambda_lattice()
     d = disc_group(lam)
 
-    _, e1s = divisibility_and_star(lam.vector("e1"), lam, d)
-    _, e2s = divisibility_and_star(lam.vector("e2"), lam, d)
+    _, e1s = divisibility_and_star(lam.vector("e1"), lam)
+    _, e2s = divisibility_and_star(lam.vector("e2"), lam)
     ok = (d.invariants == [2, 2]
           and d.q_value(e1s) == Fraction(3, 2)
           and d.q_value(e2s) == Fraction(3, 2)
@@ -362,9 +361,9 @@ def check_lattice_ledger(seed=5, root_samples=60):
     e3 = lam.vector("e3")
     e12 = [a + b for a, b in zip(e1, e2)]
     named = [e1, e2, e3, e12]
-    pairwise = all(not eichler_equivalent(v, w, lam, d)
+    pairwise = all(not eichler_equivalent(v, w, lam)
                    for i, v in enumerate(named) for w in named[i + 1:])
-    tags = [classify_negative_root(v, lam, d) for v in named]
+    tags = [classify_negative_root(v, lam) for v in named]
     ok = pairwise and tags == [S2_PRIME, S2_DPRIME, S2_STAR, S4]
     results.append(CheckResult("root-orbit-tags", ok, "tags=%s" % ",".join(tags)))
 
@@ -383,7 +382,7 @@ def check_lattice_ledger(seed=5, root_samples=60):
         if not is_root(v, lam):
             continue
         try:
-            tag = classify_negative_root(v, lam, d)
+            tag = classify_negative_root(v, lam)
         except Exception:
             ok = False
             break
@@ -402,29 +401,27 @@ def check_lattice_ledger(seed=5, root_samples=60):
     detail = "count=%d" % len(ovs)
     if ok:
         k3 = ovs[0].lattice
-        ok = (ovs[0].index == 2 and k3.rank == 22 and abs(k3.det()) == 1
-              and k3.signature() == (3, 19))
-        detail += " index=%d det=%d signature=%d,%d" % (
-            (ovs[0].index, k3.det()) + k3.signature())
+        det, sig = k3.det(), k3.signature()
+        ok = ovs[0].index == 2 and k3.rank == 22 and abs(det) == 1 and sig == (3, 19)
+        detail += " index=%d det=%d signature=%d,%d" % ((ovs[0].index, det) + sig)
         idx, _ = sublattice_index_and_discr(k3, ovs[0].sub_in_super)
         ok = ok and idx == 2
     results.append(CheckResult("unique-even-overlattice", ok, detail))
 
     lt = lambda_tilde()
-    dt = disc_group(lt)
     stable_ok = True
     for name in ("v1", "v3"):
-        _, stable = reflection(lt.vector(name), lt, dt)
+        _, stable = reflection(lt.vector(name), lt)
         stable_ok = stable_ok and stable
     w = [0] * 23
     w[4] = w[5] = 1
-    _, stable = reflection(w, lt, dt)
+    _, stable = reflection(w, lt)
     stable_ok = stable_ok and stable
     results.append(CheckResult("square2-reflections-stable", stable_ok))
 
     autos = disc_autos_preserving_q(d)
-    m, stable = iota_swap(lam, d)
-    act = induced_disc_action(m, lam, d)
+    m, stable = iota_swap(lam)
+    act = induced_disc_action(m, lam)
     nontrivial = any(act[k] != k for k in act)
     results.append(CheckResult("swap-involution-index-two",
                                len(autos) == 2 and not stable and nontrivial,
@@ -452,14 +449,14 @@ def check_hilbert_ledger(seed=6, fujiki_cases=100):
     # orbit of mu - 2 xi inside h-perp: square -4, divisibility 2, and the
     # starred class has the unique q-value -1 mod 2Z, which is the two-torsion
     # class fixing the fourth orbit
-    lt = hs.model()
+    lt = lambda_tilde()
     h_emb = ns.embed(h).full()
     c_emb = ns.embed(c).full()
     perp = orth_complement(lt, h_emb)
     from .lattices import express_in_complement
     c_in = express_in_complement(lt, h_emb, c_emb)
     dperp = disc_group(perp)
-    div, star = divisibility_and_star(c_in, perp, dperp)
+    div, star = divisibility_and_star(c_in, perp)
     ok = ok and dperp.invariants == [2, 2] and div == 2 and dperp.q_value(star) == 1
     results.append(CheckResult("quartic-case-minus4-orbit", ok,
                                "div=%d qstar=%s" % (div, dperp.q_value(star))))

@@ -55,12 +55,13 @@ def _parse_point(text, length):
 
 
 def _resolve_lattice(args):
-    if getattr(args, "lattice_json", None):
+    """--lattice-json if given, else --lattice; the parser sets the defaults."""
+    if args.lattice_json is not None:
         l = _load(args.lattice_json, "even_lattice")
         if l.det() == 0:
             raise UsageError("%s: degenerate Gram matrix" % args.lattice_json)
         return l
-    name = getattr(args, "lattice", None) or "lambda"
+    name = args.lattice
     if name not in lattices.NAMED_LATTICES:
         raise UsageError("unknown lattice %r; known: %s"
                          % (name, ", ".join(sorted(lattices.NAMED_LATTICES))))
@@ -134,7 +135,7 @@ def cmd_local_sextic(args):
     frame = _load(args.frame, "lagrangian_frame")
     point = _parse_point(args.point, 6)
     chart = _chart_for(frame, point, args.seed)
-    ls = local_sextic(frame, chart)
+    ls = local_sextic(chart)
     if args.format == "json":
         doc = {
             "seed": args.seed,
@@ -158,7 +159,7 @@ def cmd_double_cover(args):
     point = _parse_point(args.point, 6)
     chart = _chart_for(frame, point, args.seed)
     try:
-        dc = double_cover_ideal(frame, chart)
+        dc = double_cover_ideal(chart)
     except ValueError as e:   # a kernel beyond the model's reach
         raise UsageError(str(e)) from None
     if args.format == "json":

@@ -2,7 +2,8 @@
 
 The second cohomology is modeled as the K3 lattice plus an orthogonal
 (-2)-class xi (the half of the non-reduced locus); concretely the rank-23
-named lattice, with xi the distinguished (-2) generator.  On top of it:
+named lattice `lattices.lambda_tilde()`, with xi the distinguished (-2)
+generator.  On top of it:
 the Fujiki quartic identity, the conic-bundle class arithmetic, the
 genus-6 and degree-2 case ledgers, and the quartic-surface case with its
 rank-2 Picard lattice handled through the ring Z[sqrt(2)]: Pell classes
@@ -13,12 +14,6 @@ from math import isqrt
 
 from . import lattices
 from .zroot2 import QuadInt, PELL_UNIT
-
-
-def model() -> lattices.EvenLattice:
-    """The rank-23 lattice with xi = the named (-2) generator: the shared
-    `lattices.lambda_tilde()`, so clearing the tower's caches reaches it."""
-    return lattices.lambda_tilde()
 
 
 XI_INDEX = 22
@@ -56,7 +51,7 @@ class HilbClass:
 
 def bb_form(alpha: HilbClass, beta: HilbClass) -> int:
     """The integral bilinear form; q(xi) = -2 and the K3 part is orthogonal."""
-    return model().pair(alpha.full(), beta.full())
+    return lattices.lambda_tilde().pair(alpha.full(), beta.full())
 
 
 def bb_square(alpha: HilbClass) -> int:
@@ -80,24 +75,27 @@ class ConicClassReport:
         self.ok = ok
 
 
-def conic_class_arithmetic(h_square=2, fiber_integral=-2) -> ConicClassReport:
+# The geometric fiber integral of the exceptional conic bundle (an axiom).
+CONIC_FIBER_INTEGRAL = -2
+
+
+def conic_class_arithmetic() -> ConicClassReport:
     """Square of the exceptional conic-bundle class from its fiber integral.
 
-    Inputs: q(h) = 2 and the geometric fiber integral (an axiom here).
-    With (zeta, h) = 0 the quartic identity gives
-    integral(h^2 zeta^2) = q(h) q(zeta) = 2 q(zeta), while the conic
-    fibration gives integral(h^2 zeta^2) = 2 * fiber_integral.
+    Inputs: q(h) = 2 and CONIC_FIBER_INTEGRAL.  With (zeta, h) = 0 the
+    quartic identity gives integral(h^2 zeta^2) = q(h) q(zeta) =
+    2 q(zeta), while the conic fibration gives integral(h^2 zeta^2) =
+    2 * CONIC_FIBER_INTEGRAL.
 
     ok compares the fibration side with fujiki_quartic(h, h, zeta, zeta)
     on explicit classes of the rank-23 model: h = v1 = u + u' and
     zeta = e1 = u - u' in one hyperbolic summand, so q(h) = 2,
     q(zeta) = -2 and (h, zeta) = 0.
     """
-    if h_square != 2:
-        raise ValueError("the polarization must have square 2")
-    total = 2 * fiber_integral
+    total = 2 * CONIC_FIBER_INTEGRAL
     q_zeta = total // 2
-    v1, e1 = model().vector("v1"), model().vector("e1")
+    lt = lattices.lambda_tilde()
+    v1, e1 = lt.vector("v1"), lt.vector("e1")
     h = HilbClass(v1[:K3_RANK], v1[K3_RANK])
     zeta = HilbClass(e1[:K3_RANK], e1[K3_RANK])
     integral = fujiki_quartic(h, h, zeta, zeta)
@@ -177,7 +175,7 @@ def delta_case_check() -> CaseReport:
 def degree2_case_check() -> CaseReport:
     """Degree-2 case: xi is a (-2)-root of divisibility 2 orthogonal to the
     square-2 polarization, and its orbit tag is the double-prime one."""
-    lt = model()
+    lt = lattices.lambda_tilde()
     v1 = lt.vector("v1")
     xi = lt.vector("e2")
     checks = []

@@ -17,7 +17,8 @@ the nonzero entries (j, g_ij) of each Gram row, which every pairing
 walks instead of the dense matrix, and the discriminant group, which
 `disc_group` builds on first use and the lattice then holds.  So the
 Smith normal form of a named lattice runs once per process, and the
-group of any other lattice lives exactly as long as the lattice.
+group of any other lattice lives exactly as long as the lattice.  No
+function takes a group beside its lattice; each reads `disc_group(l)`.
 
 The lattice layer computes in integers only.  Gram matrices of
 complements and overlattices, and the isometry test, are one
@@ -393,7 +394,7 @@ def disc_group(l: EvenLattice) -> DiscGroup:
 # ---------------------------------------------------------------------
 
 
-def divisibility_and_star(v, l: EvenLattice, disc: DiscGroup = None):
+def divisibility_and_star(v, l: EvenLattice):
     """(div, v*) for a primitive nonzero vector.
 
     div generates the pairing ideal (v, L); v* is the class of v/div in
@@ -408,9 +409,7 @@ def divisibility_and_star(v, l: EvenLattice, disc: DiscGroup = None):
     d = 0
     for x in gv:
         d = gcd(d, x)
-    disc = disc or disc_group(l)
-    star = disc._class_of_num(v, d)
-    return d, star
+    return d, disc_group(l)._class_of_num(v, d)
 
 
 def reflection_matrix(v, l: EvenLattice):
@@ -455,7 +454,7 @@ def is_root_by_divisibility(v, l: EvenLattice) -> bool:
     return all(x % d == 0 for x in l.gram_vec(v))
 
 
-def reflection(v0, l: EvenLattice, disc: DiscGroup = None):
+def reflection(v0, l: EvenLattice):
     """Reflection in a square-2 vector: (integer matrix, stable flag).
 
     Stable means the induced action on the discriminant group is trivial;
@@ -465,14 +464,14 @@ def reflection(v0, l: EvenLattice, disc: DiscGroup = None):
         raise ValueError("reflection defined for square-2 vectors")
     m = reflection_matrix(v0, l)
     mi = [[int(x) for x in row] for row in m]
-    disc = disc or disc_group(l)
-    stable = all(img == el for el, img in induced_disc_action(mi, l, disc).items())
+    stable = all(img == el for el, img in induced_disc_action(mi, l).items())
     return mi, stable
 
 
-def induced_disc_action(m, l: EvenLattice, disc: DiscGroup):
-    """Images of the discriminant generators under an isometry matrix: each
-    integer lift num/den goes to (num m)/den, read back as a class."""
+def induced_disc_action(m, l: EvenLattice):
+    """Images of the discriminant generators of l under an isometry matrix:
+    each integer lift num/den goes to (num m)/den, read back as a class."""
+    disc = disc_group(l)
     n = len(disc.invariants)
     out = {}
     for i in range(n):
@@ -492,7 +491,7 @@ def is_isometry(m, l: EvenLattice) -> bool:
 # ---------------------------------------------------------------------
 
 
-def eichler_equivalent(v1, v2, l: EvenLattice, disc: DiscGroup = None) -> bool:
+def eichler_equivalent(v1, v2, l: EvenLattice) -> bool:
     """Stable-orbit test: equal squares and equal starred classes.
 
     Requires the lattice to carry a verified two-hyperbolic-plane
@@ -500,15 +499,14 @@ def eichler_equivalent(v1, v2, l: EvenLattice, disc: DiscGroup = None) -> bool:
     """
     if len(l.u2_pairs) < 2:
         raise ValueError("no U^2 certificate: Eichler criterion refused")
-    disc = disc or disc_group(l)
     if l.square(v1) != l.square(v2):
         return False
-    _, s1 = divisibility_and_star(v1, l, disc)
-    _, s2 = divisibility_and_star(v2, l, disc)
+    _, s1 = divisibility_and_star(v1, l)
+    _, s2 = divisibility_and_star(v2, l)
     return s1 == s2
 
 
-def classify_negative_root(v, lam: EvenLattice, disc: DiscGroup = None) -> str:
+def classify_negative_root(v, lam: EvenLattice) -> str:
     """Tag a negative root of the polarized lattice by (square, div, v*).
 
     (-2, 1, 0) -> S2_STAR; (-2, 2, e1*) -> S2_PRIME; (-2, 2, e2*) ->
@@ -523,10 +521,10 @@ def classify_negative_root(v, lam: EvenLattice, disc: DiscGroup = None) -> str:
         raise ValueError("vector is not a root")
     if sq not in (-2, -4):
         raise ClassificationError("negative root of square %d outside the table" % sq)
-    disc = disc or disc_group(lam)
-    d, star = divisibility_and_star(v, lam, disc)
-    _, e1s = divisibility_and_star(lam.vector("e1"), lam, disc)
-    _, e2s = divisibility_and_star(lam.vector("e2"), lam, disc)
+    disc = disc_group(lam)
+    d, star = divisibility_and_star(v, lam)
+    _, e1s = divisibility_and_star(lam.vector("e1"), lam)
+    _, e2s = divisibility_and_star(lam.vector("e2"), lam)
     if sq == -2:
         if d == 1 and star == disc.zero():
             return S2_STAR
@@ -541,7 +539,7 @@ def classify_negative_root(v, lam: EvenLattice, disc: DiscGroup = None) -> str:
     )
 
 
-def iota_swap(lam: EvenLattice, disc: DiscGroup = None):
+def iota_swap(lam: EvenLattice):
     """The involution e1 <-> e2, identity on their orthogonal complement.
 
     Returns (integer matrix, stable flag); the flag is False, which
@@ -559,8 +557,7 @@ def iota_swap(lam: EvenLattice, disc: DiscGroup = None):
     mi = [[x // det for x in row] for row in y]
     if not is_isometry(mi, lam):
         raise AssertionError("swap matrix is not an isometry")
-    disc = disc or disc_group(lam)
-    stable = all(img == el for el, img in induced_disc_action(mi, lam, disc).items())
+    stable = all(img == el for el, img in induced_disc_action(mi, lam).items())
     return mi, stable
 
 

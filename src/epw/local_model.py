@@ -5,7 +5,8 @@ basis; through the volume identification of Lambda^3 V0 with the dual of
 Lambda^2 V0 the Lagrangian becomes the graph of a symmetric quadratic
 form q_A, the moving point contributes the variable quadratic form q_v,
 and the local equation of the degeneracy locus is det(q_A + q_v), a
-polynomial in the five chart coordinates.
+polynomial in the five chart coordinates.  A Chart keeps the frame it
+was built from, so every function here takes the chart alone.
 
 Its degree is bounded by a certificate, not assumed.  The Gram of q_v
 is the pencil M(t) = sum_a t_a B_a of universal sign matrices, and the
@@ -47,11 +48,12 @@ class ChartError(RuntimeError):
 
 
 class Chart:
-    """A point [v0], a transversal basis c1..c5, and the derived Gram data."""
+    """A frame A, a point [v0], a transversal basis c1..c5, and the Gram of q_A."""
 
-    __slots__ = ("v0", "basis", "gram_form")
+    __slots__ = ("frame", "v0", "basis", "gram_form")
 
     def __init__(self, frame: wedge.LagrangianFrame, v0, basis):
+        self.frame = frame
         self.v0 = fvec(v0)
         self.basis = [fvec(c) for c in basis]
         # raises ValueError unless v0 and basis span V and Lambda^3 V0 ∩ A = 0
@@ -174,7 +176,7 @@ class LocalSextic:
         return self.f.is_zero()
 
 
-def local_sextic(frame: wedge.LagrangianFrame, chart: Chart) -> LocalSextic:
+def local_sextic(chart: Chart) -> LocalSextic:
     """The local equation det(q_A + q_v) of the degeneracy locus in the chart,
     interpolated at the certified degree bound pencil_rank_bound() from
     integer determinants of the chart pencil.
@@ -198,17 +200,17 @@ class TaylorReport:
         return ["%s %s" % ("PASS" if p else "FAIL", name) for name, p in self.checks]
 
 
-def taylor_order_check(frame, chart, known_theta=(), sextic=None) -> TaylorReport:
+def taylor_order_check(chart: Chart, known_theta=()) -> TaylorReport:
     """Check the vanishing orders of the local equation at the chart center.
 
     With no supplied Theta plane through [v0]: f_0 = ... = f_{k-1} = 0 and
     f_k != 0, where k is the degeneracy dimension at [v0].  With some
     supplied W containing v0: f_0 = f_1 = 0.
     """
-    k = wedge.degeneracy_dim(frame, chart.v0)
-    ls = sextic if sextic is not None else local_sextic(frame, chart)
+    k = wedge.degeneracy_dim(chart.frame, chart.v0)
+    ls = local_sextic(chart)
     through = [w for w in known_theta if w.contains_vector(chart.v0)
-               and wedge.theta_contains(frame, w)]
+               and wedge.theta_contains(chart.frame, w)]
     checks = []
     if through:
         checks.append(("f0 = 0 (plane case)", ls.part(0).is_zero()))
@@ -221,7 +223,7 @@ def taylor_order_check(frame, chart, known_theta=(), sextic=None) -> TaylorRepor
     return TaylorReport(k, False, checks)
 
 
-def rank_f2(frame, w: wedge.Subspace3, known_theta, chart: Chart) -> int:
+def rank_f2(chart: Chart, w: wedge.Subspace3) -> int:
     """Rank of the quadratic Taylor term at a point of P(W) off the curve.
 
     Equals 4 - dim(A ∩ (Λ²W ∧ V)); a mismatch raises, since it would
@@ -229,12 +231,12 @@ def rank_f2(frame, w: wedge.Subspace3, known_theta, chart: Chart) -> int:
     """
     if not w.contains_vector(chart.v0):
         raise ValueError("chart center must lie in W")
-    if not wedge.theta_contains(frame, w):
+    if not wedge.theta_contains(chart.frame, w):
         raise ValueError("Lambda^3 W is not contained in A")
-    if wedge.degeneracy_dim(frame, chart.v0) != 1:
+    if wedge.degeneracy_dim(chart.frame, chart.v0) != 1:
         raise ValueError("chart center lies on the curve (degeneracy >= 2)")
-    r = quadratic_form_rank(local_sextic(frame, chart).part(2))
-    _, level = wedge.sigma_level(frame, w)
+    r = quadratic_form_rank(local_sextic(chart).part(2))
+    _, level = wedge.sigma_level(chart.frame, w)
     if r != 4 - level:
         raise AssertionError(
             "rank f2 = %d but 4 - level = %d; rank formula violated" % (r, 4 - level)
@@ -300,7 +302,7 @@ def _greedy_principal_block(g, target):
     return chosen
 
 
-def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
+def schur_complement(chart: Chart, k_basis=None) -> SchurData:
     """Compute (M_hat, D) with M_J = M_hat / D in the adapted basis.
 
     k_basis optionally fixes the basis of ker q_A (rows in bivector
@@ -363,7 +365,7 @@ def schur_complement(frame, chart: Chart, k_basis=None) -> SchurData:
     return SchurData(k, j, denom, m_hat, c)
 
 
-def schur_identity_check(frame, chart: Chart, sd: SchurData) -> bool:
+def schur_identity_check(chart: Chart, sd: SchurData) -> bool:
     """det(q_A + q_v) * D^(k-1) == det(M_hat), as exact polynomials.
 
     Both sides live in the adapted basis; the left side is obtained from
@@ -371,7 +373,7 @@ def schur_identity_check(frame, chart: Chart, sd: SchurData) -> bool:
     the identity degenerates to D == det(q_A + q_v).
     """
     scale = linalg.det(sd.adapted) ** 2
-    f = local_sextic(frame, chart).f * scale
+    f = local_sextic(chart).f * scale
     if sd.k == 0:
         return f == sd.denom
     lhs = f
@@ -394,7 +396,7 @@ class DoubleCoverData:
         self.notice = notice
 
 
-def double_cover_ideal(frame, chart: Chart, k_basis=None) -> DoubleCoverData:
+def double_cover_ideal(chart: Chart, k_basis=None) -> DoubleCoverData:
     """Equations of the double cover over the chart, in t1..t5, xi1..xik.
 
     Generators: the k entries of M_hat * xi, then for i <= j the cleared
@@ -410,7 +412,7 @@ def double_cover_ideal(frame, chart: Chart, k_basis=None) -> DoubleCoverData:
     supports are disjoint, so no polynomial is added, lifted or
     re-validated.
     """
-    sd = schur_complement(frame, chart, k_basis=k_basis)
+    sd = schur_complement(chart, k_basis=k_basis)
     k = sd.k
     if k == 0:
         return DoubleCoverData(0, CHART_VARS, [],

@@ -13,9 +13,14 @@ failure).  Sample sizes and time targets are pinned here:
   5. four randomized quadratic-form suites, >= 200 instances each;
   6. the lattice ledger;
   7. the Hilbert-square ledger, < 60 s;
-  8. byte-stable report and JSON round trips.
+  8. byte-stable report and JSON round trips: the report of a fresh
+     process, under another hash seed, equals the in-process bytes.
 """
 
+import os
+from pathlib import Path
+import subprocess
+import sys
 import time
 
 from epw import checks
@@ -75,8 +80,17 @@ def test_criterion_7_hilbert_ledger():
 
 
 def test_criterion_8_determinism_and_io():
+    """The second report runs in a fresh process, so it shares no named
+    tower, held discriminant group or cached rank bound with the first,
+    and under a hash seed other than this process's."""
     code1, out1 = cli_run(["report", "--seed", "1"])
-    code2, out2 = cli_run(["report", "--seed", "1"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    hash_seed = "1" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "epw", "report", "--seed", "1"],
+                          env=env, capture_output=True, text=True, timeout=600)
+    code2, out2 = proc.returncode, proc.stdout.removesuffix("\n")
     io_ok = checks.check_io_roundtrip().ok
     ok = code1 == 0 and code2 == 0 and out1 == out2 and io_ok
     _ledger("determinism-and-io", ok,

@@ -198,6 +198,17 @@ def test_degenerate_lattice_json_usage_error(tmp_path, verb):
     assert out.startswith("error: ") and "degenerate" in out
 
 
+@pytest.mark.parametrize("verb", ["disc-group", "classify-root", "overlattices"])
+@pytest.mark.parametrize("flag,message", [("--lattice", "unknown lattice ''"),
+                                          ("--lattice-json", "cannot read")])
+def test_empty_lattice_argument_usage_error(verb, flag, message):
+    """An empty name or path is refused, not read as the verb's default."""
+    extra = ["--vector", "e1"] if verb == "classify-root" else []
+    code, out = run([verb, flag, ""] + extra)
+    assert code == 2
+    assert out.startswith("error: " + message)
+
+
 @pytest.mark.parametrize("verb,extra", [("disc-group", ["--format", "json"]),
                                         ("overlattices", [])])
 def test_too_large_discriminant_group_usage_error(tmp_path, verb, extra):

@@ -39,7 +39,7 @@ import pytest
 from epw import jsonio, linalg, varquad
 from epw.cli import run
 from epw.lattices import (
-    disc_group, induced_disc_action, iota_swap, lambda_lattice, orth_complement,
+    induced_disc_action, iota_swap, lambda_lattice, orth_complement,
 )
 from epw.varquad import (
     PencilFamily, QuadSpace, ann_of_span, cork_restrict, dual_form, phi_expansion,
@@ -292,7 +292,7 @@ def test_lagrangian_containing_frame_digest():
 def test_iota_swap_digest():
     lam = lambda_lattice()
     m, stable = iota_swap(lam)
-    act = induced_disc_action(m, lam, disc_group(lam))
+    act = induced_disc_action(m, lam)
     text = "%s\n%r\n%r" % (_matrix_text(m), stable, sorted(act.items()))
     assert _sha(text) == SWAP_DIGEST
 

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from epw.hilbert_square import (
-    HilbClass, NSRank2, model, bb_form, bb_square, fujiki_quartic,
+    HilbClass, NSRank2, bb_form, bb_square, fujiki_quartic,
     conic_class_arithmetic, delta_case_check, degree2_case_check,
     PELL_BOX, pell_square_two_classes, pell_brute_force, trace_pairing,
     alpha_class, is_effective_double, obstruction_pairing, psi,
 )
-from epw.lattices import lambda_lattice, classify_negative_root, S2_STAR
+from epw.lattices import lambda_lattice, lambda_tilde, classify_negative_root, S2_STAR
 from epw.zroot2 import QuadInt
 
 
@@ -25,7 +25,7 @@ def test_xi_square():
 
 
 def test_fujiki_on_square_two_class():
-    lt = model()
+    lt = lambda_tilde()
     h = HilbClass(lt.vector("v1")[:22], 0)
     assert bb_square(h) == 2
     assert fujiki_quartic(h, h, h, h) == 12
@@ -33,7 +33,7 @@ def test_fujiki_on_square_two_class():
 
 def test_fujiki_mixed_vanishing():
     # (zeta, h) = 0 and q(h) = 2 force the h^3 zeta integral to vanish
-    lt = model()
+    lt = lambda_tilde()
     h = HilbClass(lt.vector("v1")[:22], 0)
     zeta = HilbClass(lt.vector("e3")[:22], 0)
     assert bb_form(h, zeta) == 0
@@ -55,13 +55,6 @@ def test_conic_class_arithmetic_standard():
     assert rep.ok
 
 
-def test_conic_class_arithmetic_linear_in_input():
-    rep = conic_class_arithmetic(fiber_integral=0)
-    assert rep.q_zeta == 0
-    # the model classes give integral(h^2 zeta^2) = -4, not 2 * 0
-    assert not rep.ok
-
-
 def test_conic_class_line_can_fail(monkeypatch):
     from epw import checks, hilbert_square
 
@@ -69,11 +62,6 @@ def test_conic_class_line_can_fail(monkeypatch):
     monkeypatch.setattr(hilbert_square, "fujiki_quartic", lambda a, b, c, d: 0)
     r = checks.check_algebra_core()
     assert not r.ok and r.detail == "conic-class"
-
-
-def test_conic_class_requires_square_two():
-    with pytest.raises(ValueError):
-        conic_class_arithmetic(h_square=4)
 
 
 def test_conic_class_cross_module():

@@ -5,6 +5,9 @@
   and is exempt.
 * Every module-level function whose name starts with one underscore is
   referenced somewhere in src/epw outside its own body.
+* Every parameter of every function and lambda is read in its body
+  (`self` and `cls` are exempt): a parameter that nothing reads is either
+  dead or determined by another argument.
 """
 
 import ast
@@ -69,6 +72,24 @@ def unreferenced_private_functions():
     return out
 
 
+def unread_parameters(path):
+    """Parameters of the functions and lambdas in path that their bodies
+    never read, as "module:line function.parameter"."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out.extend("%s:%d %s.%s" % (path.name, node.lineno, name, p.arg) for p in params
+                   if p.arg not in ("self", "cls") and p.arg not in read)
+    return out
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
@@ -79,13 +100,20 @@ def test_every_private_function_is_referenced():
     assert unreferenced_private_functions() == []
 
 
+def test_every_parameter_is_read():
+    assert [p for path in MODULES for p in unread_parameters(path)] == []
+
+
 def test_the_checks_see_what_they_look_for(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text("import os\nfrom math import gcd, lcm\n"
                     "from sys import argv  # noqa: F401\n\n"
-                    "def _loop(n):\n    return _loop(n - 1) + lcm(n, 2)\n")
+                    "def _loop(n):\n    return _loop(n - 1) + lcm(n, 2)\n\n"
+                    "class C:\n    def at(self, n, k=0):\n        return n\n\n"
+                    "twice = lambda x, y: 2 * x\n")
     assert unused_imports(path) == ["sample.py:1 os", "sample.py:2 gcd"]
+    assert unread_parameters(path) == ["sample.py:9 at.k", "sample.py:12 <lambda>.y"]
     tree = _tree(path)
-    fn = tree.body[-1]
+    fn = tree.body[3]
     assert "_loop" not in _references(tree, skip=fn)
     assert "_loop" in _references(tree)

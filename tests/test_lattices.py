@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from epw import checks, cli, hilbert_square, jsonio, linalg, zlinalg
+from epw import checks, cli, jsonio, linalg, zlinalg
 from epw.lattices import (
     DiscGroup, EvenLattice, _coords_in, reflection_matrix,
     hyperbolic_plane, rank_one, e8_minus, direct_sum,
@@ -231,8 +231,8 @@ def test_disc_group_lambda_tuttosudi():
     assert lam.rank == 22
     d = disc_group(lam)
     assert d.invariants == [2, 2]
-    _, e1s = divisibility_and_star(lam.vector("e1"), lam, d)
-    _, e2s = divisibility_and_star(lam.vector("e2"), lam, d)
+    _, e1s = divisibility_and_star(lam.vector("e1"), lam)
+    _, e2s = divisibility_and_star(lam.vector("e2"), lam)
     assert e1s != d.zero() and e2s != d.zero() and e1s != e2s
     # q-values mod 2Z: -1/2, -1/2, -1
     assert d.q_value(e1s) == Fraction(3, 2)
@@ -492,9 +492,10 @@ def test_int_gram_matches_reference_on_tower_complements(name):
 
 
 def test_passed_disc_group_is_not_rebuilt(monkeypatch):
+    """Each function is passed the lattice alone and reads the group it
+    holds: once built, no call builds another."""
     lam = lambda_lattice()
     lt = lambda_tilde()
-    d, dt = disc_group(lam), disc_group(lt)
     expected = (iota_swap(lam), reflection(lt.vector("v1"), lt),
                 eichler_equivalent(lam.vector("e1"), lam.vector("e2"), lam),
                 classify_negative_root(lam.vector("e1"), lam))
@@ -507,10 +508,6 @@ def test_passed_disc_group_is_not_rebuilt(monkeypatch):
     ovs = [(o.index, o.lattice.gram, o.sub_in_super) for o in overlattices(gt)]
 
     monkeypatch.setattr(DiscGroup, "__init__", refuse)
-    assert (iota_swap(lam, d), reflection(lt.vector("v1"), lt, dt),
-            eichler_equivalent(lam.vector("e1"), lam.vector("e2"), lam, d),
-            classify_negative_root(lam.vector("e1"), lam, d)) == expected
-    # once a lattice holds its group, the defaults read it instead of building
     assert (iota_swap(lam), reflection(lt.vector("v1"), lt),
             eichler_equivalent(lam.vector("e1"), lam.vector("e2"), lam),
             classify_negative_root(lam.vector("e1"), lam)) == expected
@@ -533,7 +530,7 @@ def test_disc_auto_group_has_order_two():
     assert len(autos) == 2
     # iota realizes the nontrivial one; reflections realize the identity
     m, _ = iota_swap(lam)
-    act = induced_disc_action(m, lam, d)
+    act = induced_disc_action(m, lam)
     assert any(act[k] != k for k in act)
 
 
@@ -604,7 +601,6 @@ def test_classify_sampled_roots_exhaustive():
     of the four orbits."""
     rng = random.Random(71)
     lam = lambda_lattice()
-    d = disc_group(lam)
     seen = set()
     found = 0
     while found < 120:
@@ -618,7 +614,7 @@ def test_classify_sampled_roots_exhaustive():
             continue
         if not is_root(v, lam):
             continue
-        tag = classify_negative_root(v, lam, d)
+        tag = classify_negative_root(v, lam)
         seen.add(tag)
         found += 1
     assert seen >= {S2_STAR, S2_DPRIME}
@@ -629,7 +625,7 @@ def test_classify_sampled_roots_exhaustive():
         (lam.vector("e3"), S2_STAR),
         ([a + b for a, b in zip(lam.vector("e1"), lam.vector("e2"))], S4),
     ]:
-        assert classify_negative_root(v, lam, d) == tag
+        assert classify_negative_root(v, lam) == tag
         seen.add(tag)
     assert seen == {S2_STAR, S2_PRIME, S2_DPRIME, S4}
 
@@ -810,13 +806,6 @@ def test_tower_guard_catches_a_verb_that_mutates_lambda(monkeypatch, rebuilt_tow
         _assert_tower_equals_fresh_builds()
 
 
-def test_hilbert_model_follows_a_cleared_tower(rebuilt_tower):
-    old = hilbert_square.model()
-    for ctor in NAMED_LATTICES.values():
-        ctor.cache_clear()
-    assert hilbert_square.model() is lambda_tilde() is not old
-
-
 def test_tower_guard_catches_a_verb_that_mutates_the_held_group(monkeypatch, rebuilt_tower):
     classify = cli.VERBS["classify-root"]
 
@@ -874,8 +863,8 @@ def test_sampled_roots_line_fails_on_a_classifier_wrong_off_the_named_roots(monk
     swap = {S2_PRIME: S2_DPRIME, S2_DPRIME: S2_PRIME, S2_STAR: S2_PRIME, S4: S4}
     classify = checks.classify_negative_root
 
-    def mutant(v, lam, disc=None):
-        tag = classify(v, lam, disc)
+    def mutant(v, lam):
+        tag = classify(v, lam)
         return tag if list(v) in named else swap[tag]
 
     assert all(r.ok for r in checks.check_lattice_ledger(root_samples=60))

@@ -112,7 +112,7 @@ def test_make_chart_exhaustive_failure_for_wedge3():
 def test_pathological_sextic_vanishes():
     frame = vee_frame(unit(1))
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    ls = local_sextic(frame, ch)
+    ls = local_sextic(ch)
     assert ls.f.is_zero()
     assert ls.is_pathological()
 
@@ -121,7 +121,7 @@ def test_generic_sextic_degree_and_constant():
     rng = random.Random(3)
     frame, g = random_graph_lagrangian(rng)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    ls = local_sextic(frame, ch)
+    ls = local_sextic(ch)
     assert ls.degree() <= 6
     assert ls.f.constant_term() != 0  # k = 0 at the center
     # Bareiss over Q[t] on the symbolic chart pencil agrees
@@ -132,7 +132,7 @@ def test_sextic_vanishing_on_contained_plane():
     """P(W) inside the degeneracy locus: f vanishes along the W directions."""
     a = lagrangian_containing(W123, level=1, seed=5)
     ch = make_chart(a, unit(1))
-    ls = local_sextic(a, ch)
+    ls = local_sextic(ch)
     rng = random.Random(8)
     for _ in range(8):
         w = [sum(Fraction(rng.randint(-4, 4)) * W123.rows[t][i] for t in range(3))
@@ -153,7 +153,7 @@ def test_taylor_orders_generic(k):
     rng = random.Random(100 + k)
     frame, g = random_graph_lagrangian(rng, corank=k)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    rep = taylor_order_check(frame, ch)
+    rep = taylor_order_check(ch)
     assert rep.k == k
     assert rep.theta_case is False
     assert rep.ok, rep.lines()
@@ -162,12 +162,12 @@ def test_taylor_orders_generic(k):
 def test_taylor_orders_plane_case():
     a = lagrangian_containing(W123, level=1, seed=17)
     ch = make_chart(a, unit(1))
-    rep = taylor_order_check(a, ch, known_theta=[W123])
+    rep = taylor_order_check(ch, known_theta=[W123])
     assert rep.theta_case is True
     assert rep.ok, rep.lines()
     # with the plane not supplied, the generic k=1 statement also holds,
     # but the stronger f1 = 0 comes only from the plane
-    ls = local_sextic(a, ch)
+    ls = local_sextic(ch)
     assert ls.part(0).is_zero() and ls.part(1).is_zero()
 
 
@@ -192,7 +192,7 @@ def test_k1_instance_f0_zero_f1_nonzero():
         if square_nonzero:
             break
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    ls = local_sextic(frame, ch)
+    ls = local_sextic(ch)
     assert ls.part(0).is_zero()
     assert not ls.part(1).is_zero()
 
@@ -203,7 +203,7 @@ def test_k1_instance_f0_zero_f1_nonzero():
 def test_rank_f2_levels(level, expected):
     a = lagrangian_containing(W123, level=level, seed=40 + level)
     ch = make_chart(a, unit(1))
-    assert rank_f2(a, W123, [W123], ch) == expected
+    assert rank_f2(ch, W123) == expected
 
 
 def test_rank_f2_rejects_curve_point():
@@ -217,7 +217,7 @@ def test_rank_f2_rejects_curve_point():
     a = lagrangian_from_graph_basis(v0, c, g)
     ch = Chart(a, v0, c)
     with pytest.raises(ValueError):
-        rank_f2(a, W123, [W123], ch)
+        rank_f2(ch, W123)
 
 
 # -- certified degree bound -------------------------------------------------------------
@@ -259,10 +259,10 @@ def test_off_grid_check_catches_a_low_degree_bound(monkeypatch):
     frame, _ = random_graph_lagrangian(rng)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
     points = checks.off_grid_points(1)
-    f = local_sextic(frame, ch).f
+    f = local_sextic(ch).f
     assert f.degree() == 6 and checks.sextic_matches_pencil(ch, f, points)
     monkeypatch.setattr(local_model, "pencil_rank_bound", lambda: 5)
-    g = local_sextic(frame, ch).f
+    g = local_sextic(ch).f
     assert g != f
     assert not checks.sextic_matches_pencil(ch, g, points)
 
@@ -273,10 +273,10 @@ def test_schur_k0_degenerates():
     rng = random.Random(51)
     frame, g = random_graph_lagrangian(rng)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    sd = schur_complement(frame, ch)
+    sd = schur_complement(ch)
     assert sd.k == 0
     assert sd.m_hat is None
-    assert schur_identity_check(frame, ch, sd)
+    assert schur_identity_check(ch, sd)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -284,10 +284,10 @@ def test_schur_identity_exact(k):
     rng = random.Random(60 + k)
     frame, g = random_graph_lagrangian(rng, corank=k)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    sd = schur_complement(frame, ch)
+    sd = schur_complement(ch)
     assert sd.k == k
     assert len(sd.j_indices) == 10 - k
-    assert schur_identity_check(frame, ch, sd)
+    assert schur_identity_check(ch, sd)
 
 
 def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
@@ -305,7 +305,7 @@ def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
         return interpolate(oracle, *args)
 
     monkeypatch.setattr(local_model, "interpolate_poly_map", capture)
-    sd = schur_complement(frame, ch)
+    sd = schur_complement(ch)
     k, c = sd.k, sd.adapted
     jdim = 10 - k
     moves = [[[sum(c[r][x] * b[x][y] * c[q][y] for x in range(10) for y in range(10))
@@ -344,15 +344,15 @@ def _formstan_instance():
             continue
         if sigma_level(a, W123) != (True, 1):
             continue
-        return a, ch, [k1, k2]
+        return ch, [k1, k2]
     raise RuntimeError("no formstan instance found")
 
 
 def test_schur_k2_formstan_and_fiber_rank():
-    a, ch, kbasis = _formstan_instance()
-    sd = schur_complement(a, ch, k_basis=kbasis)
+    ch, kbasis = _formstan_instance()
+    sd = schur_complement(ch, k_basis=kbasis)
     assert sd.k == 2
-    assert schur_identity_check(a, ch, sd)
+    assert schur_identity_check(ch, sd)
     # shape of M_hat / D per the normal form: the (w1w2, w1w2) entry has no
     # linear term, the mixed entry starts with t3 (the u1 coordinate) and
     # the (beta, beta) entry starts with -2 t2 (the w2 coordinate)
@@ -378,7 +378,7 @@ def test_double_cover_k0_empty():
     rng = random.Random(80)
     frame, g = random_graph_lagrangian(rng)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    dc = double_cover_ideal(frame, ch)
+    dc = double_cover_ideal(ch)
     assert dc.k == 0
     assert dc.generators == []
     assert "etale" in dc.notice
@@ -388,22 +388,22 @@ def test_double_cover_k1_shape():
     rng = random.Random(81)
     frame, g = random_graph_lagrangian(rng, corank=1)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    dc = double_cover_ideal(frame, ch)
+    dc = double_cover_ideal(ch)
     assert dc.k == 1
     assert dc.vars == CHART_VARS + ("xi1",)
     assert len(dc.generators) == 2
     row, fiber = dc.generators
     xi = MultiPoly.var(dc.vars, "xi1")
     # row generator is M_hat_11 * xi1; fiber generator is xi1^2 - 1
-    sd = schur_complement(frame, ch)
+    sd = schur_complement(ch)
     lift = {v: MultiPoly.var(dc.vars, v) for v in CHART_VARS}
     assert row == sd.m_hat.entries[0][0].substitute(lift) * xi
     assert fiber == xi * xi - 1
 
 
 def test_double_cover_k2_quadratic_rank_three():
-    a, ch, kbasis = _formstan_instance()
-    dc = double_cover_ideal(a, ch, k_basis=kbasis)
+    ch, kbasis = _formstan_instance()
+    dc = double_cover_ideal(ch, k_basis=kbasis)
     assert dc.k == 2
     # generators: 2 rows of M_hat xi, then fibers (xi1^2, xi1 xi2, xi2^2)
     assert len(dc.generators) == 5
@@ -423,7 +423,7 @@ def test_double_cover_k3_streamed_cofactors(monkeypatch):
         return det_poly_matrix(m, *args, **kwargs)
 
     monkeypatch.setattr(local_model, "det_poly_matrix", counting_det)
-    dc = double_cover_ideal(frame, ch)
+    dc = double_cover_ideal(ch)
     # one 2x2 minor per cofactor the fibers use (i <= j), not all nine
     assert sides == [(2, 2)] * 6
     assert dc.k == 3
@@ -431,7 +431,7 @@ def test_double_cover_k3_streamed_cofactors(monkeypatch):
     assert len(dc.generators) == 3 + 6
 
     # the full construction: D^2 xi_i xi_j - (adj M_hat)^t_ij, lifted to (t, xi)
-    sd = schur_complement(frame, ch)
+    sd = schur_complement(ch)
     lift = lambda p: MultiPoly(dc.vars, {e + (0, 0, 0): c for e, c in p.terms.items()})
     xi = [MultiPoly.var(dc.vars, v) for v in ("xi1", "xi2", "xi3")]
     m = [[lift(p) for p in row] for row in sd.m_hat.entries]
@@ -446,7 +446,7 @@ def test_double_cover_scaling_invariance():
     rng = random.Random(83)
     frame, g = random_graph_lagrangian(rng, corank=1)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
-    dc = double_cover_ideal(frame, ch)
+    dc = double_cover_ideal(ch)
     # rescaling xi by a unit maps the generator set into the ideal: for the
     # k=1 shape, xi -> -xi fixes both generators up to sign
     sub = {"xi1": -MultiPoly.var(dc.vars, "xi1")}
@@ -474,8 +474,8 @@ def test_chart_independence_up_to_scalar():
             except ValueError:
                 continue
     ch1 = Chart(frame, v0, c1)
-    f1 = local_sextic(frame, ch1).f
-    f2 = local_sextic(frame, ch2).f
+    f1 = local_sextic(ch1).f
+    f2 = local_sextic(ch2).f
     # express v0 + sum t_a c1_a = lambda(t) (v0 + sum s_b c2_b):
     # solve in the basis (v0, c2): coefficients give lambda and lambda*s
     basis = [linalg.fvec(v0)] + [linalg.fvec(x) for x in c2]
