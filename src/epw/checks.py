@@ -173,14 +173,19 @@ def check_schur_identity(seed=1):
 
 
 def formstan_instance():
-    """Kernel <w1^w2, w1^u1 + u2^u3> at the center of a plane instance."""
+    """Kernel <w1^w2, w1^u1 + u2^u3> at the center of a plane instance,
+    with W = <v0, w1, w2>: (chart, k_basis), the one k = 2 normal-form
+    instance of the ledger and the tests.
+
+    Chart basis order: c1 = w1, c2 = w2, c3 = u1, c4 = u2, c5 = u3.
+    """
     rng = random.Random(70)
     v0, c = standard_chart_basis()
     k1 = [Fraction(0)] * 10
-    k1[PAIR5_INDEX[(0, 1)]] = Fraction(1)
+    k1[PAIR5_INDEX[(0, 1)]] = Fraction(1)            # w1 ^ w2
     k2 = [Fraction(0)] * 10
-    k2[PAIR5_INDEX[(0, 2)]] = Fraction(1)
-    k2[PAIR5_INDEX[(3, 4)]] = Fraction(1)
+    k2[PAIR5_INDEX[(0, 2)]] = Fraction(1)            # w1 ^ u1
+    k2[PAIR5_INDEX[(3, 4)]] = Fraction(1)            # u2 ^ u3
     for _ in range(80):
         g = symmetric_with_kernel(rng, 10, [k1, k2])
         frame = lagrangian_from_graph_basis(v0, c, g)

@@ -4,12 +4,17 @@ Matrices are lists of lists of Fraction; vectors are lists of Fraction.
 Every function returns fresh objects and never mutates its arguments,
 so values can be shared freely between threads or worker pools.
 
-The hot routines scale their input to integers once (scaled_int_rows)
-and run on the integer kernels of zlinalg: det and inverse on the Bareiss
-elimination, and restrict_gram, the one congruence product rows g rows^t
-that carries a form to another basis, on int_gram.  rref and solve share
-one fraction-free Gauss-Jordan loop (_gauss_jordan); solve carries all
-its right sides through one elimination.
+The hot routines scale their input to integers once (scaled_int_rows,
+one as_integer_ratio per entry) and run on integer rows: det and inverse
+on the Bareiss elimination of zlinalg, and restrict_gram, the one
+congruence product rows g rows^t that carries a form to another basis, on
+int_gram.  rref, rank, nullspace and solve share one fraction-free
+Gauss-Jordan loop on integer rows (_gauss_jordan): rank counts its pivots,
+nullspace reads its primitive integer kernel (_kernel), rref divides each
+row by its pivot once, and solve carries all its right sides through one
+elimination.  Callers that already hold integer rows (varquad) call
+_gauss_jordan and _kernel directly and meet Fractions only at their
+outputs.
 """
 
 from fractions import Fraction
@@ -29,9 +34,11 @@ def frac(x) -> Fraction:
 
 def scaled_int_rows(rows):
     """(L, [[L * x for x in row] for row in rows]) for rows of Fractions or
-    ints, with L the lcm of all their denominators (1 if there are none)."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    ints, with L the lcm of all their denominators (1 if there are none).
+    Each entry is read once, by as_integer_ratio."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = lcm(*(d for row in ratios for _, d in row))
+    return den, [[n * (den // d) for n, d in row] for row in ratios]
 
 
 def scaled_ints(xs):
@@ -87,25 +94,27 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
-def _gauss_jordan(m, ncols):
-    """Fraction-free Gauss-Jordan on the rows of m, pivoting only in the
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan on integer rows, pivoting only in the
     first ncols columns; any further columns (right sides) are carried
-    along.  Returns (a, pivot_columns) with a the reduced integer rows.
+    along.  Returns (a, pivot_columns) with a the reduced integer rows;
+    the input rows are not changed.
 
-    Each row is scaled to integers once, a row update is pivot * row -
+    Each row is first divided by its gcd, a row update is pivot * row -
     entry * pivot_row and is divided by its gcd.  Rows only change by
     nonzero factors, so the pivots, and each row divided by its pivot,
-    are those of Fraction Gauss-Jordan.
+    are those of Fraction Gauss-Jordan on any rational multiple of the
+    rows.
     """
-    a = [_primitive(scaled_ints(row)[1]) for row in m]
-    rows = len(a)
+    a = [_primitive(row) for row in rows]
+    nrows = len(a)
     pivots = []
     lead = 0
     for col in range(ncols):
-        if lead == rows:
+        if lead == nrows:
             break
         piv = None
-        for i in range(lead, rows):
+        for i in range(lead, nrows):
             if a[i][col]:
                 piv = i
                 break
@@ -114,7 +123,7 @@ def _gauss_jordan(m, ncols):
         a[lead], a[piv] = a[piv], a[lead]
         p = a[lead]
         pc = p[col]
-        for i in range(rows):
+        for i in range(nrows):
             f = a[i][col]
             if f and i != lead:
                 a[i] = _primitive([pc * x - f * y for x, y in zip(a[i], p)])
@@ -123,13 +132,34 @@ def _gauss_jordan(m, ncols):
     return a, pivots
 
 
+def _kernel(a, pivots, cols):
+    """The kernel of reduced integer rows (a, pivots) of _gauss_jordan with
+    cols columns, as [(j, w)]: one primitive integer vector w per free
+    column j, positive at j and 0 at the other free columns, so w / w[j]
+    is the canonical kernel vector of nullspace.
+    """
+    out = []
+    pivot_set = set(pivots)
+    for j in range(cols):
+        if j in pivot_set:
+            continue
+        lead = lcm(*(row[p] for row, p in zip(a, pivots) if row[j]))
+        w = [0] * cols
+        w[j] = lead
+        for row, p in zip(a, pivots):
+            if row[j]:
+                w[p] = -row[j] * (lead // row[p])
+        out.append((j, _primitive(w)))
+    return out
+
+
 def rref(m):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
     R is read off _gauss_jordan with one Fraction(x, pivot) per entry.
     """
     cols = len(m[0]) if m else 0
-    a, pivots = _gauss_jordan(m, cols)
+    a, pivots = _gauss_jordan(scaled_int_rows(m)[1], cols)
     zero = Fraction(0)
     r = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(a, pivots)]
     r.extend([zero] * cols for _ in range(len(a) - len(pivots)))
@@ -137,9 +167,10 @@ def rref(m):
 
 
 def rank(m):
+    """The number of pivots of _gauss_jordan; no Fraction is formed."""
     if not m:
         return 0
-    return len(rref(m)[1])
+    return len(_gauss_jordan(scaled_int_rows(m)[1], len(m[0]))[1])
 
 
 def row_basis(m):
@@ -149,20 +180,14 @@ def row_basis(m):
 
 
 def nullspace(m):
-    """Basis of {x : m x = 0}, one vector per free column, canonical form."""
+    """Basis of {x : m x = 0}, one vector per free column, canonical form:
+    the primitive integer kernel of _kernel, each vector divided by its
+    free coordinate."""
     if not m:
         return []
-    r, pivots = rref(m)
     cols = len(m[0])
-    free = [j for j in range(cols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * cols
-        v[j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][j]
-        basis.append(v)
-    return basis
+    a, pivots = _gauss_jordan(scaled_int_rows(m)[1], cols)
+    return [[Fraction(x, w[j]) for x in w] for j, w in _kernel(a, pivots, cols)]
 
 
 def solve(a, b):
@@ -179,8 +204,9 @@ def solve(a, b):
     rows, cols = len(a), len(a[0]) if a else 0
     if any(len(side) != rows for side in sides):
         raise ValueError("right side of length other than %d" % rows)
-    r, pivots = _gauss_jordan([list(a[i]) + [frac(side[i]) for side in sides]
-                               for i in range(rows)], cols)
+    _, aug = scaled_int_rows([list(a[i]) + [frac(side[i]) for side in sides]
+                              for i in range(rows)])
+    r, pivots = _gauss_jordan(aug, cols)
     out = []
     for c in range(cols, cols + len(sides)):
         if any(row[c] for row in r[len(pivots):]):

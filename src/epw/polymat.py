@@ -15,7 +15,8 @@ serves as the reference:
   into a Pencil.  Pencil.graded_parts(variables, top) is the graded
   route: only the homogeneous parts Phi_0..Phi_top, from the univariate
   det(base + s Q_u) along the directions u = (1, y) of one triangular
-  y-grid of degree top.  varquad's statements read it to the last piece
+  y-grid of degree top, each a fresh integer matrix eliminated in place
+  (zlinalg._eliminate).  varquad's statements read it to the last piece
   each uses: the kernel block to Phi_k (k = cork q_*), the vanishing
   kernel to Phi_2k, the corank-one rank formula Phi_2.
 * cofactor expansion (det_cofactor): the reference oracle, small sides
@@ -41,7 +42,7 @@ from .linalg import frac, scaled_int_rows, scaled_ints
 # span targets up by name, polymat.det_fraction_matrix among them.
 from .linalg import det as det_fraction_matrix  # noqa: F401
 from .poly import MultiPoly
-from .zlinalg import int_det
+from .zlinalg import _eliminate, int_det
 
 # ---------------------------------------------------------------------
 # PolyMatrix
@@ -325,8 +326,9 @@ class Pencil:
         Along a direction u = (1, y) with y integral, g_u(s) = det(base +
         s Q_u), Q_u = sum_a u_a moves[a], is sum_i s^i Phi_i(u), of degree
         at most the row bound d of det_poly.  Its d + 1 values at s = 0..d
-        (s = 0 is det(base) for every u; each further s adds Q_u to the
-        matrix) fix Phi_i(u).  Phi_i(1, y) has degree <= i in y, so one
+        (s = 0 is det(base) for every u; each further s is one fresh integer
+        matrix base + s Q_u, eliminated in place by zlinalg._eliminate) fix
+        Phi_i(u).  Phi_i(1, y) has degree <= i in y, so one
         triangular y-grid of degree min(top, d) fixes Phi_0..Phi_top at
         once, and Phi_i is its homogenization.  Both steps run on
         _newton_stirling, and each coefficient is divided once at the end.
@@ -352,12 +354,12 @@ class Pencil:
                 if ua:
                     for i, j, c in move:
                         step[i, j] = step.get((i, j), 0) + ua * c
-            m = [row[:] for row in self.base]
             vals = [det0]
-            for _ in range(d):
+            for s in range(1, d + 1):
+                m = [row[:] for row in self.base]
                 for (i, j), c in step.items():
-                    m[i][j] += c
-                vals.append(int_det(m))
+                    m[i][j] += s * c
+                vals.append(_eliminate(m, n) * m[-1][-1])
             series.append(vals)
         _newton_stirling(_simplex_grid(1, d), d, series)
         tables = [[vals[i] for vals in series] for i in range(reach + 1)]

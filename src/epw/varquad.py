@@ -6,15 +6,28 @@ matrix.  A PencilFamily is a base form q_* together with a linear family
 q(t) = sum t_a B_a, held as one polymat.Pencil; the graded pieces Phi_i
 of det(q_* + q(t)) are then homogeneous of degree i in t and the
 corank/kernel statements about them are checkable exactly.
+
+The forms are held as integer rows, scaled once.  A QuadSpace scales its
+Gram by the lcm of its denominators and takes its rank, its reduced rows
+and a primitive integer kernel from one linalg._gauss_jordan.  A
+PencilFamily reads the integer base L q_* and coefficients L B_a off the
+one lcm L its Pencil computes.  The scale-free steps of the three pencil
+statements (the zero tests, ranks and kernels, the solve for q~(K), the
+restricted pencils and the proportionality test) run on these rows with
+zlinalg.int_gram and integer elimination.  Fractions appear only at the
+public outputs: kernel(), DualForm, the pieces Phi_i and the constant c,
+which is rescaled once by the integer factor the scaling put in.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 from . import linalg
-from .linalg import fmat, fvec, rank, restrict_gram
+from .linalg import _gauss_jordan, _kernel, fmat, fvec, rank, restrict_gram, scaled_int_rows
 from .poly import MultiPoly, homogeneous_part, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_poly_matrix
+from .zlinalg import bareiss_solve, int_gram
 
 
 def _matrix(m):
@@ -28,9 +41,12 @@ class QuadSpace:
     """A quadratic form on Q^d, d <= 10, by its symmetric Gram matrix.
 
     Wedge powers live on larger spaces; the cap applies to base spaces.
+    rows = den * gram is integral; echelon and pivots are its reduced
+    rows, and free its kernel as linalg._kernel's [(j, w)]: a primitive
+    integer w per free column j, with w / w[j] the canonical kernel vector.
     """
 
-    __slots__ = ("dim", "gram")
+    __slots__ = ("dim", "gram", "den", "rows", "echelon", "pivots", "free")
 
     def __init__(self, gram, _cap=10):
         g = _matrix(gram)
@@ -40,12 +56,24 @@ class QuadSpace:
             raise ValueError("Gram matrix must be symmetric")
         self.dim = len(g)
         self.gram = g
+        self.den, self.rows = scaled_int_rows(g)
+        self.echelon, self.pivots = _gauss_jordan(self.rows, self.dim)
+        self.free = _kernel(self.echelon, self.pivots, self.dim)
 
     def corank(self):
-        return self.dim - rank(self.gram)
+        return len(self.free)
 
     def kernel(self):
-        return linalg.nullspace(self.gram)
+        """The canonical basis of ker q, as linalg.nullspace gives it."""
+        return [[Fraction(x, w[j]) for x in w] for j, w in self.free]
+
+    def kernel_rows(self):
+        """The primitive integer kernel basis: kernel() up to a positive
+        factor per vector, their product being kernel_scale()."""
+        return [w for _, w in self.free]
+
+    def kernel_scale(self):
+        return prod(w[j] for j, w in self.free)
 
     def value(self, v):
         return restrict_gram(self.gram, [v])[0][0]
@@ -91,15 +119,19 @@ class DualForm:
 def dual_form(q: QuadSpace) -> DualForm:
     """Dual quadratic form: inverse of the map induced on Q^d / ker q.
 
-    Concretely: a basis phi_1..phi_r of Ann(ker q) (the row space of the
-    Gram matrix) plus the Gram matrix [phi_j(x_i)] where q~ x_i = phi_i.
+    Concretely: the reduced rows phi_1..phi_r of the Gram matrix G (a
+    basis of Ann(ker q), its row space) plus the Gram matrix [x_i . phi_j]
+    where G x_j = phi_j.  G = R^t M R for R the rows phi_i and M the minor
+    of G on the pivot coordinates, where R is the identity, so R x_j =
+    M^-1 e_j and x_i . phi_j = (M^-1)_ij: one integer solve of the minor.
     For nondegenerate q this is the inverse Gram matrix in disguise.
     """
-    ann = linalg.row_basis(q.gram)
-    xs = linalg.solve(q.gram, ann)
-    assert None not in xs  # rows of the Gram span its column space
-    # phi_j(x_i) = x_i . G x_j, a congruence of the symmetric G
-    return DualForm(ann, restrict_gram(q.gram, xs))
+    ann = [[Fraction(x, row[p]) for x in row] for row, p in zip(q.echelon, q.pivots)]
+    minor = [[q.rows[i][j] for j in q.pivots] for i in q.pivots]   # den * M
+    r = len(minor)
+    det, y = bareiss_solve(minor, [[int(i == j) for j in range(r)] for i in range(r)])
+    # den M y = det I, so M^-1 = den * y / det
+    return DualForm(ann, [[Fraction(q.den * x, det) for x in row] for row in y])
 
 
 def ann_of_span(rows, dim):
@@ -140,9 +172,13 @@ def decomposable_coords(vectors, dim):
 
 
 class PencilFamily:
-    """q_* plus a linear family q(t) = sum_a t_a B_a of symmetric forms."""
+    """q_* plus a linear family q(t) = sum_a t_a B_a of symmetric forms.
 
-    __slots__ = ("base", "coeffs", "varnames", "pencil")
+    int_coeffs are the integer rows L B_a, read off the pencil's one lcm L
+    (pencil.den); pencil.base is L q_*.
+    """
+
+    __slots__ = ("base", "coeffs", "varnames", "pencil", "int_coeffs")
 
     def __init__(self, base: QuadSpace, coeffs):
         self.base = base
@@ -154,6 +190,13 @@ class PencilFamily:
                 raise ValueError("coefficient matrices must be symmetric of matching size")
         self.varnames = tuple("t%d" % (a + 1) for a in range(len(self.coeffs)))
         self.pencil = Pencil(base.gram, self.coeffs)
+        n = base.dim
+        self.int_coeffs = []
+        for move in self.pencil.moves:
+            b = [[0] * n for _ in range(n)]
+            for i, j, c in move:
+                b[i][j] = c
+            self.int_coeffs.append(b)
 
 
 def phi_expansion(fam: PencilFamily):
@@ -162,32 +205,38 @@ def phi_expansion(fam: PencilFamily):
     return [homogeneous_part(det, i) for i in range(fam.base.dim + 1)]
 
 
+def _image(b, v):
+    """b v for integer rows b and an integer vector v."""
+    return [sum(x * y for x, y in zip(row, v) if y) for row in b]
+
+
+def _rescaled(c, factor):
+    return None if c is None else c * factor
+
+
 def degenerate_cone_check(fam: PencilFamily):
     """Kernel-block statement: with k = cork q_*, Phi_i = 0 for i < k and
     Phi_k(q) = c det(q|_K) for a single nonzero constant c.
 
     Returns (ok, c, phis), with phis = [Phi_0, ..., Phi_k], the pieces
-    the statement reads.
+    the statement reads.  det(q|_K) is taken on the canonical kernel
+    basis (QuadSpace.kernel); the integer pencil of L B_a restricted to
+    the primitive kernel rows has det L^k P^2 times it, P the
+    kernel_scale, and c is rescaled by that factor.
     """
     k = fam.base.corank()
     phis = fam.pencil.graded_parts(fam.varnames, k)
     for i in range(k):
         if not phis[i].is_zero():
             return False, None, phis
-    kern = fam.base.kernel()
-    rhs = _restricted_det_poly(fam, kern)
+    kern = fam.base.kernel_rows()
+    moves = [int_gram(b, kern) for b in fam.int_coeffs]
+    rhs = Pencil([[0] * k for _ in range(k)], moves).det_poly(fam.varnames)
     # c is None when both sides vanish identically on the pencil; the
     # proportionality claim lives on the full space of forms, so a pencil
     # on which both sides are zero is consistent
     ok, c = _proportional(phis[k], rhs)
-    return ok, c, phis
-
-
-def _restricted_det_poly(fam: PencilFamily, basis_rows):
-    """det of q(t) restricted to a constant subspace, as a polynomial in t."""
-    n = len(basis_rows)
-    moves = [restrict_gram(b, basis_rows) for b in fam.coeffs]
-    return Pencil([[0] * n for _ in range(n)], moves).det_poly(fam.varnames)
+    return ok, _rescaled(c, fam.pencil.den ** k * fam.base.kernel_scale() ** 2), phis
 
 
 def _proportional(p: MultiPoly, q: MultiPoly):
@@ -213,8 +262,8 @@ def vanishing_kernel_check(fam: PencilFamily):
     the statement reads.  Raises if the family is not inside V_K.
     """
     k = fam.base.corank()
-    kern = fam.base.kernel()
-    if any(x for b in fam.coeffs for row in restrict_gram(b, kern) for x in row):
+    kern = fam.base.kernel_rows()
+    if any(x for b in fam.int_coeffs for row in int_gram(b, kern) for x in row):
         raise ValueError("family does not vanish on ker q_*")
     phis = fam.pencil.graded_parts(fam.varnames, 2 * k)
     for i in range(2 * k):
@@ -224,13 +273,20 @@ def vanishing_kernel_check(fam: PencilFamily):
         return True, Fraction(1), phis
     # Gram of the dual form on the moving covectors q~(t) kappa_i, entries
     # quadratic in t: with q_* x_ia = B_a kappa_i, the t_a t_b coefficient
-    # of entry (i, j) is x_ia . B_b kappa_j = x_ia . q_* x_jb.
+    # of entry (i, j) is x_ia . B_b kappa_j.  On integer rows: psi_ia =
+    # L B_a kappa_i for the primitive kappa_i = s_i K_i, one _gauss_jordan
+    # of [L q_* | psi] gives y_ia = D s_i x_ia integral (D the lcm of its
+    # pivots), and y_ia . psi_jb = D L s_i s_j (x_ia . B_b kappa_j).
     m = len(fam.coeffs)
-    # xs[i * m + a] = x_ia
-    xs = linalg.solve(fam.base.gram, [linalg.mat_vec(b, u) for u in kern for b in fam.coeffs])
-    if None in xs:
+    d = fam.base.dim
+    psi = [_image(b, w) for w in kern for b in fam.int_coeffs]   # psi[i * m + a]
+    rows, pivots = _gauss_jordan([row + [v[r] for v in psi]
+                                  for r, row in enumerate(fam.pencil.base)], d)
+    if any(x for row in rows[len(pivots):] for x in row[d:]):
         raise ValueError("q~(K) does not land in the image of q_*")
-    pairs = restrict_gram(fam.base.gram, xs)
+    pivot_lcm = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    ys = [[(p, row[d + c] * (pivot_lcm // row[p])) for row, p in zip(rows, pivots)]
+          for c in range(len(psi))]
     entries = []
     for i in range(k):
         row = []
@@ -238,18 +294,19 @@ def vanishing_kernel_check(fam: PencilFamily):
             terms = {}
             for a in range(m):
                 for b in range(m):
-                    v = pairs[i * m + a][j * m + b]
-                    if v != 0:
+                    v = sum(y * psi[j * m + b][p] for p, y in ys[i * m + a])
+                    if v:
                         e = [0] * m
                         e[a] += 1
                         e[b] += 1
                         key = tuple(e)
-                        terms[key] = terms.get(key, Fraction(0)) + v
-            row.append(MultiPoly(fam.varnames, {e: c for e, c in terms.items() if c != 0}))
+                        terms[key] = terms.get(key, 0) + v
+            row.append(MultiPoly(fam.varnames, terms))
         entries.append(row)
     rhs = det_poly_matrix(PolyMatrix(entries))
     ok, c = _proportional(phis[2 * k], rhs)
-    return ok, c, phis
+    scale = (pivot_lcm * fam.pencil.den) ** k * fam.base.kernel_scale() ** 2
+    return ok, _rescaled(c, scale), phis
 
 
 def phi2_rank(fam: PencilFamily):
@@ -258,23 +315,24 @@ def phi2_rank(fam: PencilFamily):
     Preconditions: cork q_* = 1 with kernel <e>, and every member of the
     family kills e.  Left side: rank of Phi_2 as a quadratic form in t.
     Right side: cod(T, U) - cork(qbar_* on T/<e>) where T is the common
-    annihilator of the moving images of e.
+    annihilator of the moving images of e.  The right side is read off
+    integer rows only.
 
     Returns (lhs, rhs, equal).
     """
     if fam.base.corank() != 1:
         raise ValueError("base form must have corank 1")
-    e = fam.base.kernel()[0]
+    (e,) = fam.base.kernel_rows()
     d = fam.base.dim
-    if any(restrict_gram(b, [e])[0][0] for b in fam.coeffs):
+    if any(int_gram(b, [e])[0][0] for b in fam.int_coeffs):
         raise ValueError("family does not kill the kernel vector")
     lhs = quadratic_form_rank(fam.pencil.graded_parts(fam.varnames, 2)[2])
     # T = Ann of the span of B_a e
-    images = [linalg.mat_vec(b, e) for b in fam.coeffs]
-    img_basis = linalg.row_basis(images)
-    cod = len(img_basis)
-    t_basis = linalg.nullspace(img_basis) if img_basis else linalg.identity(d)
+    images, pivots = _gauss_jordan([_image(b, e) for b in fam.int_coeffs], d)
+    cod = len(pivots)
+    t_basis = [w for _, w in _kernel(images, pivots, d)]
     # cork of the induced form on T/<e>: e lies in T and in ker(q_*|_T)
-    cork_t = len(t_basis) - rank(restrict_gram(fam.base.gram, t_basis))
+    t_gram = int_gram(fam.pencil.base, t_basis)
+    cork_t = len(t_basis) - len(_gauss_jordan(t_gram, len(t_basis))[1])
     rhs = cod - (cork_t - 1)
     return lhs, rhs, lhs == rhs

@@ -1,9 +1,10 @@
 """Integer matrix routines for lattice arithmetic.
 
 One fraction-free elimination kernel (Bareiss) behind the integer
-determinant and the integer solve, the one congruence product rows g
-rows^t, Smith normal form with unimodular transforms, Hermite form for
-lattice bases and saturated kernels.
+determinant, the integer solve and polymat.Pencil.graded_parts (which
+eliminates its fresh integer matrices in place), the one congruence
+product rows g rows^t, Smith normal form with unimodular transforms,
+Hermite form for lattice bases and saturated kernels.
 Everything here is integer arithmetic; nothing is imported.
 """
 

@@ -24,7 +24,6 @@ import sys
 import time
 
 from epw import checks
-from epw.cli import run as cli_run
 
 
 def _ledger(name, ok, detail=""):
@@ -79,11 +78,12 @@ def test_criterion_7_hilbert_ledger():
             "%.1fs " % elapsed + " ".join("%s:%s" % (r.name, r.ok) for r in rs))
 
 
-def test_criterion_8_determinism_and_io():
-    """The second report runs in a fresh process, so it shares no named
-    tower, held discriminant group or cached rank bound with the first,
-    and under a hash seed other than this process's."""
-    code1, out1 = cli_run(["report", "--seed", "1"])
+def test_criterion_8_determinism_and_io(fast_report):
+    """The first report is the in-process fast_report, shared with the
+    golden-file test.  The second runs in a fresh process, so it shares no
+    named tower, held discriminant group or cached rank bound with the
+    first, and under a hash seed other than this process's."""
+    code1, out1 = fast_report
     src = str(Path(__file__).resolve().parent.parent / "src")
     hash_seed = "1" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,

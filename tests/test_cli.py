@@ -454,6 +454,9 @@ def test_cli_exit_codes_on_drawn_argv_and_documents(fuzz_files, drawn):
     code, out = run([fuzz_files.get(a, a) for a in argv])
     assert code in (0, 1, 2)
     assert code != 2 or out == "" or out.startswith("error: ")
+    # exit 1 comes only from a CheckFailure, which names the failure; a
+    # bare SystemExit(1) would give exit 1 with no text
+    assert code != 1 or out.strip(), argv
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -124,8 +124,8 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_report_matches_golden_file():
-    code, out = run(["report", "--seed", "1"])
+def test_report_matches_golden_file(fast_report):
+    code, out = fast_report
     assert code == 0
     assert "RESULT PASS" in out
     assert out + "\n" == (DATA / "report_seed1.txt").read_text()

@@ -1,11 +1,12 @@
 """Exact linear algebra against Fraction references kept here: the
-fraction-free rref against Gauss-Jordan, the one integer Bareiss
-kernel (int_det, bareiss_solve, linalg.det, linalg.inverse) against
-Gaussian elimination, and the one congruence product restrict_gram
-against its Fraction form."""
+fraction-free rref, rank and integer kernel against Gauss-Jordan, the
+one integer Bareiss kernel (int_det, bareiss_solve, linalg.det,
+linalg.inverse) against Gaussian elimination, and the one congruence
+product restrict_gram against its Fraction form."""
 
 from fractions import Fraction
 import inspect
+from math import gcd
 import random
 
 import pytest
@@ -151,6 +152,52 @@ def test_nullspace_is_a_canonical_kernel_basis():
         for v in basis:
             assert all(x == 0 for x in mat_vec(m, v))
     assert nullspace([[1, 2, 3]]) == [[-2, 1, 0], [-3, 0, 1]]
+
+
+def reference_kernel(m, cols):
+    """The canonical kernel basis read off reference_rref: one vector per
+    free column j, 1 at j and 0 at the other free columns."""
+    r, pivots = reference_rref(m)
+    basis = []
+    for j in range(cols):
+        if j not in pivots:
+            v = [Fraction(0)] * cols
+            v[j] = Fraction(1)
+            for i, p in enumerate(pivots):
+                v[p] = -r[i][j]
+            basis.append(v)
+    return basis, len(pivots)
+
+
+def test_integer_kernel_and_rank_match_the_fraction_route():
+    """_gauss_jordan on integer rows and _kernel give the rank and, up to a
+    positive factor per vector, the canonical kernel of the Fraction
+    reference and of nullspace and rank; each kernel vector is primitive,
+    positive at its free column and killed by the matrix.  Zero and full
+    rank matrices are among the draws."""
+    rng = random.Random(1808)
+    cases = [[[Fraction(0)] * 4 for _ in range(3)],
+             [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+             [[Fraction(1, 2), 3, 0, Fraction(-5, 7)]]]
+    cases += [rank_deficient(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(300)]
+    cases += [[[rand_q(rng) for _ in range(n)] for _ in range(n)] for n in range(1, 7)]
+    for m in cases:
+        cols = len(m[0])
+        a, pivots = linalg._gauss_jordan(linalg.scaled_int_rows(m)[1], cols)
+        kern = linalg._kernel(a, pivots, cols)
+        basis, r = reference_kernel(m, cols)
+        assert len(pivots) == r == rank(m)
+        assert [[Fraction(x, w[j]) for x in w] for j, w in kern] == basis == nullspace(m)
+        for j, w in kern:
+            assert all(type(x) is int for x in w) and w[j] > 0 and gcd(*w) == 1
+            assert not any(mat_vec(m, w))
+
+
+def test_integer_kernel_of_no_rows_is_the_unit_basis():
+    a, pivots = linalg._gauss_jordan([], 3)
+    assert (a, pivots) == ([], [])
+    assert linalg._kernel(a, pivots, 3) == [(0, [1, 0, 0]), (1, [0, 1, 0]), (2, [0, 0, 1])]
+    assert rank([]) == 0 and nullspace([]) == []
 
 
 def test_mat_vec_rejects_a_length_mismatch():

@@ -12,7 +12,7 @@ from epw.wedge import (
     LagrangianFrame, Subspace3,
     lagrangian_from_graph_basis, lagrangian_containing, random_graph_lagrangian,
     symmetric_with_kernel, random_vector, standard_chart_basis,
-    degeneracy_dim, sigma_level, trivector_from_vectors,
+    trivector_from_vectors,
     _unit, PAIR5_INDEX,
 )
 from epw import checks, local_model, wedge
@@ -324,32 +324,8 @@ def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
                 assert out[1 + i * k + j] == forced[1 + i * k + j] + out[0] * p
 
 
-def _formstan_instance():
-    """Kernel <w1^w2, w1^u1 + u2^u3> at the center, with W = <v0, w1, w2>.
-
-    Chart basis order: c1 = w1, c2 = w2, c3 = u1, c4 = u2, c5 = u3.
-    """
-    rng = random.Random(70)
-    v0, c = standard_chart_basis()
-    k1 = [Fraction(0)] * 10
-    k1[PAIR5_INDEX[(0, 1)]] = Fraction(1)            # w1 ^ w2
-    k2 = [Fraction(0)] * 10
-    k2[PAIR5_INDEX[(0, 2)]] = Fraction(1)            # w1 ^ u1
-    k2[PAIR5_INDEX[(3, 4)]] = Fraction(1)            # u2 ^ u3
-    for _ in range(60):
-        g = symmetric_with_kernel(rng, 10, [k1, k2])
-        a = lagrangian_from_graph_basis(v0, c, g)
-        ch = Chart(a, v0, c)
-        if degeneracy_dim(a, unit(1)) != 2:
-            continue
-        if sigma_level(a, W123) != (True, 1):
-            continue
-        return ch, [k1, k2]
-    raise RuntimeError("no formstan instance found")
-
-
 def test_schur_k2_formstan_and_fiber_rank():
-    ch, kbasis = _formstan_instance()
+    ch, kbasis = checks.formstan_instance()
     sd = schur_complement(ch, k_basis=kbasis)
     assert sd.k == 2
     assert schur_identity_check(ch, sd)
@@ -402,7 +378,7 @@ def test_double_cover_k1_shape():
 
 
 def test_double_cover_k2_quadratic_rank_three():
-    ch, kbasis = _formstan_instance()
+    ch, kbasis = checks.formstan_instance()
     dc = double_cover_ideal(ch, k_basis=kbasis)
     assert dc.k == 2
     # generators: 2 rows of M_hat xi, then fibers (xi1^2, xi1 xi2, xi2^2)

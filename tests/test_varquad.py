@@ -1,6 +1,7 @@
 """Dual forms, wedge powers, corank duality and the graded determinant."""
 
 from fractions import Fraction
+from math import prod
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from epw import linalg
 from epw.linalg import rank
 from epw.poly import MultiPoly
+from epw.polymat import Pencil, PolyMatrix, det_bareiss
 from epw.varquad import (
     QuadSpace, PencilFamily, cork_restrict, dual_form, ann_of_span,
     wedge_power_form, decomposable_coords, phi_expansion, phi2_rank,
@@ -139,7 +141,6 @@ def rand_pencil(rng, d, m, base=None, kill_kernel_of=None):
 
 
 def test_phi_expansion_reassembles_determinant():
-    from epw.polymat import det_bareiss
     rng = random.Random(5)
     fam = rand_pencil(rng, 4, 2)
     phis = phi_expansion(fam)
@@ -365,9 +366,154 @@ def test_every_graded_ledger_line_fails_on_a_perturbed_graded_route(monkeypatch,
     homogenized one degree too high, turns each of the three statements
     that read it to FAIL; corank duality does not read it."""
     from epw import checks
-    from epw.polymat import Pencil
 
     monkeypatch.setattr(Pencil, "graded_parts", mutant(Pencil.graded_parts))
+    verdicts = {r.name: r.ok for r in checks.quadratic_form_suites(1, 20)}
+    assert verdicts == {"corank-duality": True, "kernel-block-expansion": False,
+                        "vanishing-kernel-expansion": False, "phi2-rank-formula": False}
+
+
+# -- integer rows -----------------------------------------------------------------
+
+def scaled_form(rng, g):
+    """g divided by a random positive integer: mixed denominators between
+    the base and the coefficients of a family."""
+    den = rng.randint(1, 6)
+    return [[x / den for x in row] for row in g]
+
+
+def congruent_family(rng, d, k, m):
+    """A family vanishing on the kernel of its base, in a random basis: the
+    block base (invertible on the first d - k coordinates, zero on the
+    last k) and coefficients that are zero on the last k x k block, all
+    carried by one random invertible P to P^t X P, so the kernel of the
+    base is not spanned by unit vectors."""
+    while True:
+        s = rand_sym_ints(rng, d - k)
+        p = [random_vector(rng, d) for _ in range(d)]
+        if rank(s) == d - k and rank(p) == d:
+            break
+    pt = linalg.transpose(p)
+    base = [[s[i][j] if i < d - k and j < d - k else Fraction(0) for j in range(d)]
+            for i in range(d)]
+    coeffs = []
+    for _ in range(m):
+        b = rand_sym_ints(rng, d)
+        for i in range(d - k, d):
+            for j in range(d - k, d):
+                b[i][j] = Fraction(0)
+        coeffs.append(scaled_form(rng, linalg.restrict_gram(b, pt)))
+    return PencilFamily(QuadSpace(linalg.restrict_gram(base, pt)), coeffs)
+
+
+def test_quad_space_kernel_follows_the_fraction_route():
+    """kernel() is linalg.nullspace of the Gram, kernel_rows() its
+    primitive integer multiples, kernel_scale() the product of the
+    factors, and corank() the nullity, for kernels of dimension 0..d."""
+    rng = random.Random(61)
+    grams = [diag(0, 0, 0), diag(2, 3)]
+    for _ in range(100):
+        d = rng.randint(1, 7)
+        k = rng.randint(0, d - 1)
+        grams.append(symmetric_with_kernel(rng, d, [random_vector(rng, d) for _ in range(k)]))
+    for g in grams:
+        q = QuadSpace(scaled_form(rng, g))
+        canonical = linalg.nullspace(q.gram)
+        assert q.kernel() == canonical and q.corank() == q.dim - rank(q.gram)
+        factors = []
+        for w, v in zip(q.kernel_rows(), canonical):
+            f = next(x for x in w if x) / next(x for x in v if x)
+            assert f > 0 and f.denominator == 1 and [f * x for x in v] == w
+            factors.append(f)
+        assert q.kernel_scale() == prod(factors)
+
+
+def test_dual_form_matches_the_congruence_route():
+    """ann_basis is the reduced row basis of the Gram and the Gram is the
+    congruence [x_i . G x_j] of the solutions of G x_j = phi_j."""
+    rng = random.Random(62)
+    for _ in range(150):
+        d = rng.randint(1, 7)
+        k = rng.randint(0, d - 1)
+        g = scaled_form(rng, symmetric_with_kernel(rng, d, [random_vector(rng, d)
+                                                          for _ in range(k)]))
+        dual = dual_form(QuadSpace(g))
+        ann = linalg.row_basis(g)
+        assert dual.ann_basis == ann
+        assert dual.gram == linalg.restrict_gram(g, linalg.solve(g, ann))
+
+
+def _constant(phi, rhs):
+    """phi / rhs read at the leading term of rhs."""
+    e, c = rhs.leading()
+    return phi.coeff(e) / c
+
+
+def test_kernel_block_constant_is_taken_on_the_canonical_kernel():
+    """c of degenerate_cone_check equals Phi_k / det(q|_K) with K the
+    canonical kernel basis and every form in Fractions."""
+    rng = random.Random(63)
+    seen = 0
+    while seen < 60:
+        d = rng.randint(2, 6)
+        k = rng.randint(1, min(3, d - 1))
+        base = symmetric_with_kernel(rng, d, [random_vector(rng, d) for _ in range(k)])
+        fam = PencilFamily(QuadSpace(scaled_form(rng, base)),
+                           [scaled_form(rng, rand_sym_ints(rng, d))
+                            for _ in range(rng.randint(1, 3))])
+        ok, c, phis = degenerate_cone_check(fam)
+        kern = fam.base.kernel()
+        k = len(kern)
+        rhs = Pencil([[0] * k for _ in range(k)],
+                     [linalg.restrict_gram(b, kern) for b in fam.coeffs]).det_poly(fam.varnames)
+        assert ok
+        if rhs.is_zero():
+            assert c is None
+            continue
+        assert c == _constant(phis[k], rhs) and phis[k] == rhs * c
+        seen += 1
+
+
+def test_vanishing_kernel_constant_is_the_fraction_dual_determinant():
+    """c of vanishing_kernel_check equals Phi_2k / det of the dual form on
+    the covectors B_a kappa_i, formed with one Fraction solve and a
+    congruence on the canonical kernel basis."""
+    rng = random.Random(64)
+    for _ in range(60):
+        d = rng.randint(3, 7)
+        k = rng.randint(1, min(2, d - 2))
+        m = rng.randint(1, 3)
+        fam = congruent_family(rng, d, k, m)
+        ok, c, phis = vanishing_kernel_check(fam)
+        g = fam.base.gram
+        xs = linalg.solve(g, [linalg.mat_vec(b, u) for u in fam.base.kernel() for b in fam.coeffs])
+        pairs = linalg.restrict_gram(g, xs)
+        t = [MultiPoly.var(fam.varnames, v) for v in fam.varnames]
+        zero = MultiPoly.zero(fam.varnames)
+        entries = [[sum((t[a] * t[b] * pairs[i * m + a][j * m + b]
+                         for a in range(m) for b in range(m)), zero)
+                    for j in range(k)] for i in range(k)]
+        rhs = det_bareiss(PolyMatrix(entries))
+        assert ok
+        if rhs.is_zero():
+            assert c is None
+        else:
+            assert c == _constant(phis[2 * k], rhs) and phis[2 * k] == rhs * c
+
+
+def test_every_kernel_ledger_line_fails_on_a_kernel_missing_a_vector(monkeypatch):
+    """The integer kernel with its last vector dropped (when it has two or
+    more) turns each statement that reads a kernel to FAIL; corank
+    duality reads none."""
+    from epw import checks, varquad
+
+    real = varquad._kernel
+
+    def dropped(a, pivots, cols):
+        out = real(a, pivots, cols)
+        return out[:-1] if len(out) > 1 else out
+
+    monkeypatch.setattr(varquad, "_kernel", dropped)
     verdicts = {r.name: r.ok for r in checks.quadratic_form_suites(1, 20)}
     assert verdicts == {"corank-duality": True, "kernel-block-expansion": False,
                         "vanishing-kernel-expansion": False, "phi2-rank-formula": False}
