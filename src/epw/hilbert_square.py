@@ -39,15 +39,6 @@ class HilbClass:
     def full(self):
         return self.a + [self.m]
 
-    def __add__(self, other):
-        return HilbClass([x + y for x, y in zip(self.a, other.a)], self.m + other.m)
-
-    def __sub__(self, other):
-        return HilbClass([x - y for x, y in zip(self.a, other.a)], self.m - other.m)
-
-    def scale(self, c):
-        return HilbClass([c * x for x in self.a], c * self.m)
-
 
 def bb_form(alpha: HilbClass, beta: HilbClass) -> int:
     """The integral bilinear form; q(xi) = -2 and the K3 part is orthogonal."""

@@ -444,10 +444,7 @@ def double_cover_ideal(chart: Chart, k_basis=None) -> DoubleCoverData:
         return tuple(x)
 
     def generator(parts):
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = evars
-        out.terms = {e + x: c for p, x in parts for e, c in p.terms.items()}
-        return out
+        return MultiPoly._canonical(evars, {e + x: c for p, x in parts for e, c in p.terms.items()})
 
     gens = [generator([(m[i][j], xi_exp(j)) for j in range(k)]) for i in range(k)]
     for i in range(k):

@@ -14,6 +14,10 @@ exceeds deg f + deg g, so fields never carry -- and the convolution adds
 int products under int keys.  The sums are unpacked by shift and mask,
 zero sums are dropped, and each coefficient is divided once by the
 product of the two lcms.
+
+MultiPoly(variables, terms) validates outside input; what this layer
+computes is built by MultiPoly._canonical.  A polynomial is true iff
+nonzero and // is the exact quotient, so zlinalg._eliminate runs on it.
 """
 
 from fractions import Fraction
@@ -37,6 +41,8 @@ class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms=None):
+        """Validates: each exponent vector is a tuple of one non-negative
+        int per variable (ValueError otherwise); zero terms are dropped."""
         variables = tuple(variables)
         if len(variables) > MAX_VARS:
             raise ValueError("at most %d variables supported" % MAX_VARS)
@@ -49,13 +55,20 @@ class MultiPoly:
                 c = frac(c)
                 if c == 0:
                     continue
-                e = tuple(int(x) for x in e)
-                if len(e) != len(variables) or any(x < 0 for x in e):
+                if (type(e) is not tuple or len(e) != len(variables)
+                        or not all(type(x) is int and x >= 0 for x in e)):
                     raise ValueError("bad exponent vector %r" % (e,))
-                clean[e] = clean.get(e, Fraction(0)) + c
-                if clean[e] == 0:
-                    del clean[e]
+                clean[e] = c
         self.terms = clean
+
+    @classmethod
+    def _canonical(cls, variables, terms):
+        """Builds from canonical terms, as they are: nonzero Fractions
+        under exponent tuples of ints, in a valid variables tuple."""
+        out = cls.__new__(cls)
+        out.vars = variables
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -81,6 +94,9 @@ class MultiPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -133,18 +149,12 @@ class MultiPoly:
                 t.pop(e, None)
             else:
                 t[e] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = t
-        return out
+        return MultiPoly._canonical(self.vars, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -159,17 +169,11 @@ class MultiPoly:
             c = frac(other)
             if c == 0:
                 return MultiPoly.zero(self.vars)
-            out = MultiPoly.__new__(MultiPoly)
-            out.vars = self.vars
-            out.terms = {e: c * v for e, v in self.terms.items()}
-            return out
+            return MultiPoly._canonical(self.vars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
         a, b = self.terms, other.terms
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
         if not a or not b:
-            out.terms = {}
-            return out
+            return MultiPoly._canonical(self.vars, {})
         # one field per variable, wide enough for any product exponent
         width = (self.degree() + other.degree()).bit_length()
         shifts = [width * i for i in range(len(self.vars))]
@@ -183,11 +187,14 @@ class MultiPoly:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
         den = da * db
-        out.terms = {tuple((k >> s) & mask for s in shifts): Fraction(c, den)
-                     for k, c in acc.items() if c}
-        return out
+        return MultiPoly._canonical(self.vars, {tuple((k >> s) & mask for s in shifts):
+                                                Fraction(c, den) for k, c in acc.items() if c})
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient div_exact(self, other); p // 1 is p."""
+        return self if other == 1 else div_exact(self, other)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -212,7 +219,7 @@ class MultiPoly:
             e2 = list(e)
             e2[i] -= 1
             t[tuple(e2)] = c * e[i]
-        return MultiPoly(self.vars, t)
+        return MultiPoly._canonical(self.vars, t)
 
     def evaluate(self, point):
         """Evaluate at a full point (sequence of rationals)."""
@@ -291,7 +298,7 @@ def homogeneous_part(f: MultiPoly, i: int) -> MultiPoly:
     """The degree-i homogeneous piece; the pieces reassemble f exactly."""
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    return MultiPoly(f.vars, {e: c for e, c in f.terms.items() if sum(e) == i})
+    return MultiPoly._canonical(f.vars, {e: c for e, c in f.terms.items() if sum(e) == i})
 
 
 def homogeneous_parts(f: MultiPoly, up_to=None):
@@ -317,24 +324,33 @@ def _mono_divides(a, b):
 
 
 def div_exact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
-    """Exact quotient p/d; raises ValueError if the division is not exact."""
+    """Exact quotient p/d; raises ValueError if the division is not exact.
+    Each quotient term c x^e subtracts c x^e d from one remainder dict in
+    place (Monagan-Pearce, J. Symb. Comp. 46, 2011)."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return MultiPoly.zero(p.vars)
     p._check(d)
     le_d, lc_d = d.leading()
+    dterms = list(d.terms.items())
     q = {}
-    r = p
-    while not r.is_zero():
-        le_r, lc_r = r.leading()
+    r = dict(p.terms)
+    while r:
+        le_r = max(r, key=_grlex_key)
         if not _mono_divides(le_d, le_r):
             raise ValueError("division is not exact")
         e = tuple(a - b for a, b in zip(le_r, le_d))
-        c = lc_r / lc_d
+        c = r[le_r] / lc_d
         q[e] = c
-        r = r - MultiPoly(p.vars, {e: c}) * d
-    return MultiPoly(p.vars, q)
+        for ed, cd in dterms:
+            k = tuple(a + b for a, b in zip(e, ed))
+            s = r.get(k, 0) - c * cd
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+    return MultiPoly._canonical(p.vars, q)
 
 
 def divides(d: MultiPoly, p: MultiPoly) -> bool:
@@ -354,7 +370,7 @@ def content_wrt(f: MultiPoly, name: str):
         e2 = list(e)
         e2[i] = 0
         coeffs.setdefault(k, {})[tuple(e2)] = c
-    polys = [MultiPoly(f.vars, t) for t in coeffs.values()]
+    polys = [MultiPoly._canonical(f.vars, t) for t in coeffs.values()]
     g = polys[0]
     for p in polys[1:]:
         g = poly_gcd(g, p)
@@ -418,7 +434,7 @@ def _coeff_in(f: MultiPoly, name: str, k: int) -> MultiPoly:
             e2 = list(e)
             e2[i] = 0
             t[tuple(e2)] = c
-    return MultiPoly(f.vars, t)
+    return MultiPoly._canonical(f.vars, t)
 
 
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
@@ -431,8 +447,8 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
     while not r.is_zero() and r.degree_in(x) >= db:
         dr = r.degree_in(x)
         # the leading coefficient of r in x, times x^(dr - db)
-        lead = MultiPoly(a.vars, {e[:i] + (dr - db,) + e[i + 1:]: c
-                                  for e, c in r.terms.items() if e[i] == dr})
+        lead = MultiPoly._canonical(a.vars, {e[:i] + (dr - db,) + e[i + 1:]: c
+                                             for e, c in r.terms.items() if e[i] == dr})
         r = r * lb - b * lead
     return r
 
@@ -488,7 +504,7 @@ def _squarefree_homogeneous3(f: MultiPoly, active) -> MultiPoly:
         e2 = list(e)
         e2[zi] = d - sum(e)
         terms[tuple(e2)] = c
-    out = MultiPoly(f.vars, terms)
+    out = MultiPoly._canonical(f.vars, terms)
     if zk > 0:
         out = out * MultiPoly.var(f.vars, z)
     return _normalize(out)

@@ -4,8 +4,10 @@ Every polynomial determinant takes one of two routes, and a third
 serves as the reference:
 
 * Bareiss: fraction-free elimination over the polynomial ring
-  (det_bareiss), the one route for a symbolic PolyMatrix.  det_poly_matrix
-  and adjugate_poly_matrix reach it at every side.
+  (det_bareiss), the one route for a symbolic PolyMatrix.  It is the
+  integer loop zlinalg._eliminate run on MultiPoly entries, whose //
+  is the exact quotient.  det_poly_matrix and adjugate_poly_matrix reach
+  it at every side.
 * Pencil: an affine pencil base + sum_a t_a M_a of constant rational
   matrices (the chart pencil det(q_A + q_v), the congruent Schur pencil
   and the pencils det(q_* + q(t)) of varquad) is scaled to integers by one
@@ -127,35 +129,15 @@ def det_cofactor(m: PolyMatrix) -> MultiPoly:
 
 
 def det_bareiss(m: PolyMatrix) -> MultiPoly:
-    """Fraction-free Bareiss elimination over the polynomial ring."""
-    from .poly import div_exact
-
+    """Fraction-free Bareiss elimination over the polynomial ring:
+    zlinalg._eliminate on a copy of the entries."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
     a = [row[:] for row in m.entries]
-    one = MultiPoly.const(m.vars, 1)
-    prev = one
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            piv = None
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                return MultiPoly.zero(m.vars)
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is one else div_exact(num, prev)
-            a[i][k] = MultiPoly.zero(m.vars)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
+    sign = _eliminate(a, m.rows)
+    if not sign:
+        return MultiPoly.zero(m.vars)
+    return a[-1][-1] if sign == 1 else -a[-1][-1]
 
 
 # ---------------------------------------------------------------------
@@ -245,7 +227,7 @@ def interpolate_poly_map(oracle, variables, degree, width):
     integer arithmetic; each coefficient is divided by L * degree! once
     at the end.
     """
-    variables = tuple(variables)
+    variables = MultiPoly.zero(variables).vars  # validated once, for _canonical
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
     grid = _simplex_grid(len(variables), degree)
@@ -259,7 +241,8 @@ def interpolate_poly_map(oracle, variables, degree, width):
     den, tables = scaled_int_rows(columns)
     _newton_stirling(grid, degree, tables)
     scale = den * factorial(degree)
-    return [MultiPoly(variables, {a: Fraction(c, scale) for a, c in zip(grid, tab) if c})
+    return [MultiPoly._canonical(variables, {a: Fraction(c, scale)
+                                             for a, c in zip(grid, tab) if c})
             for tab in tables]
 
 
@@ -365,8 +348,8 @@ class Pencil:
         tables = [[vals[i] for vals in series] for i in range(reach + 1)]
         _newton_stirling(ygrid, reach, tables)
         scale = self.den ** n * factorial(d) * factorial(reach)
-        return [MultiPoly(variables, {(i - sum(b),) + b: Fraction(c, scale)
-                                      for b, c in zip(ygrid, tab) if c})
+        return [MultiPoly._canonical(zero.vars, {(i - sum(b),) + b: Fraction(c, scale)
+                                                 for b, c in zip(ygrid, tab) if c})
                 for i, tab in enumerate(tables)] + [zero] * (top - reach)
 
     def _check_variables(self, variables):

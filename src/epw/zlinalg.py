@@ -1,17 +1,18 @@
 """Integer matrix routines for lattice arithmetic.
 
 One fraction-free elimination kernel (Bareiss) behind the integer
-determinant, the integer solve and polymat.Pencil.graded_parts (which
-eliminates its fresh integer matrices in place), the one congruence
+determinant, the integer solve, polymat.Pencil.graded_parts (in place)
+and, on polynomial entries, polymat.det_bareiss; the one congruence
 product rows g rows^t, Smith normal form with unimodular transforms,
-Hermite form for lattice bases and saturated kernels.
-Everything here is integer arithmetic; nothing is imported.
+Hermite form for lattice bases and saturated kernels.  All else is
+integer arithmetic; nothing is imported.
 """
 
 
 def _eliminate(a, n):
     """Bareiss elimination (Bareiss 1968) in place on the first n columns
-    of the integer rows a; any further columns are carried along.
+    of the rows a; any further columns are carried along.  Entries are
+    ints or MultiPolys: truth is nonzero, // divides exactly.
 
     Afterwards the first n columns are upper triangular and a[i][i] is
     the leading principal (i + 1)-minor of the row-permuted matrix, so
@@ -22,8 +23,8 @@ def _eliminate(a, n):
     sign = 1
     prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
                 return 0
             a[k], a[piv] = a[piv], a[k]

@@ -8,6 +8,10 @@
 * Every parameter of every function and lambda is read in its body
   (`self` and `cls` are exempt): a parameter that nothing reads is either
   dead or determined by another argument.
+* Only poly.py builds a MultiPoly without its validating constructor:
+  no other module calls __new__ or assigns the terms or vars of an
+  object other than self (poly.MultiPoly._canonical is the one builder
+  for canonical terms).
 """
 
 import ast
@@ -90,6 +94,38 @@ def unread_parameters(path):
     return out
 
 
+def _written(target):
+    """The attribute nodes an assignment target writes through: the
+    attribute itself and, for a subscript or attribute, what it reads
+    from (not the subscript's index)."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for t in target.elts:
+            yield from _written(t)
+    elif isinstance(target, ast.Starred):
+        yield from _written(target.value)
+    elif isinstance(target, (ast.Attribute, ast.Subscript)):
+        if isinstance(target, ast.Attribute):
+            yield target
+        yield from _written(target.value)
+
+
+def polynomial_slot_writes(path):
+    """Calls of __new__, and writes to x.terms or x.vars (or through them)
+    with x not self, as "module:line text", in line order."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"):
+            out.append((node.lineno, ast.unparse(node.func)))
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        out.extend((a.lineno, ast.unparse(a)) for t in targets for a in _written(t)
+                   if a.attr in ("terms", "vars")
+                   and not (isinstance(a.value, ast.Name) and a.value.id == "self"))
+    return ["%s:%d %s" % (path.name, line, text) for line, text in sorted(out)]
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
@@ -102,6 +138,11 @@ def test_every_private_function_is_referenced():
 
 def test_every_parameter_is_read():
     assert [p for path in MODULES for p in unread_parameters(path)] == []
+
+
+def test_only_poly_writes_polynomial_slots():
+    assert [w for path in MODULES if path.name != "poly.py"
+            for w in polynomial_slot_writes(path)] == []
 
 
 def test_the_checks_see_what_they_look_for(tmp_path):
@@ -117,3 +158,10 @@ def test_the_checks_see_what_they_look_for(tmp_path):
     fn = tree.body[3]
     assert "_loop" not in _references(tree, skip=fn)
     assert "_loop" in _references(tree)
+    path.write_text("class D:\n    def __init__(self, v):\n        self.vars = v\n\n"
+                    "def build(v, t):\n    out = MultiPoly.__new__(MultiPoly)\n"
+                    "    out.vars, out.terms = v, t\n    out.terms[()] = 1\n"
+                    "    seen = {}\n    seen[out.vars[0]] = 1\n    return out\n")
+    assert polynomial_slot_writes(path) == [
+        "sample.py:6 MultiPoly.__new__", "sample.py:7 out.terms", "sample.py:7 out.vars",
+        "sample.py:8 out.terms"]

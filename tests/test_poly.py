@@ -219,6 +219,94 @@ def test_div_exact():
         div_exact(p("x^2 + 1"), p("y"))
 
 
+def div_exact_reference(p, d):
+    """The earlier exact division, kept as the reference: each quotient term
+    times d is subtracted from a fresh copy of the remainder."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return MultiPoly.zero(p.vars)
+    le_d, lc_d = d.leading()
+    q = {}
+    r = p
+    while not r.is_zero():
+        le_r, lc_r = r.leading()
+        if not all(a <= b for a, b in zip(le_d, le_r)):
+            raise ValueError("division is not exact")
+        e = tuple(a - b for a, b in zip(le_r, le_d))
+        c = lc_r / lc_d
+        q[e] = c
+        r = r - MultiPoly(p.vars, {e: c}) * d
+    return MultiPoly(p.vars, q)
+
+
+@pytest.mark.parametrize("variables", [("x",), XY, XYZ], ids=len)
+def test_div_exact_in_place_matches_the_reference_loop(variables):
+    rng = random.Random(1919 + len(variables))
+    raised = 0
+    for _ in range(60):
+        a = rand_sparse(rng, variables, rng.randint(1, 6), 3, 4)
+        b = rand_sparse(rng, variables, rng.randint(1, 4), 2, 3)
+        if b.is_zero():
+            continue
+        q = div_exact(a * b, b)
+        assert q == a == div_exact_reference(a * b, b)
+        assert all(type(c) is Fraction and c for c in q.terms.values())
+        # a remainder that d does not divide: both raise, or both divide
+        f = a * b + rand_sparse(rng, variables, 1, 3, 2)
+        try:
+            expected = div_exact_reference(f, b)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError):
+                div_exact(f, b)
+        else:
+            assert div_exact(f, b) == expected
+    assert raised > 10
+    assert div_exact(MultiPoly.zero(variables), a + 1) == MultiPoly.zero(variables)
+    with pytest.raises(ZeroDivisionError):
+        div_exact(a, MultiPoly.zero(variables))
+
+
+def test_floordiv_is_the_exact_quotient():
+    f, g = p("x^2 - 2/3*y"), p("x*y + 1")
+    assert (f * g) // g == f
+    assert f // 1 is f
+    with pytest.raises(ValueError):
+        p("x^2 + 1") // p("y")
+    with pytest.raises(ValueError):
+        (f * g + 1) // g
+    with pytest.raises(ZeroDivisionError):
+        f // MultiPoly.zero(XY)
+
+
+def test_truth_is_nonzero():
+    assert not MultiPoly.zero(XY)
+    assert bool(MultiPoly.zero(())) is False
+    assert bool(p("x - x")) is False
+    assert p("y") and MultiPoly.const(XY, Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("terms", [
+    {(1.5,): 1},
+    {(Fraction(3, 2),): 1, (1,): 1},
+    {("2",): 1},
+    {(True,): 1},
+    {(-1,): 1},
+    {(1, 0): 1},
+    {"2": 1},
+], ids=repr)
+def test_constructor_rejects_exponents_that_are_not_nonnegative_ints(terms):
+    with pytest.raises(ValueError):
+        MultiPoly(("x",), terms)
+
+
+def test_constructor_keeps_distinct_exponents_apart():
+    f = MultiPoly(XY, {(1, 0): 1, (0, 1): Fraction(2), (2, 0): 0, (0, 0): "-1/2"})
+    assert f.terms == {(1, 0): 1, (0, 1): 2, (0, 0): Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+
+
 def test_gcd_known_factors():
     a = p("x + y") ** 2 * p("x - y")
     b = p("x + y") * p("x + 2*y")

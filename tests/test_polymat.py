@@ -63,6 +63,52 @@ def test_bareiss_vs_cofactor_small_sweep():
             assert det_bareiss(m) == det_cofactor(m)
 
 
+def rand_sparse_entry(rng, variables):
+    """Zero about a third of the time, else up to three terms of degree <= 2
+    with rational coefficients."""
+    if rng.random() < 0.35:
+        return MultiPoly.zero(variables)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * len(variables)
+        for _ in range(rng.randint(0, 2)):
+            e[rng.randrange(len(variables))] += 1
+        terms[tuple(e)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return MultiPoly(variables, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_shared_bareiss_loop_matches_cofactor_with_swaps_and_singular(n):
+    """det_bareiss runs zlinalg._eliminate on polynomial entries: it agrees
+    with cofactor expansion when zero leading entries force row swaps and
+    when the matrix is singular (a repeated row, a polynomial multiple of
+    a row, a zero column)."""
+    rng = random.Random(1900 + n)
+    z = MultiPoly.zero(XY)
+    x = MultiPoly.var(XY, "x")
+    swaps = singular = 0
+    for trial in range(40 if n <= 4 else 12):
+        rows = [[rand_sparse_entry(rng, XY) for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 1:
+            rows[0][0] = z
+        elif trial % 4 == 2 and n > 1:
+            src, dst = rng.sample(range(n), 2)
+            f = x + rng.randint(-2, 2) if trial % 8 == 2 else MultiPoly.const(XY, 1)
+            rows[dst] = [f * e for e in rows[src]]
+        elif trial % 4 == 3:
+            col = rng.randrange(n)
+            for row in rows:
+                row[col] = z
+        m = PolyMatrix(rows)
+        expected = det_cofactor(m)
+        assert det_bareiss(m) == expected
+        swaps += rows[0][0].is_zero() and not expected.is_zero()
+        singular += expected.is_zero()
+    assert singular > 0
+    if n > 1:
+        assert swaps > 0
+
+
 def test_interpolation_matches_bareiss_on_shared_10x10():
     # the strategy-agreement instance required of the two routes
     rng = random.Random(99)
