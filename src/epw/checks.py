@@ -132,7 +132,9 @@ def _corank_instance(rng, k):
 
 def check_taylor_orders(seed=1):
     """Vanishing orders at the chart center: f_0..f_{k-1} = 0, f_k != 0 for
-    k = 0..3 with no plane through the center; f_0 = f_1 = 0 on a plane."""
+    k = 0..3 with no plane through the center; f_0 = f_1 = 0 on a plane.
+    The sampled corank k must also be the chart's corank and the
+    degeneracy dimension of the wedge layer at the center."""
     rng = random.Random(seed)
     lines = []
     ok = True
@@ -140,7 +142,7 @@ def check_taylor_orders(seed=1):
         frame = _corank_instance(rng, k)
         chart = Chart(frame, _unit(0), standard_chart_basis()[1])
         rep = taylor_order_check(chart)
-        ok = ok and rep.ok and rep.k == k
+        ok = ok and rep.ok and rep.k == k == degeneracy_dim(frame, _unit(0))
         lines.append("k=%d:%s" % (k, "ok" if rep.ok else "FAIL"))
     frame = lagrangian_containing(W123, level=1, seed=seed + 17)
     chart = make_chart(frame, _unit(0))
@@ -232,16 +234,35 @@ def _cases(name, seed, cases, case):
 
 
 def check_corank_duality(seed, cases):
+    """cork(q|S) = cork(q^dual|Ann S) for nondegenerate q on Q^d.  Every
+    other case has cork(q|S) = c >= 1 in a random basis: the top-left
+    m x m block of G0 is symmetric_with_kernel's (c <= d - m), G =
+    P G0 P^t and S is the first m rows of P^-1."""
+    checked = 0
+
     def case(rng):
+        nonlocal checked
         d = rng.randint(2, 8)
-        g = random_symmetric(rng, d)
-        if linalg.rank(g) != d:
-            return None
+        if checked % 2:
+            m = rng.randint(1, d - 1)
+            kern = [random_vector(rng, m) for _ in range(rng.randint(1, min(m, d - m)))]
+            g = random_symmetric(rng, d)
+            for i, row in enumerate(symmetric_with_kernel(rng, m, kern)):
+                g[i][:m] = row
+            p = [random_vector(rng, d) for _ in range(d)]
+            if linalg.rank(kern) != len(kern) or linalg.rank(g) != d or linalg.rank(p) != d:
+                return None
+            g, s = linalg.restrict_gram(g, p), linalg.inverse(p)[:m]
+        else:
+            g = random_symmetric(rng, d)
+            if linalg.rank(g) != d:
+                return None
+            s = linalg.row_basis([random_vector(rng, d)
+                                  for _ in range(rng.randint(1, d - 1))])
+            if not s:
+                return None
         q = QuadSpace(g)
-        s = linalg.row_basis([random_vector(rng, d)
-                              for _ in range(rng.randint(1, d - 1))])
-        if not s:
-            return None
+        checked += 1
         return cork_restrict(q, s) == dual_form(q).corank_on(ann_of_span(s, d)), ""
 
     return _cases("corank-duality", seed, cases, case)

@@ -283,6 +283,8 @@ def cmd_overlattices(args):
         ovs = lattices.overlattices(l)
     except ValueError as e:   # a discriminant group too large to enumerate
         raise UsageError(str(e)) from None
+    # an overlattice of finite index spans the rational space of l
+    pos, neg = l.signature() if ovs else (None, None)
     if args.format == "json":
         doc = {
             "seed": args.seed,
@@ -290,7 +292,7 @@ def cmd_overlattices(args):
             "overlattices": [
                 {"index": o.index,
                  "det": o.lattice.det(),
-                 "signature": list(o.lattice.signature()),
+                 "signature": [pos, neg],
                  "gram": o.lattice.gram}
                 for o in ovs
             ],
@@ -298,7 +300,6 @@ def cmd_overlattices(args):
         return json.dumps(doc, sort_keys=True, indent=1)
     lines = ["seed: %d" % args.seed, "even index-2 overlattices: %d" % len(ovs)]
     for i, o in enumerate(ovs):
-        pos, neg = o.lattice.signature()
         lines.append("#%d: index=%d det=%d signature=(%d,%d) rank=%d"
                      % (i, o.index, o.lattice.det(), pos, neg, o.lattice.rank))
     return "\n".join(lines)

@@ -221,9 +221,7 @@ def solve(a, b):
 
 def inverse(m):
     """Exact inverse: one fraction-free solve of the integer-scaled matrix
-    L m against L * identity, divided once by its determinant.  Nothing
-    in src calls it; it stays because perfbench/tracer.py looks it up by
-    name and tests use it as a reference."""
+    L m against L * identity, divided once by its determinant."""
     den, a = scaled_int_rows(m)
     n = len(a)
     d, y = bareiss_solve(a, [[den if i == j else 0 for j in range(n)] for i in range(n)])
@@ -265,10 +263,6 @@ def intersect_rowspaces(a, b):
         if any(c != 0 for c in v):
             out.append(v)
     return row_basis(out) if out else []
-
-
-def in_rowspace(m, v):
-    return rank(m) == rank(stack(m, [list(v)]))
 
 
 def restrict_gram(g, rows):

@@ -6,7 +6,8 @@ Lambda^2 V0 the Lagrangian becomes the graph of a symmetric quadratic
 form q_A, the moving point contributes the variable quadratic form q_v,
 and the local equation of the degeneracy locus is det(q_A + q_v), a
 polynomial in the five chart coordinates.  A Chart keeps the frame it
-was built from, so every function here takes the chart alone.
+was built from and q_A as a varquad.QuadSpace, so every function here
+takes the chart alone and reads k = dim ker q_A and the kernel off it.
 
 Its degree is bounded by a certificate, not assumed.  The Gram of q_v
 is the pencil M(t) = sum_a t_a B_a of universal sign matrices, and the
@@ -30,14 +31,15 @@ by M_hat * xi and D^(k-1) * xi xi^t - cof(M_hat).
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain, combinations
 import random
 
-from . import linalg, wedge
+from . import linalg, varquad, wedge
 from .linalg import fvec, rank, restrict_gram, scaled_ints, stack
 from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_cofactor, det_poly_matrix, interpolate_poly_map
-from .zlinalg import bareiss_solve, int_adjugate, int_gram
+from .zlinalg import bareiss_solve, int_adjugate, int_det, int_gram
 
 CHART_VARS = ("t1", "t2", "t3", "t4", "t5")
 
@@ -48,23 +50,17 @@ class ChartError(RuntimeError):
 
 
 class Chart:
-    """A frame A, a point [v0], a transversal basis c1..c5, and the Gram of q_A."""
+    """A frame A, a point [v0], a transversal basis c1..c5, and the form
+    q_A; form.corank() is the degeneracy dimension at [v0]."""
 
-    __slots__ = ("frame", "v0", "basis", "gram_form")
+    __slots__ = ("frame", "v0", "basis", "form")
 
     def __init__(self, frame: wedge.LagrangianFrame, v0, basis):
         self.frame = frame
         self.v0 = fvec(v0)
         self.basis = [fvec(c) for c in basis]
         # raises ValueError unless v0 and basis span V and Lambda^3 V0 ∩ A = 0
-        self.gram_form = wedge.graph_gram(frame, self.v0, self.basis)
-
-    def kernel(self):
-        """Canonical basis of ker q_A (bivector coordinates)."""
-        return linalg.nullspace(self.gram_form)
-
-    def corank(self):
-        return 10 - rank(self.gram_form)
+        self.form = varquad.QuadSpace(wedge.graph_gram(frame, self.v0, self.basis))
 
 
 # Any rational point gives a valid certificate; a generic one gives the
@@ -113,7 +109,7 @@ def chart_pencil(chart) -> Pencil:
     Pluecker Gram of v.  The moves are integers, so at(t) on the integer
     grid is den(G_A) times the pencil.
     """
-    return Pencil(chart.gram_form, moving_int_matrices())
+    return Pencil(chart.form.gram, moving_int_matrices())
 
 
 def make_chart(frame: wedge.LagrangianFrame, v0, seed=0, attempts=40) -> Chart:
@@ -204,10 +200,10 @@ def taylor_order_check(chart: Chart, known_theta=()) -> TaylorReport:
     """Check the vanishing orders of the local equation at the chart center.
 
     With no supplied Theta plane through [v0]: f_0 = ... = f_{k-1} = 0 and
-    f_k != 0, where k is the degeneracy dimension at [v0].  With some
-    supplied W containing v0: f_0 = f_1 = 0.
+    f_k != 0, where k = corank q_A is the degeneracy dimension at [v0].
+    With some supplied W containing v0: f_0 = f_1 = 0.
     """
-    k = wedge.degeneracy_dim(chart.frame, chart.v0)
+    k = chart.form.corank()
     ls = local_sextic(chart)
     through = [w for w in known_theta if w.contains_vector(chart.v0)
                and wedge.theta_contains(chart.frame, w)]
@@ -233,7 +229,7 @@ def rank_f2(chart: Chart, w: wedge.Subspace3) -> int:
         raise ValueError("chart center must lie in W")
     if not wedge.theta_contains(chart.frame, w):
         raise ValueError("Lambda^3 W is not contained in A")
-    if wedge.degeneracy_dim(chart.frame, chart.v0) != 1:
+    if chart.form.corank() != 1:
         raise ValueError("chart center lies on the curve (degeneracy >= 2)")
     r = quadratic_form_rank(local_sextic(chart).part(2))
     _, level = wedge.sigma_level(chart.frame, w)
@@ -268,36 +264,18 @@ class SchurData:
 
 
 def _greedy_principal_block(g, target):
-    """Indices of a nonsingular principal block of the given size, grown
-    greedily one coordinate (or one coordinate pair) at a time."""
-    n = len(g)
+    """Indices of a nonsingular principal block of the integer matrix g of
+    the given size, grown greedily by the first coordinate, else the first
+    coordinate pair, that keeps it nonsingular."""
     chosen = []
     while len(chosen) < target:
-        grew = False
-        for i in range(n):
-            if i in chosen:
-                continue
-            sub = chosen + [i]
-            if linalg.det([[g[a][b] for b in sub] for a in sub]) != 0:
-                chosen = sub
-                grew = True
+        free = [i for i in range(len(g)) if i not in chosen]
+        for sub in chain(([i] for i in free), combinations(free, 2)):
+            block = chosen + list(sub)
+            if int_det([[g[a][b] for b in block] for a in block]):
+                chosen = block
                 break
-        if grew:
-            continue
-        for i in range(n):
-            if i in chosen:
-                continue
-            for j in range(i + 1, n):
-                if j in chosen:
-                    continue
-                sub = chosen + [i, j]
-                if linalg.det([[g[a][b] for b in sub] for a in sub]) != 0:
-                    chosen = sub
-                    grew = True
-                    break
-            if grew:
-                break
-        if not grew:
+        else:
             raise AssertionError("rank bookkeeping is inconsistent")
     return chosen
 
@@ -307,9 +285,10 @@ def schur_complement(chart: Chart, k_basis=None) -> SchurData:
 
     k_basis optionally fixes the basis of ker q_A (rows in bivector
     coordinates), e.g. to put a decomposable kernel direction first;
-    supplied rows are cleared of denominators.  The grid evaluations run
-    on the integer-scaled congruent pencil C (G + M(t)) C^t: per point
-    one fraction-free solve gives both det(N + Q) and adj(N + Q) R^t.
+    supplied rows are cleared of denominators, else the chart form's
+    primitive kernel rows are used.  The grid evaluations run on the
+    integer-scaled congruent pencil C (G + M(t)) C^t: per point one
+    fraction-free solve gives both det(N + Q) and adj(N + Q) R^t.
 
     Degree bound: D is a principal jdim-minor of the congruent pencil and
     each M_hat entry is a bordered (jdim + 1)-minor of it (the J rows and
@@ -318,18 +297,18 @@ def schur_complement(chart: Chart, k_basis=None) -> SchurData:
     that of M(t), so every entry has degree <= min(jdim + 1,
     pencil_rank_bound()), the bound the interpolation uses.
     """
-    g = chart.gram_form
-    kern = chart.kernel()
+    form = chart.form
+    kern = form.kernel_rows()
     k = len(kern)
     if k_basis is not None:
         kb = [fvec(r) for r in k_basis]
         if len(kb) != k or rank(kb) != k or rank(stack(kern, kb)) != k:
             raise ValueError("supplied kernel basis does not span ker q_A")
-        kern = kb
+        kern = [scaled_ints(r)[1] for r in kb]
     # integer adapted basis: coordinate bivectors of J, then the kernel
-    j = _greedy_principal_block(g, 10 - k)
-    c = [[int(i == t) for t in range(10)] for i in j] + [scaled_ints(r)[1] for r in kern]
-    gp = restrict_gram(g, c)
+    j = _greedy_principal_block(form.rows, 10 - k)
+    c = [[int(i == t) for t in range(10)] for i in j] + kern
+    gp = restrict_gram(form.gram, c)
     jdim = 10 - k
     # moving Gram in the adapted basis: integer coefficient matrices per t_a
     pencil = Pencil(gp, [int_gram(ba, c) for ba in moving_int_matrices()])
@@ -372,7 +351,7 @@ def schur_identity_check(chart: Chart, sd: SchurData) -> bool:
     the chart determinant by the congruence scale det(C)^2.  For k = 0
     the identity degenerates to D == det(q_A + q_v).
     """
-    scale = linalg.det(sd.adapted) ** 2
+    scale = int_det(sd.adapted) ** 2
     f = local_sextic(chart).f * scale
     if sd.k == 0:
         return f == sd.denom
@@ -401,7 +380,9 @@ def double_cover_ideal(chart: Chart, k_basis=None) -> DoubleCoverData:
 
     Generators: the k entries of M_hat * xi, then for i <= j the cleared
     fiber equations D^(k-1) * xi_i xi_j - cof(M_hat)_ij.  For k = 0 the
-    cover is an unramified double sheet and the ideal is empty.
+    cover is an unramified double sheet and the ideal is empty.  k is read
+    off the chart first: k > 3 raises and k = 0 returns at once, with no
+    Schur data computed unless a k_basis is supplied to be validated.
 
     Only the k(k+1)/2 cofactors the fiber equations use are computed:
     cof_ij = (-1)^(i+j) det(M_hat without row i and column j), which is
@@ -412,13 +393,14 @@ def double_cover_ideal(chart: Chart, k_basis=None) -> DoubleCoverData:
     supports are disjoint, so no polynomial is added, lifted or
     re-validated.
     """
-    sd = schur_complement(chart, k_basis=k_basis)
-    k = sd.k
+    k = chart.form.corank()
+    if k > 3:
+        raise ValueError("double cover model implemented for kernel dimension <= 3")
+    if k or k_basis is not None:
+        sd = schur_complement(chart, k_basis=k_basis)
     if k == 0:
         return DoubleCoverData(0, CHART_VARS, [],
                                "etale point: unramified double cover, empty ideal")
-    if k > 3:
-        raise ValueError("double cover model implemented for kernel dimension <= 3")
     evars = CHART_VARS + tuple("xi%d" % (i + 1) for i in range(k))
     m = sd.m_hat.entries
     one = MultiPoly.const(CHART_VARS, 1)

@@ -288,7 +288,7 @@ class Pencil:
     def det_poly(self, variables, degree=None) -> MultiPoly:
         """The determinant as a polynomial in the variables (one per move),
         interpolated from one int_det per grid point and divided once by
-        L^side.
+        L^side (not at all when L is 1).
 
         degree is a bound on its total degree.  It defaults to the row
         bound (_row_bound): the sum of the row degrees, -1 (a zero
@@ -300,7 +300,7 @@ class Pencil:
         if degree < 0:
             return MultiPoly.zero(variables)
         f = interpolate_poly_map(lambda pt: (int_det(self.at(pt)[1]),), variables, degree, 1)[0]
-        return f * Fraction(1, self.den ** len(self.base))
+        return f if self.den == 1 else f * Fraction(1, self.den ** len(self.base))
 
     def graded_parts(self, variables, top):
         """[Phi_0, ..., Phi_top]: the homogeneous parts of degree 0..top of

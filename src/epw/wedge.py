@@ -9,8 +9,12 @@ products linalg.restrict_gram(PAIRING, rows).
 
 Lagrangian subspaces are stored as reduced-echelon 10x20 rational
 matrices.  Degeneracy loci, the Theta condition, sigma levels, the dual
-membership test and the pointwise curve predicates are exact rank
-computations.
+membership test and the pointwise curve predicates are exact ranks.
+Each space S that A is intersected with has a dimension known in
+advance (10 for v ^ Lambda^2 V with v != 0, for Lambda^2 W ^ V with
+dim W = 3 and for Lambda^3 E with dim E = 5), so dim(A ∩ S) = 20 -
+rank [A; spanning rows of S]: one rank, with no basis of S reduced
+first.
 """
 
 from fractions import Fraction
@@ -92,9 +96,9 @@ def wedge_vector_trivector(v, t):
 
 
 def wedge_bivector_basis(v):
-    """Spanning rows of v ^ Lambda^2 V inside Lambda^3 V (rank 10 for v != 0)."""
-    return linalg.row_basis([trivector_from_vectors(v, _unit(i), _unit(j))
-                             for (i, j) in PAIRS6])
+    """Spanning rows of v ^ Lambda^2 V inside Lambda^3 V: the 15 products
+    v ^ e_i ^ e_j, not reduced (rank 10 for v != 0)."""
+    return [trivector_from_vectors(v, _unit(i), _unit(j)) for (i, j) in PAIRS6]
 
 
 class Subspace3:
@@ -115,21 +119,18 @@ class Subspace3:
         return "Subspace3(%r)" % (self.rows,)
 
     def contains_vector(self, v):
-        return linalg.in_rowspace(self.rows, fvec(v))
+        return rank(stack(self.rows, [fvec(v)])) == 3
 
     def top_wedge(self):
         """Coordinates of Lambda^3 W (one generator)."""
         return trivector_from_vectors(*self.rows)
 
     def wedge2_wedge_v_basis(self):
-        """Canonical basis of Lambda^2 W ^ V (a 10-dimensional space)."""
-        rows = []
+        """Spanning rows of Lambda^2 W ^ V (a 10-dimensional space): the 18
+        products w_a ^ w_b ^ e_k, not reduced."""
         w = self.rows
-        for a in range(3):
-            for b in range(a + 1, 3):
-                for k in range(DIM):
-                    rows.append(trivector_from_vectors(w[a], w[b], _unit(k)))
-        return linalg.row_basis(rows)
+        return [trivector_from_vectors(w[a], w[b], _unit(k))
+                for (a, b) in combinations(range(3), 2) for k in range(DIM)]
 
 
 class LagrangianFrame:
@@ -156,7 +157,7 @@ class LagrangianFrame:
         return self.matrix
 
     def contains(self, trivector):
-        return linalg.in_rowspace(self.matrix, fvec(trivector))
+        return rank(stack(self.matrix, [fvec(trivector)])) == 10
 
 
 def _isotropic(rows):
@@ -170,12 +171,12 @@ def is_lagrangian(rows) -> bool:
 
 
 def degeneracy_dim(a: LagrangianFrame, v) -> int:
-    """dim(A ∩ (v ^ Lambda^2 V)); the point [v] lies in Y_A[k] iff k <= this."""
+    """dim(A ∩ (v ^ Lambda^2 V)) = 20 - rank [A; v ^ e_i ^ e_j]; the point
+    [v] lies in Y_A[k] iff k <= this."""
     v = fvec(v)
     if all(x == 0 for x in v):
         raise ValueError("zero vector has no degeneracy dimension")
-    w = wedge_bivector_basis(v)
-    return 10 + len(w) - rank(stack(a.matrix, w))
+    return 20 - rank(stack(a.matrix, wedge_bivector_basis(v)))
 
 
 def decompose_trivector(t):
@@ -213,23 +214,22 @@ def sigma_level(a: LagrangianFrame, w: Subspace3):
     (W, A) has sigma level >= d+1 exactly when theta holds and
     level >= d+1.
     """
-    basis = w.wedge2_wedge_v_basis()
-    level = 10 + len(basis) - rank(stack(a.matrix, basis))
+    level = 20 - rank(stack(a.matrix, w.wedge2_wedge_v_basis()))
     return theta_contains(a, w), level
 
 
 def dual_membership(a: LagrangianFrame, e_rows) -> bool:
     """Whether the 5-space E satisfies (Lambda^3 E) ∩ A != 0.
 
-    This is membership of E in the dual degeneracy locus.
+    This is membership of E in the dual degeneracy locus.  The ten
+    products of a basis of E span Lambda^3 E, of dimension 10, so the
+    intersection is nonzero exactly when [A; those rows] has rank < 20.
     """
     em = linalg.row_basis(linalg.fmat(e_rows))
     if len(em) != 5:
         raise ValueError("E must have rank 5")
-    tri = [trivector_from_vectors(em[i], em[j], em[k])
-           for (i, j, k) in combinations(range(5), 3)]
-    tri = linalg.row_basis(tri)
-    return rank(stack(a.matrix, tri)) < len(tri) + 10
+    tri = [trivector_from_vectors(*t) for t in combinations(em, 3)]
+    return rank(stack(a.matrix, tri)) < 20
 
 
 def curve_membership(a: LagrangianFrame, w: Subspace3, wvec) -> bool:

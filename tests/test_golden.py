@@ -15,6 +15,10 @@
   forms, symmetric_with_kernel draws at coranks 1-3, the restricted Grams
   behind cork_restrict and DualForm.corank_on, and the Gram of e1^perp in
   the polarized lattice;
+* the SHA-256 of the strata predicates (degeneracy_dim, sigma_level,
+  theta_contains, dual_membership) and of the `degeneracy` and `strata`
+  text output on 51 seeded frames: points of degeneracy 0-3 and 10,
+  planes of level 1-3 and frames without a Theta plane;
 * the SHA-256 of the JSON documents of seeded graph frames
   (random_graph_lagrangian at coranks 0-3, lagrangian_containing at
   levels 1-3, off the coordinate planes and with an extra Theta plane);
@@ -45,8 +49,9 @@ from epw.varquad import (
     PencilFamily, QuadSpace, ann_of_span, cork_restrict, dual_form, phi_expansion,
 )
 from epw.wedge import (
-    LagrangianFrame, Subspace3, _unit, lagrangian_containing, random_graph_lagrangian,
-    random_symmetric, random_vector, symmetric_with_kernel, trivector_from_vectors,
+    LagrangianFrame, Subspace3, _unit, degeneracy_dim, dual_membership,
+    lagrangian_containing, random_graph_lagrangian, random_symmetric, random_vector,
+    sigma_level, symmetric_with_kernel, theta_contains, trivector_from_vectors,
     wedge_bivector_basis,
 )
 
@@ -92,6 +97,7 @@ FRAME_DIGESTS = {
     "containing":
         "62255dca590784d7ea49908d898c2b124e8bee68a7868ee5c3b5ae3b2a6e3027",
 }
+STRATA_DIGEST = "9baf445bb83af4aa317e6b02be1d7b023a56cd9c6e53fa6516eb459ddae5c8b8"
 SWAP_DIGEST = "b76a959863143b59c468923551dde700e2975bc21036dd5738321600419ee0cd"
 DEMO_DIGESTS = {
     "01_local_models.py":
@@ -287,6 +293,57 @@ def test_lagrangian_containing_frame_digest():
     frames += [lagrangian_containing(w, level=lv, seed=5 + lv) for lv in (1, 2, 3)]
     frames.append(lagrangian_containing(w123, level=1, extra_theta=[wp], seed=3))
     assert _frames_digest(frames) == FRAME_DIGESTS["containing"]
+
+
+def strata_frames():
+    """51 seeded frames: graph frames of corank 0-3 at e1, Theta frames of
+    level 1-3 over W = <e1, e2, e3>, one with a second Theta plane, and
+    e1 ^ Lambda^2 V."""
+    w123 = Subspace3([_unit(0), _unit(1), _unit(2)])
+    wp = Subspace3([_unit(0), _unit(3), _unit(4)])
+    frames = [random_graph_lagrangian(random.Random(200 + i), corank=i % 4)[0]
+              for i in range(40)]
+    frames += [lagrangian_containing(w123, level=lv, seed=10 * lv + s)
+               for lv in (1, 2, 3) for s in range(3)]
+    frames.append(lagrangian_containing(w123, level=1, extra_theta=[wp], seed=3))
+    frames.append(LagrangianFrame(wedge_bivector_basis(_unit(0))))
+    return w123, frames
+
+
+def test_strata_predicates_digest(tmp_path):
+    """Each frame at e1, e2, (1, 1, 0, 0, 0, 0) and a seeded point, against
+    W123 and a seeded plane, and against <e1..e5> and a seeded 5-space,
+    then the `degeneracy` text at e1 and the `strata` text for W123."""
+    rng = random.Random(77)
+    w123, frames = strata_frames()
+    plane = tmp_path / "plane.json"
+    plane.write_text(jsonio.dump_value("subspace3", w123))
+    e5 = [_unit(i) for i in range(5)]
+    parts = []
+    for frame in frames:
+        point = random_vector(rng, 6, nonzero=True)
+        w = None
+        while w is None:
+            try:
+                w = Subspace3([random_vector(rng, 6) for _ in range(3)])
+            except ValueError:
+                pass
+        e = [random_vector(rng, 6) for _ in range(5)]
+        while linalg.rank(e) != 5:
+            e = [random_vector(rng, 6) for _ in range(5)]
+        record = [degeneracy_dim(frame, v) for v in
+                  (_unit(0), _unit(1), [1, 1, 0, 0, 0, 0], point)]
+        record += [sigma_level(frame, w123), sigma_level(frame, w),
+                   theta_contains(frame, w123), theta_contains(frame, w),
+                   dual_membership(frame, e5), dual_membership(frame, e)]
+        path = _frame_file(tmp_path, frame)
+        record.append(run(["degeneracy", "--frame", path, "--point", POINT]))
+        record.append(run(["strata", "--frame", path, "--plane", str(plane)]))
+        parts.append(repr(record))
+    levels = {sigma_level(a, w123) for a in frames}
+    assert {(True, 1), (True, 2), (True, 3), (False, 0)} <= levels
+    assert {degeneracy_dim(a, _unit(0)) for a in frames} == {0, 1, 2, 3, 10}
+    assert _sha("\n".join(parts)) == STRATA_DIGEST
 
 
 def test_iota_swap_digest():

@@ -5,6 +5,9 @@
   and is exempt.
 * Every module-level function whose name starts with one underscore is
   referenced somewhere in src/epw outside its own body.
+* Every public module-level function and class is referenced somewhere
+  in src/epw outside its own body, or exported by the package; the few
+  kept for the tests alone are listed in TEST_ONLY with their reason.
 * Every parameter of every function and lambda is read in its body
   (`self` and `cls` are exempt): a parameter that nothing reads is either
   dead or determined by another argument.
@@ -76,6 +79,39 @@ def unreferenced_private_functions():
     return out
 
 
+# Public names that nothing in src/epw references, each kept on purpose.
+TEST_ONLY = {
+    "lattices.py is_root_by_divisibility":
+        "the reference is_root is tested against",
+    "linalg.py mat_vec": "tests apply matrices to vectors with it",
+    "wedge.py basis_trivector": "tests name basis trivectors with it",
+    "wedge.py apply_gl6_frame": "tests transport frames by GL(6) with it",
+}
+
+
+def _exports(tree):
+    """The names a package __init__ imports from its modules."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unreferenced_public_names(paths):
+    """Public top-level functions and classes of the modules in paths that
+    no module references outside their own definition and __init__ does
+    not export, as sorted "module name"."""
+    trees = {path.name: _tree(path) for path in paths}
+    exported = _exports(trees["__init__.py"]) if "__init__.py" in trees else set()
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in exported
+                    and not any(node.name in _references(t, skip=node)
+                                for t in trees.values())):
+                out.append("%s %s" % (name, node.name))
+    return sorted(out)
+
+
 def unread_parameters(path):
     """Parameters of the functions and lambdas in path that their bodies
     never read, as "module:line function.parameter"."""
@@ -136,6 +172,10 @@ def test_every_private_function_is_referenced():
     assert unreferenced_private_functions() == []
 
 
+def test_every_public_function_has_a_caller():
+    assert unreferenced_public_names(MODULES) == sorted(TEST_ONLY)
+
+
 def test_every_parameter_is_read():
     assert [p for path in MODULES for p in unread_parameters(path)] == []
 
@@ -158,6 +198,13 @@ def test_the_checks_see_what_they_look_for(tmp_path):
     fn = tree.body[3]
     assert "_loop" not in _references(tree, skip=fn)
     assert "_loop" in _references(tree)
+    init = tmp_path / "__init__.py"
+    init.write_text("from .sample import C\n")
+    lonely = tmp_path / "lonely.py"
+    lonely.write_text("def in_rowspace(m, v):\n    return in_rowspace(m, v)\n\n"
+                      "class Kept:\n    pass\n\ndef caller():\n    return Kept\n")
+    assert unreferenced_public_names([init, path, lonely]) == [
+        "lonely.py caller", "lonely.py in_rowspace"]
     path.write_text("class D:\n    def __init__(self, v):\n        self.vars = v\n\n"
                     "def build(v, t):\n    out = MultiPoly.__new__(MultiPoly)\n"
                     "    out.vars, out.terms = v, t\n    out.terms[()] = 1\n"

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import gc
+import json
 import random
 
 import pytest
@@ -650,6 +651,26 @@ def test_gamma_tilde_unique_overlattice_is_k3():
     assert abs(k3.det()) == 1
     assert k3.signature() == (3, 19)
     assert all(k3.gram[i][i] % 2 == 0 for i in range(22))
+
+
+@pytest.mark.parametrize("name", ["gamma-tilde", "u(2)", "a1(-1)^2+a1^2"])
+def test_overlattices_share_the_signature_of_the_lattice(tmp_path, name):
+    """An overlattice of finite index spans the rational space of L, so its
+    signature is that of L: the one `overlattices` prints for each."""
+    if name == "gamma-tilde":
+        l, argv = gamma_tilde(), ["--lattice", "gamma-tilde"]
+    else:
+        l = (EvenLattice([[0, 2], [2, 0]]) if name == "u(2)" else
+             direct_sum(rank_one(-2), rank_one(-2), rank_one(2), rank_one(2)))
+        path = tmp_path / "lattice.json"
+        path.write_text(jsonio.dump_value("even_lattice", l))
+        argv = ["--lattice-json", str(path)]
+    ovs = overlattices(l)
+    assert ovs and all(o.lattice.signature() == l.signature() for o in ovs)
+    code, out = cli.run(["overlattices", "--format", "json"] + argv)
+    assert code == 0
+    assert [tuple(o["signature"]) for o in json.loads(out)["overlattices"]] == \
+        [l.signature()] * len(ovs)
 
 
 def test_overlattice_wrong_denominator_fails_integrality(monkeypatch):

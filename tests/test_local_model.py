@@ -21,7 +21,7 @@ from epw.local_model import (
     schur_complement, schur_identity_check, double_cover_ideal,
     sextic_singularity, pencil_rank_bound, CHART_VARS,
 )
-from epw.polymat import adjugate_poly_matrix, det_bareiss, det_poly_matrix
+from epw.polymat import Pencil, adjugate_poly_matrix, det_bareiss, det_poly_matrix
 
 
 def unit(i):
@@ -58,7 +58,7 @@ def test_make_chart_for_graph_instance():
     rng = random.Random(1)
     frame, g = random_graph_lagrangian(rng)
     ch = make_chart(frame, unit(1))
-    assert ch.gram_form == g  # first coordinate complement is the standard chart
+    assert ch.form.gram == g  # first coordinate complement is the standard chart
 
 
 def test_chart_rejects_non_transversal_and_non_spanning_bases():
@@ -83,7 +83,7 @@ def test_make_chart_rejects_a_center_without_six_coordinates(center):
 def test_make_chart_vee_wedge_any_complement():
     frame = vee_frame(unit(1))
     ch = make_chart(frame, unit(1))
-    assert ch.corank() == 10
+    assert ch.form.corank() == 10
 
 
 def test_make_chart_pathological_failure():
@@ -105,6 +105,33 @@ def test_make_chart_exhaustive_failure_for_wedge3():
         assert rank(linalg.stack(frame.matrix, tri)) < 20
     with pytest.raises(ChartError):
         make_chart(frame, unit(1), attempts=10)
+
+
+def pinned_charts():
+    """Seeded charts of corank 0-4 at e1: the standard chart and two random
+    complements each, then make_chart at a seeded point off the center."""
+    charts = []
+    for k in range(5):
+        for s in range(2):
+            rng = random.Random(300 + 10 * k + s)
+            frame, _ = random_graph_lagrangian(rng, corank=k)
+            charts += [Chart(frame, unit(1), basis)
+                       for basis in local_model._complements(unit(1), s, 3)]
+            charts.append(make_chart(frame, random_vector(rng, 6, nonzero=True), seed=s))
+    return charts
+
+
+def test_chart_form_is_the_degeneracy_and_the_kernel():
+    """k = dim(A ∩ (v0 ^ Lambda^2 V)) is the corank of q_A in every chart
+    at v0, and the form's kernel is the Fraction nullspace of its Gram,
+    its integer rows that nullspace scaled to integers."""
+    charts = pinned_charts()
+    assert {ch.form.corank() for ch in charts} == {0, 1, 2, 3, 4}
+    for ch in charts:
+        kern = linalg.nullspace(ch.form.gram)
+        assert ch.form.corank() == wedge.degeneracy_dim(ch.frame, ch.v0)
+        assert ch.form.kernel() == kern
+        assert ch.form.kernel_rows() == [linalg.scaled_ints(r)[1] for r in kern]
 
 
 # -- the local sextic ------------------------------------------------------------
@@ -239,7 +266,7 @@ def test_local_pencil_matches_gram_at_rational_points():
     for pt in checks.off_grid_points(4) + checks.off_grid_points(5) + [[0, 1, 2, 0, 3]]:
         s, m = pencil.at(pt)
         assert all(isinstance(x, int) for row in m for x in row)
-        assert pencil.det(pt) == linalg.det(reference_pencil_gram(ch.gram_form, pt))
+        assert pencil.det(pt) == linalg.det(reference_pencil_gram(ch.form.gram, pt))
 
 
 def test_flipped_sign_raises_the_certified_bound(monkeypatch):
@@ -358,6 +385,26 @@ def test_double_cover_k0_empty():
     assert dc.k == 0
     assert dc.generators == []
     assert "etale" in dc.notice
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_double_cover_interpolates_nothing_at_k0_and_above_3(monkeypatch, k):
+    """k is read off the chart first: k = 0 is the etale answer and k > 3
+    is refused, with no determinant interpolated in either case."""
+    frame, _ = random_graph_lagrangian(random.Random(85 + k), corank=k)
+    ch = Chart(frame, unit(1), standard_chart_basis()[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("double_cover_ideal interpolated at k = %d" % k)
+
+    monkeypatch.setattr(local_model, "interpolate_poly_map", refuse)
+    monkeypatch.setattr(Pencil, "det_poly", refuse)
+    if k == 0:
+        dc = double_cover_ideal(ch)
+        assert (dc.k, dc.generators) == (0, [])
+    else:
+        with pytest.raises(ValueError, match="kernel dimension <= 3"):
+            double_cover_ideal(ch)
 
 
 def test_double_cover_k1_shape():

@@ -517,3 +517,25 @@ def test_every_kernel_ledger_line_fails_on_a_kernel_missing_a_vector(monkeypatch
     verdicts = {r.name: r.ok for r in checks.quadratic_form_suites(1, 20)}
     assert verdicts == {"corank-duality": True, "kernel-block-expansion": False,
                         "vanishing-kernel-expansion": False, "phi2-rank-formula": False}
+
+
+def test_corank_duality_fails_on_a_dual_gram_off_by_det(monkeypatch):
+    """The dual Gram with det added to entry (0, 0) of the solve it is read
+    from turns corank duality to FAIL, through its restrictions of
+    positive corank (on seeds 2 and 3, random restrictions alone pass 20
+    cases); no other statement reads the dual form."""
+    from epw import checks, varquad
+
+    real = varquad.bareiss_solve
+
+    def off_by_det(m, rhs):
+        det, y = real(m, rhs)
+        if y:
+            y[0][0] += det
+        return det, y
+
+    monkeypatch.setattr(varquad, "bareiss_solve", off_by_det)
+    for seed in (2, 3):
+        verdicts = {r.name: r.ok for r in checks.quadratic_form_suites(seed, 20)}
+        assert verdicts == {"corank-duality": False, "kernel-block-expansion": True,
+                            "vanishing-kernel-expansion": True, "phi2-rank-formula": True}

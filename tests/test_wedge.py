@@ -216,7 +216,7 @@ def test_graph_from_chart_wrapper():
     frame, g = random_graph_lagrangian(rng)
     v0, c = standard_chart_basis()
     chart = Chart(frame, v0, c)
-    rebuilt = lagrangian_from_graph(chart, chart.gram_form)
+    rebuilt = lagrangian_from_graph(chart, chart.form.gram)
     assert rebuilt == frame
 
 
