@@ -16,7 +16,7 @@ import time
 
 from . import linalg
 from .lattices import (
-    classify_negative_root, disc_autos_preserving_q, disc_group,
+    EvenLattice, classify_negative_root, disc_autos_preserving_q, disc_group,
     divisibility_and_star, eichler_equivalent, gamma_tilde, induced_disc_action,
     iota_swap, is_root, lambda_lattice, lambda_tilde, orth_complement,
     overlattices, reflection, sublattice_index_and_discr,
@@ -478,11 +478,10 @@ def check_hilbert_ledger(seed=6, fujiki_cases=100):
     lt = lambda_tilde()
     h_emb = ns.embed(h).full()
     c_emb = ns.embed(c).full()
-    perp = orth_complement(lt, h_emb)
-    from .lattices import express_in_complement
-    c_in = express_in_complement(lt, h_emb, c_emb)
+    # c rides along as a named vector: one complement gives its coordinates
+    perp = orth_complement(EvenLattice(lt.gram, named={"c": c_emb}), h_emb)
     dperp = disc_group(perp)
-    div, star = divisibility_and_star(c_in, perp)
+    div, star = divisibility_and_star(perp.vector("c"), perp)
     ok = ok and dperp.invariants == [2, 2] and div == 2 and dperp.q_value(star) == 1
     results.append(CheckResult("quartic-case-minus4-orbit", ok,
                                "div=%d qstar=%s" % (div, dperp.q_value(star))))

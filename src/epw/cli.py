@@ -71,6 +71,8 @@ def _resolve_lattice(args):
 def _parse_lattice_vector(l, text):
     """Either comma-separated integers or a combination of named vectors
     like 'e1+e2' or '2*e1-5*e2'."""
+    if not "".join(text.split()).strip("+"):
+        raise UsageError("vector %r names no coordinate and no named vector" % text)
     text = text.strip()
     if "," in text:
         coords = [_parse_int(p, text) for p in text.split(",")]

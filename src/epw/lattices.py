@@ -22,12 +22,14 @@ function takes a group beside its lattice; each reads `disc_group(l)`.
 
 The lattice layer computes in integers only.  Gram matrices of
 complements and overlattices, and the isometry test, are one
-`zlinalg.int_gram` congruence product each; coordinates in a sublattice
-basis and the swap involution are one fraction-free solve each; the
-induced action on the discriminant group maps integer lifts; and the
-discriminant group needs nothing beyond its Smith transform: from
-U G V = D it follows that G^-1 U^-1 = V D^-1, so the lift of the i-th
-generator (the solution of G x = U^-1 e_i) is the column V e_i / d_i.
+`zlinalg.int_gram` congruence product each; the coordinates of any
+number of vectors in a sublattice basis are one fraction-free
+Gauss-Jordan (`linalg._gauss_jordan`), and the swap involution is one
+fraction-free solve; the induced action on the discriminant group maps
+integer lifts; and the discriminant group needs nothing beyond its
+Smith transform: from U G V = D it follows that G^-1 U^-1 = V D^-1, so
+the lift of the i-th generator (the solution of G x = U^-1 e_i) is the
+column V e_i / d_i.
 The signature is read off the characteristic polynomial det(G - x I),
 interpolated from integer determinants by one polymat.Pencil.
 Fractions appear only where the public API returns them: `gen_lifts`,
@@ -257,35 +259,23 @@ def orth_complement(l: EvenLattice, v) -> EvenLattice:
 def _coords_in(basis_rows, ws):
     """Integer coordinates of every w in ws in the basis given by the rows.
 
-    One fraction-free solve of (B B^T) X = B W covers all of ws and gives
-    det * X in integers; each x is one exact division by det.  A w whose
-    coordinates are not integral (det does not divide det * x), or which
-    lies outside the span (B^T x != w), raises ValueError.
+    One fraction-free Gauss-Jordan of [B^T | W] covers all of ws: a
+    column of B^T without a pivot means the rows are dependent, a zero
+    row of B^T with a nonzero right side a w outside their span, and a
+    pivot that does not divide its right side a w outside the
+    sublattice.  Each raises ValueError.
     """
     if not ws:
         return []
-    bbt = [[_dot(a, b) for b in basis_rows] for a in basis_rows]
-    rhs = [[_dot(a, w) for w in ws] for a in basis_rows]
-    det, sol = zlinalg.bareiss_solve(bbt, rhs)
-    if sol is None:
+    m = len(basis_rows)
+    a, pivots = linalg._gauss_jordan(list(zip(*basis_rows, *ws)), m)
+    if len(pivots) < m:
         raise ValueError("basis rows are linearly dependent")
-    out = []
-    for c, w in enumerate(ws):
-        x = [row[c] for row in sol]
-        if any(t % det for t in x):
-            raise ValueError("vector does not lie in the sublattice")
-        x = [t // det for t in x]
-        if any(_dot(x, col) != y for col, y in zip(zip(*basis_rows), w)):
-            raise ValueError("vector is not in the span of the basis")
-        out.append(x)
-    return out
-
-
-def express_in_complement(l: EvenLattice, v, w):
-    """Coordinates of w in the basis orth_complement(l, v) computes."""
-    gv = l.gram_vec([int(x) for x in v])
-    basis = zlinalg.int_kernel([gv])
-    return _coords_in(basis, [[int(x) for x in w]])[0]
+    if any(x for row in a[m:] for x in row[m:]):
+        raise ValueError("vector is not in the span of the basis")
+    if any(x % row[i] for i, row in enumerate(a[:m]) for x in row[m:]):
+        raise ValueError("vector does not lie in the sublattice")
+    return [[row[m + c] // row[i] for i, row in enumerate(a[:m])] for c in range(len(ws))]
 
 
 # ---------------------------------------------------------------------

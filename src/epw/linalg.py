@@ -12,9 +12,9 @@ int_gram.  rref, rank, nullspace and solve share one fraction-free
 Gauss-Jordan loop on integer rows (_gauss_jordan): rank counts its pivots,
 nullspace reads its primitive integer kernel (_kernel), rref divides each
 row by its pivot once, and solve carries all its right sides through one
-elimination.  Callers that already hold integer rows (varquad) call
-_gauss_jordan and _kernel directly and meet Fractions only at their
-outputs.
+elimination.  Callers that already hold integer rows (varquad, and the
+sublattice coordinates of lattices) call _gauss_jordan and _kernel
+directly and meet Fractions only at their outputs.
 """
 
 from fractions import Fraction

@@ -20,8 +20,11 @@ determinants are interpolated at that bound from integer evaluations of
 one integer-scaled pencil (polymat.Pencil, built by chart_pencil).
 
 The Schur complement of the nondegenerate block of q_A is kept as an
-exact pair (M_hat, D) with M_J = M_hat / D; the analytic square root
-factorization that motivates it is replaced by the polynomial identity
+exact pair (M_hat, D) with M_J = M_hat / D, interpolated from one
+partial Bareiss elimination per grid point: D is its last pivot and, by
+Sylvester's identity, M_hat its trailing block of bordered minors.  The
+analytic square root factorization that motivates it is replaced by the
+polynomial identity
 
     det(q_A + q_v) * D^(k-1) = det(M_hat),   k = dim ker q_A,
 
@@ -39,7 +42,7 @@ from .linalg import fvec, rank, restrict_gram, scaled_ints, stack
 from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_cofactor, det_poly_matrix, interpolate_poly_map
-from .zlinalg import bareiss_solve, int_adjugate, int_det, int_gram
+from .zlinalg import _eliminate, int_adjugate, int_det, int_gram
 
 CHART_VARS = ("t1", "t2", "t3", "t4", "t5")
 
@@ -250,7 +253,7 @@ class SchurData:
 
     Fields: j_indices (coordinate bivectors spanning J), the common
     denominator `denom` = det(N_J + Q_J), and m_hat with
-    M_J = m_hat / denom.
+    M_J = m_hat / denom (None at k = 0).
     """
 
     __slots__ = ("k", "j_indices", "denom", "m_hat", "adapted")
@@ -288,7 +291,12 @@ def schur_complement(chart: Chart, k_basis=None) -> SchurData:
     supplied rows are cleared of denominators, else the chart form's
     primitive kernel rows are used.  The grid evaluations run on the
     integer-scaled congruent pencil C (G + M(t)) C^t: per point one
-    fraction-free solve gives both det(N + Q) and adj(N + Q) R^t.
+    Bareiss elimination of its J rows (zlinalg._eliminate) leaves D as
+    the last pivot and, by Sylvester's identity, M_hat = det(N) P -
+    R adj(N) R^t as the trailing k x k block of bordered minors, both up
+    to the permutation sign.  Where det(N) = 0 it reads M_hat =
+    -R adj(N) R^t off the adjugate.  At k = 0 the same oracle gives D
+    alone, the chart determinant in the adapted basis.
 
     Degree bound: D is a principal jdim-minor of the congruent pencil and
     each M_hat entry is a bordered (jdim + 1)-minor of it (the J rows and
@@ -313,35 +321,26 @@ def schur_complement(chart: Chart, k_basis=None) -> SchurData:
     # moving Gram in the adapted basis: integer coefficient matrices per t_a
     pencil = Pencil(gp, [int_gram(ba, c) for ba in moving_int_matrices()])
 
-    if k == 0:
-        denom = pencil.det_poly(CHART_VARS, pencil_rank_bound())
-        return SchurData(0, j, denom, None, c)
-
     def oracle(pt):
         s, m = pencil.at(pt)
-        nq = [row[:jdim] for row in m[:jdim]]
-        r = [row[:jdim] for row in m[jdim:]]
-        det, y = bareiss_solve(nq, list(zip(*r)))
-        out = [Fraction(det, s ** jdim)]
-        mscale = s ** (jdim + 1)
-        if y is not None:
-            # M_hat = det * P - R Y with N Y = det * R^t, scaled back by s
-            for i in range(k):
-                p = m[jdim + i]
-                for jj in range(k):
-                    v = det * p[jdim + jj] - sum(r[i][t] * y[t][jj] for t in range(jdim))
-                    out.append(Fraction(v, mscale))
+        sign = _eliminate(m, jdim)
+        if sign:
+            d = sign * m[jdim - 1][jdim - 1] if jdim else 1
+            mh = [sign * v for row in m[jdim:] for v in row[jdim:]]
         else:
-            # det = 0: M_hat = -R adj(N) R^t
-            rar = int_gram(int_adjugate(nq), r)
-            out.extend(Fraction(-v, mscale) for row in rar for v in row)
-        return out
+            # det(N) = 0: the bordered minors are -R adj(N) R^t
+            m = pencil.at(pt)[1]
+            d = 0
+            nq = [row[:jdim] for row in m[:jdim]]
+            mh = [-v for row in int_gram(int_adjugate(nq), [row[:jdim] for row in m[jdim:]])
+                  for v in row]
+        mscale = s ** (jdim + 1)
+        return [Fraction(d, s ** jdim)] + [Fraction(v, mscale) for v in mh]
 
     degree = min(jdim + 1, pencil_rank_bound())
     flat = interpolate_poly_map(oracle, CHART_VARS, degree, 1 + k * k)
-    denom = flat[0]
-    m_hat = PolyMatrix([[flat[1 + i * k + jj] for jj in range(k)] for i in range(k)])
-    return SchurData(k, j, denom, m_hat, c)
+    m_hat = PolyMatrix([flat[1 + i * k:1 + (i + 1) * k] for i in range(k)]) if k else None
+    return SchurData(k, j, flat[0], m_hat, c)
 
 
 def schur_identity_check(chart: Chart, sd: SchurData) -> bool:

@@ -369,20 +369,21 @@ def graph_gram(a: LagrangianFrame, v0, cbasis):
 
     Inverse of lagrangian_from_graph_basis.  Raises ValueError if v0 and
     cbasis do not span V, or if Lambda^3 V0 meets A (A is then not a
-    graph in this chart).  Two integer solves: the coordinates [X | Y] of
-    the rows of A in the chart basis, known up to one scalar that
-    T = X^{-1} Y does not see, then X T = Y.  G = T P: entry (i, pi(k))
-    of G is s_k T[i][k].
+    graph in this chart).  One integer solve: the graph rows first_i +
+    sum_k T_ik second_k lie in A, so each first_i is a combination of the
+    rows of A minus sum_k T_ik second_k.  Solving [A; second]^t against
+    first^t gives det * (combination; -T_i) in column i, and det = 0
+    exactly when Lambda^3 V0 meets A.  G = T P: entry (i, pi(k)) of G is
+    s_k T[i][k].
     """
     first, second = chart_trivectors(v0, cbasis)
     _, rows = linalg.scaled_int_rows(a.matrix)
-    _, coords = bareiss_solve(linalg.transpose(first + second), linalg.transpose(rows))
-    # coords[:, r] is a nonzero multiple of row r of [X | Y]
-    det, t = bareiss_solve(linalg.transpose(coords[:10]), linalg.transpose(coords[10:]))
+    det, y = bareiss_solve(linalg.transpose(rows + second), linalg.transpose(first))
     if det == 0:
         raise ValueError("Lambda^3 V0 meets A: chart is not transversal")
     cols = sorted((j, k, s) for k, (j, s) in enumerate(_P5))
-    g = [[Fraction(s * row[k], det) for _, k, s in cols] for row in t]
+    # column i of the last ten rows of y is -det * T_i
+    g = [[Fraction(-s * ti[k], det) for _, k, s in cols] for ti in zip(*y[10:])]
     if not linalg.is_symmetric(g):
         raise AssertionError("extracted Gram is not symmetric; sign conventions broken")
     return g

@@ -1,24 +1,29 @@
 """Integer matrix routines for lattice arithmetic.
 
 One fraction-free elimination kernel (Bareiss) behind the integer
-determinant, the integer solve, polymat.Pencil.graded_parts (in place)
-and, on polynomial entries, polymat.det_bareiss; the one congruence
-product rows g rows^t, Smith normal form with unimodular transforms,
-Hermite form for lattice bases and saturated kernels.  All else is
-integer arithmetic; nothing is imported.
+determinant, the integer solve, the Schur data of local_model (by
+Sylvester's identity), polymat.Pencil.graded_parts (in place) and, on
+polynomial entries, polymat.det_bareiss; the one congruence product
+rows g rows^t, Smith normal form with unimodular transforms, Hermite
+form for lattice bases and saturated kernels.  All else is integer
+arithmetic; nothing is imported.
 """
 
 
 def _eliminate(a, n):
-    """Bareiss elimination (Bareiss 1968) in place on the first n columns
-    of the rows a; any further columns are carried along.  Entries are
-    ints or MultiPolys: truth is nonzero, // divides exactly.
+    """Bareiss elimination (Bareiss 1968) in place: n steps, pivoting in
+    the first n rows and columns and eliminating every row below the pivot;
+    further columns are carried along.  Entries are ints or MultiPolys:
+    truth is nonzero, // divides exactly.
 
     Afterwards the first n columns are upper triangular and a[i][i] is
     the leading principal (i + 1)-minor of the row-permuted matrix, so
-    a[n - 1][n - 1] is its determinant.  Returns the sign of the row
-    permutation, or 0 (leaving a partly eliminated) when a column has no
-    pivot, i.e. when the square part is singular.
+    a[n - 1][n - 1] is the determinant of its n x n block.  By Sylvester's
+    identity each entry a[i][j] with i, j >= n is the (n + 1)-minor of the
+    leading n x n block bordered by row i and column j, times the sign.
+    Returns the sign of the row permutation, or 0 (leaving a partly
+    eliminated) when a column has no pivot, i.e. when the leading n x n
+    block is singular.
     """
     sign = 1
     prev = 1
@@ -32,7 +37,7 @@ def _eliminate(a, n):
         pivot_row = a[k]
         akk = pivot_row[k]
         cols = range(k + 1, len(pivot_row))
-        for i in range(k + 1, n):
+        for i in range(k + 1, len(a)):
             row = a[i]
             aik = row[k]
             for j in cols:

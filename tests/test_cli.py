@@ -68,7 +68,7 @@ def test_pell_negative_bound_usage_error():
 
 
 def test_classify_root_bad_coefficient_usage_error():
-    for vector in ("x*e1", "1,a"):
+    for vector in ("x*e1", "1,a", "", " ", "+"):
         code, out = run(["classify-root", "--vector", vector])
         assert code == 2
         assert out.startswith("error: ")

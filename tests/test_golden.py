@@ -24,6 +24,10 @@
   levels 1-3, off the coordinate planes and with an extra Theta plane);
 * the SHA-256 of the swap involution iota_swap(lambda) and its action on
   the discriminant group;
+* the SHA-256 of the Gram, named vectors and hyperbolic pairs of the
+  eight named lattices, each built afresh, and of `overlattices --format
+  json` on gamma-tilde and two JSON lattices with their overlattices'
+  named vectors, pairs and embeddings;
 * the SHA-256 of the stdout of each demo in demos/;
 * the SHA-256 of `varquad-check --count 4` over seeds 1000-1029 and of
   `hilb-check --seed 0..2`, and of the failure text of `varquad-check`,
@@ -43,7 +47,8 @@ import pytest
 from epw import jsonio, linalg, varquad
 from epw.cli import run
 from epw.lattices import (
-    induced_disc_action, iota_swap, lambda_lattice, orth_complement,
+    NAMED_LATTICES, EvenLattice, direct_sum, hyperbolic_plane, induced_disc_action,
+    iota_swap, lambda_lattice, orth_complement, overlattices, rank_one,
 )
 from epw.varquad import (
     PencilFamily, QuadSpace, ann_of_span, cork_restrict, dual_form, phi_expansion,
@@ -98,6 +103,10 @@ FRAME_DIGESTS = {
         "62255dca590784d7ea49908d898c2b124e8bee68a7868ee5c3b5ae3b2a6e3027",
 }
 STRATA_DIGEST = "9baf445bb83af4aa317e6b02be1d7b023a56cd9c6e53fa6516eb459ddae5c8b8"
+LATTICE_DIGESTS = {
+    "named": "f0cb24761a6028056060089be66ee26799f7d8db6cbb0dfe474962616df2e97b",
+    "overlattices": "4e85d05038f3d0ea483bd1b84501f1c3b348cb8afac16e7b04bfd8a5ea7cefdd",
+}
 SWAP_DIGEST = "b76a959863143b59c468923551dde700e2975bc21036dd5738321600419ee0cd"
 DEMO_DIGESTS = {
     "01_local_models.py":
@@ -352,6 +361,49 @@ def test_iota_swap_digest():
     act = induced_disc_action(m, lam)
     text = "%s\n%r\n%r" % (_matrix_text(m), stable, sorted(act.items()))
     assert _sha(text) == SWAP_DIGEST
+
+
+def _lattice_text(l):
+    return "%r\n%r\n%r" % (l.gram, sorted(l.named.items()), l.u2_pairs)
+
+
+def test_named_lattice_digest():
+    """Every named lattice built afresh, past the process cache: the
+    complements and overlattices of the tower carry their named vectors
+    and hyperbolic pairs by coordinates in a sublattice basis."""
+    text = "\n".join("%s\n%s" % (name, _lattice_text(NAMED_LATTICES[name].__wrapped__()))
+                     for name in sorted(NAMED_LATTICES))
+    assert _sha(text) == LATTICE_DIGESTS["named"]
+
+
+def test_overlattices_digest(tmp_path):
+    """overlattices on gamma-tilde and on U + U(2) (two overlattices) and
+    U + U + <-2>^4 (one), with the named vectors, hyperbolic pairs and
+    embedding that each overlattice carries."""
+    u, m2 = hyperbolic_plane(), rank_one(-2)
+    e = [[int(i == j) for j in range(8)] for i in range(4)]
+    built = [
+        EvenLattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]],
+                    named={"a": [1, 1, 0, 0], "b": [0, 0, 1, 0], "c": [0, 1, 1, 1]},
+                    u2_pairs=[([1, 0, 0, 0], [0, 1, 0, 0])]),
+        EvenLattice(direct_sum(u, u, m2, m2, m2, m2).gram,
+                    named={"e1": [0] * 4 + [1, 0, 0, 0], "s": [1, 2, 0, 0, 1, 1, 1, 1]},
+                    u2_pairs=[(e[0], e[1]), (e[2], e[3])]),
+    ]
+    parts = []
+    for i, l in enumerate([NAMED_LATTICES["gamma-tilde"]()] + built):
+        argv = ["overlattices", "--lattice", "gamma-tilde", "--format", "json"]
+        if i:
+            path = tmp_path / ("lattice%d.json" % i)
+            path.write_text(jsonio.dumps(jsonio.lattice_to_json(l)))
+            argv[1:3] = ["--lattice-json", str(path)]
+        code, out = run(argv)
+        ovs = overlattices(l)
+        assert code == 0 and ovs
+        parts.append("%d\n%s" % (code, out))
+        parts.extend("%s\n%r\n%r" % (_lattice_text(o.lattice), o.index, o.sub_in_super)
+                     for o in ovs)
+    assert _sha("\n".join(parts)) == LATTICE_DIGESTS["overlattices"]
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))

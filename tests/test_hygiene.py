@@ -6,8 +6,10 @@
 * Every module-level function whose name starts with one underscore is
   referenced somewhere in src/epw outside its own body.
 * Every public module-level function and class is referenced somewhere
-  in src/epw outside its own body, or exported by the package; the few
-  kept for the tests alone are listed in TEST_ONLY with their reason.
+  in src/epw outside its own body.  An import in the package __init__ is
+  not a reference, so a name that only the exports keep alive shows; the
+  few kept for the tests alone are listed in TEST_ONLY and those kept for
+  the package namespace alone in EXPORT_ONLY, each with its reason.
 * Every parameter of every function and lambda is read in its body
   (`self` and `cls` are exempt): a parameter that nothing reads is either
   dead or determined by another argument.
@@ -87,25 +89,28 @@ TEST_ONLY = {
     "wedge.py basis_trivector": "tests name basis trivectors with it",
     "wedge.py apply_gl6_frame": "tests transport frames by GL(6) with it",
 }
-
-
-def _exports(tree):
-    """The names a package __init__ imports from its modules."""
-    return {alias.asname or alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+# Public names that only the package exports (epw/__init__.py) keep, each
+# kept on purpose.
+EXPORT_ONLY = {
+    "poly.py homogeneous_parts": "the graded pieces of a polynomial, for users",
+    "wedge.py symplectic_pairing": "the wedge pairing of two trivectors, for users",
+    "wedge.py is_lagrangian": "the Lagrangian test of a row space; demos/01 calls it",
+    "wedge.py lagrangian_from_graph": "the graph Lagrangian on the standard chart, for users",
+    "varquad.py phi_expansion":
+        "all graded pieces of det(q_* + q); demos/03 calls it and perfbench traces it",
+}
 
 
 def unreferenced_public_names(paths):
     """Public top-level functions and classes of the modules in paths that
-    no module references outside their own definition and __init__ does
-    not export, as sorted "module name"."""
+    no module references outside their own definition, as sorted "module
+    name".  An import (the exports of a package __init__) is no reference."""
     trees = {path.name: _tree(path) for path in paths}
-    exported = _exports(trees["__init__.py"]) if "__init__.py" in trees else set()
     out = []
     for name, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in exported
+                    and not node.name.startswith("_")
                     and not any(node.name in _references(t, skip=node)
                                 for t in trees.values())):
                 out.append("%s %s" % (name, node.name))
@@ -173,7 +178,7 @@ def test_every_private_function_is_referenced():
 
 
 def test_every_public_function_has_a_caller():
-    assert unreferenced_public_names(MODULES) == sorted(TEST_ONLY)
+    assert unreferenced_public_names(MODULES) == sorted(TEST_ONLY.keys() | EXPORT_ONLY.keys())
 
 
 def test_every_parameter_is_read():
@@ -203,8 +208,9 @@ def test_the_checks_see_what_they_look_for(tmp_path):
     lonely = tmp_path / "lonely.py"
     lonely.write_text("def in_rowspace(m, v):\n    return in_rowspace(m, v)\n\n"
                       "class Kept:\n    pass\n\ndef caller():\n    return Kept\n")
+    # C is exported and referenced nowhere else, so it shows
     assert unreferenced_public_names([init, path, lonely]) == [
-        "lonely.py caller", "lonely.py in_rowspace"]
+        "lonely.py caller", "lonely.py in_rowspace", "sample.py C"]
     path.write_text("class D:\n    def __init__(self, v):\n        self.vars = v\n\n"
                     "def build(v, t):\n    out = MultiPoly.__new__(MultiPoly)\n"
                     "    out.vars, out.terms = v, t\n    out.terms[()] = 1\n"

@@ -339,9 +339,23 @@ def test_coords_in_rejects_non_integral_coordinates():
 
 
 def test_coords_in_rejects_vector_outside_span():
-    # the normal equations give x = (0, 0), integral, but B^T x != w
+    # (0, 0, 1) has no component along either row: a zero row with a
+    # nonzero right side
     with pytest.raises(ValueError, match="span"):
         _coords_in([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]])
+
+
+@pytest.mark.parametrize("basis, ws, text", [
+    ([[1, 0, 0], [2, 0, 0]], [[1, 0, 0]], "basis rows are linearly dependent"),
+    ([[2, 0, 0], [0, 1, 0]], [[1, 0, 0]], "vector does not lie in the sublattice"),
+    ([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], "vector is not in the span of the basis"),
+])
+def test_coords_in_error_texts(basis, ws, text):
+    """Each input has exactly one fault: dependent rows, a vector of the
+    span with a non-integral coordinate, a vector outside the span."""
+    with pytest.raises(ValueError) as err:
+        _coords_in(basis, ws)
+    assert str(err.value) == text
 
 
 def test_disc_order_equals_det():

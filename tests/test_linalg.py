@@ -409,6 +409,34 @@ def test_kernel_swaps_rows_of_both_parities():
     assert zlinalg._eliminate(a, 3) == 0                     # no pivot in column 1
 
 
+def test_eliminate_leaves_the_bordered_minors_below_its_pivot_rows():
+    """Sylvester's identity: _eliminate(a, n) on n + k rows pivots in the
+    first n rows only, eliminates every row below, and leaves at (n + i,
+    n + j) the sign times det [[N, c_j], [r_i, a_ij]], the leading block N
+    bordered by row n + i and column n + j; it returns 0 exactly when N is
+    singular."""
+    rng = random.Random(2101)
+    signs, singular = set(), 0
+    for _ in range(400):
+        n, k = rng.randint(0, 5), rng.randint(1, 3)
+        m = [[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(n + k)]
+             for _ in range(n + k)]
+        if n > 1 and rng.random() < 0.2:
+            m[rng.randrange(n)] = [2 * x for x in m[rng.randrange(n)]]
+        a = [row[:] for row in m]
+        sign = zlinalg._eliminate(a, n)
+        if int_det([row[:n] for row in m[:n]]) == 0:
+            assert sign == 0
+            singular += 1
+            continue
+        signs.add(sign)
+        for i in range(n, n + k):
+            for j in range(n, n + k):
+                bordered = [row[:n] + [row[j]] for row in m[:n]] + [m[i][:n] + [m[i][j]]]
+                assert a[i][j] == sign * int_det(bordered)
+    assert signs == {1, -1} and singular > 20
+
+
 def test_bareiss_solve_contract():
     systems = random_systems()
     assert solve_failures(bareiss_solve, systems) == []

@@ -22,6 +22,7 @@ from epw.local_model import (
     sextic_singularity, pencil_rank_bound, CHART_VARS,
 )
 from epw.polymat import Pencil, adjugate_poly_matrix, det_bareiss, det_poly_matrix
+from epw.zlinalg import bareiss_solve, int_adjugate, int_gram
 
 
 def unit(i):
@@ -317,11 +318,81 @@ def test_schur_identity_exact(k):
     assert schur_identity_check(ch, sd)
 
 
+def reference_schur_oracle(pencil, jdim, pt):
+    """(D, M_hat entries) at a point by one fraction-free solve: N Y =
+    det(N) R^t, then M_hat = det(N) P - R Y, or -R adj(N) R^t when
+    det(N) = 0; N, R, P are the J, kernel-by-J and kernel blocks of the
+    integer pencil at the point, scaled back by s as the oracle is."""
+    s, m = pencil.at(pt)
+    k = len(m) - jdim
+    nq = [row[:jdim] for row in m[:jdim]]
+    r = [row[:jdim] for row in m[jdim:]]
+    det, y = bareiss_solve(nq, [list(col) for col in zip(*r)])
+    if y is None:
+        mh = [-v for row in int_gram(int_adjugate(nq), r) for v in row]
+    else:
+        mh = [det * m[jdim + i][jdim + j] - sum(r[i][t] * y[t][j] for t in range(jdim))
+              for i in range(k) for j in range(k)]
+    return [Fraction(det, s ** jdim)] + [Fraction(v, s ** (jdim + 1)) for v in mh]
+
+
+def hyperbolic_chart(k):
+    """The standard chart of the graph of a form with zero diagonal:
+    hyperbolic pairs of weights 1, 2, ... on the first 10 - k coordinates
+    (one diagonal 2 when 10 - k is odd) and a k-dimensional kernel.  No
+    single coordinate is a nonsingular block, so J is grown by pairs and
+    the oracle's elimination swaps rows, and det(N) vanishes at some grid
+    points."""
+    g = [[Fraction(0)] * 10 for _ in range(10)]
+    for b in range((10 - k) // 2):
+        g[2 * b][2 * b + 1] = g[2 * b + 1][2 * b] = Fraction(1 + b)
+    if (10 - k) % 2:
+        g[9 - k][9 - k] = Fraction(2)
+    v0, c = standard_chart_basis()
+    return Chart(lagrangian_from_graph_basis(v0, c, g), v0, c)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, "formstan", "hyperbolic-1", "hyperbolic-2"])
+def test_schur_oracle_matches_the_solve_reference(monkeypatch, case):
+    """At every grid point the oracle equals the one-solve reference, on
+    seeded standard charts of corank 1-4, on the formstan chart with its
+    supplied kernel basis, and on charts whose elimination swaps rows and
+    meets det(N) = 0."""
+    k_basis = None
+    if case == "formstan":
+        chart, k_basis = checks.formstan_instance()
+    elif str(case).startswith("hyperbolic"):
+        chart = hyperbolic_chart(int(case[-1]))
+    else:
+        frame, _ = random_graph_lagrangian(random.Random(90 + case), corank=case)
+        chart = Chart(frame, unit(1), standard_chart_basis()[1])
+    calls = []
+    interpolate = local_model.interpolate_poly_map
+
+    def capture(oracle, *args):
+        def record(pt):
+            calls.append((pt, oracle(pt)))
+            return calls[-1][1]
+        return interpolate(record, *args)
+
+    monkeypatch.setattr(local_model, "interpolate_poly_map", capture)
+    sd = schur_complement(chart, k_basis=k_basis)
+    c = sd.adapted
+    pencil = Pencil(linalg.restrict_gram(chart.form.gram, c),
+                    [int_gram(b, c) for b in local_model.moving_int_matrices()])
+    assert len(calls) == 462
+    for pt, out in calls:
+        assert list(out) == reference_schur_oracle(pencil, 10 - sd.k, pt)
+    if str(case).startswith("hyperbolic"):
+        assert any(out[0] == 0 for _, out in calls)
+
+
 def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
-    """At every point the solve branch gives M_hat = det(N) P - R adj(N) R^t;
-    the det(N) = 0 branch gives -R adj(N) R^t.  Forcing that branch at
-    points where det(N) != 0 must therefore change M_hat by exactly det(N) P,
-    with P the kernel block of the congruent pencil."""
+    """At every point the eliminated branch gives M_hat = det(N) P - R adj(N) R^t;
+    the det(N) = 0 branch gives -R adj(N) R^t.  Forcing that branch (an
+    elimination that reports a singular N) at points where det(N) != 0 must
+    therefore change M_hat by exactly det(N) P, with P the kernel block of
+    the congruent pencil."""
     frame, _ = random_graph_lagrangian(random.Random(62), corank=2)
     ch = Chart(frame, unit(1), standard_chart_basis()[1])
     oracles = []
@@ -339,12 +410,11 @@ def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
                for q in range(jdim, 10)] for r in range(jdim, 10)]
              for b in local_model.moving_int_matrices()]
     points = [(1, 0, 2, -1, 0), (2, 1, 1, 1, 0), (0, 0, 0, 0, 0)]
-    solved = [oracles[0](pt) for pt in points]
-    solve = local_model.bareiss_solve
-    monkeypatch.setattr(local_model, "bareiss_solve", lambda m, rhs: (solve(m, rhs)[0], None))
-    for pt, out in zip(points, solved):
+    eliminated = [oracles[0](pt) for pt in points]
+    monkeypatch.setattr(local_model, "_eliminate", lambda m, n: 0)
+    for pt, out in zip(points, eliminated):
         forced = oracles[0](pt)
-        assert forced[0] == out[0] != 0
+        assert out[0] != 0 and forced[0] == 0
         for i in range(k):
             for j in range(k):
                 p = sum(t * move[i][j] for t, move in zip(pt, moves))
