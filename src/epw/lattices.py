@@ -12,13 +12,15 @@ planes (without which the Eichler criterion is refused).
 An `EvenLattice` is a value: no function writes to its `gram`, `named`
 or `u2_pairs` after `__init__`, and `vector()` returns a copy.  So each
 constructor in `NAMED_LATTICES` is cached: the named tower is built once
-per process and shared by every caller.  Two derived slots ride along:
+per process and shared by every caller.  Three derived slots ride along:
 the nonzero entries (j, g_ij) of each Gram row, which every pairing
-walks instead of the dense matrix, and the discriminant group, which
-`disc_group` builds on first use and the lattice then holds.  So the
-Smith normal form of a named lattice runs once per process, and the
-group of any other lattice lives exactly as long as the lattice.  No
-function takes a group beside its lattice; each reads `disc_group(l)`.
+walks instead of the dense matrix; the discriminant group, which
+`disc_group` builds on first use and the lattice then holds; and the
+signature, which `signature()` computes on first use and holds the same
+way.  So the Smith normal form and the signature of a named lattice run
+once per process, and the group of any other lattice lives exactly as
+long as the lattice.  No function takes a group beside its lattice;
+each reads `disc_group(l)`.
 
 The lattice layer computes in integers only.  Gram matrices of
 complements and overlattices, and the isometry test, are one
@@ -56,7 +58,7 @@ ROOT_TAGS = (S2_STAR, S2_PRIME, S2_DPRIME, S4)
 
 
 class EvenLattice:
-    __slots__ = ("rank", "gram", "named", "u2_pairs", "_rows", "_disc")
+    __slots__ = ("rank", "gram", "named", "u2_pairs", "_rows", "_disc", "_sig")
 
     def __init__(self, gram, named=None, u2_pairs=None):
         g = [[int(x) for x in row] for row in gram]
@@ -73,6 +75,7 @@ class EvenLattice:
         self.gram = g
         self._rows = [[(j, x) for j, x in enumerate(row) if x] for row in g]
         self._disc = None
+        self._sig = None
         self.named = {k: [int(x) for x in v] for k, v in (named or {}).items()}
         for k, v in self.named.items():
             if len(v) != n:
@@ -121,18 +124,21 @@ class EvenLattice:
         return zlinalg.int_det(self.gram)
 
     def signature(self):
-        """(positive, negative) inertia of the Gram matrix G.
+        """(positive, negative) inertia of the Gram matrix G, computed on
+        first use and then held by the lattice.
 
         p(x) = det(G - x I) is real-rooted, so by Descartes' rule the sign
         changes of its nonzero coefficients count the positive roots; its
         lowest nonzero degree is the dimension of the kernel.
         """
-        n = self.rank
-        minus_id = [[-int(i == j) for j in range(n)] for i in range(n)]
-        p = Pencil(self.gram, [minus_id]).det_poly(("x",))
-        coeffs = [c for _, c in sorted(p.terms.items())]
-        pos = sum((a > 0) != (b > 0) for a, b in zip(coeffs, coeffs[1:]))
-        return pos, n - min(p.terms)[0] - pos
+        if self._sig is None:
+            n = self.rank
+            minus_id = [[-int(i == j) for j in range(n)] for i in range(n)]
+            p = Pencil(self.gram, [minus_id]).det_poly(("x",))
+            coeffs = [c for _, c in sorted(p.terms.items())]
+            pos = sum((a > 0) != (b > 0) for a, b in zip(coeffs, coeffs[1:]))
+            self._sig = (pos, n - min(p.terms)[0] - pos)
+        return self._sig
 
     def is_primitive(self, v):
         g = 0

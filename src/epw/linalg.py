@@ -35,8 +35,10 @@ def frac(x) -> Fraction:
 def scaled_int_rows(rows):
     """(L, [[L * x for x in row] for row in rows]) for rows of Fractions or
     ints, with L the lcm of all their denominators (1 if there are none).
-    Each entry is read once, by as_integer_ratio."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    Each entry is read once, by as_integer_ratio; a float raises frac's
+    TypeError."""
+    ratios = [[(frac(x) if isinstance(x, float) else x).as_integer_ratio() for x in row]
+              for row in rows]
     den = lcm(*(d for row in ratios for _, d in row))
     return den, [[n * (den // d) for n, d in row] for row in ratios]
 

@@ -11,11 +11,18 @@ serves as the reference:
 * Pencil: an affine pencil base + sum_a t_a M_a of constant rational
   matrices (the chart pencil det(q_A + q_v), the congruent Schur pencil
   and the pencils det(q_* + q(t)) of varquad) is scaled to integers by one
-  lcm L, evaluated at the points of a triangular interpolation grid, one
-  integer determinant (zlinalg.int_det) per point, interpolated and
-  divided once by L^side.  det_interpolate reads an affine PolyMatrix
-  into a Pencil.  Pencil.graded_parts(variables, top) is the graded
-  route: only the homogeneous parts Phi_0..Phi_top, from the univariate
+  lcm L, evaluated at the points of a triangular interpolation grid,
+  interpolated and divided once by L^side.  det_poly walks the grid line
+  by line in the last variable: the p rows and columns that the last move
+  never touches lead, one Bareiss prefix of p steps
+  (zlinalg._eliminate) per line leaves their pivot D and the trailing
+  block of bordered minors, and each point of the line adds t D M_last to
+  that block and resumes the elimination from D (prev=D) for the last q
+  steps.  On the chart pencil p = 4 (the pairs containing e5) and q = 6.
+  A line whose prefix block is singular takes one int_det per point.
+  det_interpolate reads an affine PolyMatrix into a Pencil.
+  Pencil.graded_parts(variables, top) is the graded route: only the
+  homogeneous parts Phi_0..Phi_top, from the univariate
   det(base + s Q_u) along the directions u = (1, y) of one triangular
   y-grid of degree top, each a fresh integer matrix eliminated in place
   (zlinalg._eliminate).  varquad's statements read it to the last piece
@@ -138,6 +145,11 @@ def det_bareiss(m: PolyMatrix) -> MultiPoly:
     if not sign:
         return MultiPoly.zero(m.vars)
     return a[-1][-1] if sign == 1 else -a[-1][-1]
+
+
+def _perm_sign(order):
+    """The sign of the permutation order of range(len(order))."""
+    return -1 if sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2 else 1
 
 
 # ---------------------------------------------------------------------
@@ -287,8 +299,13 @@ class Pencil:
 
     def det_poly(self, variables, degree=None) -> MultiPoly:
         """The determinant as a polynomial in the variables (one per move),
-        interpolated from one int_det per grid point and divided once by
-        L^side (not at all when L is 1).
+        interpolated from its integer values L^side det at the grid points
+        and divided once by L^side (not at all when L is 1).
+
+        The values come from a walk along the lines of the last variable
+        (_line_walk): one Bareiss prefix per line, on the rows and columns
+        the last move never touches, and per point only the trailing block
+        that it moves.
 
         degree is a bound on its total degree.  It defaults to the row
         bound (_row_bound): the sum of the row degrees, -1 (a zero
@@ -299,8 +316,59 @@ class Pencil:
             degree = self._row_bound()
         if degree < 0:
             return MultiPoly.zero(variables)
-        f = interpolate_poly_map(lambda pt: (int_det(self.at(pt)[1]),), variables, degree, 1)[0]
+        f = interpolate_poly_map(self._line_walk(), variables, degree, 1)[0]
         return f if self.den == 1 else f * Fraction(1, self.den ** len(self.base))
+
+    def _line_walk(self):
+        """The oracle of det_poly: pt -> (int_det(at(pt)[1]),) at integer
+        points, for points that come line by line, the points of one line
+        differing only in their last coordinate.
+
+        The p rows and p columns that the last move never touches are
+        permuted to the front, once.  Along a line only the trailing q x q
+        block then moves, by t times the last move's integer entries.  At
+        the line's point with t = 0, one _eliminate(m0, p) leaves D, the
+        last prefix pivot, and the trailing block of bordered (p +
+        1)-minors (Sylvester's identity).  A bordered minor is linear in
+        its corner entry with slope D, so at t the trailing block is that
+        block plus t D times the last move; _eliminate(trail, q, prev=D)
+        finishes the elimination of the whole matrix from there.  A line
+        whose prefix block is singular takes int_det at each of its points,
+        and so does the one point of a pencil without moves.
+        """
+        if not self.moves:
+            return lambda pt: (int_det(self.at(pt)[1]),)
+        n = len(self.base)
+        last = self.moves[-1]
+        moved_rows, moved_cols = {i for i, _, _ in last}, {j for _, j, _ in last}
+        fixed_rows = [i for i in range(n) if i not in moved_rows]
+        fixed_cols = [j for j in range(n) if j not in moved_cols]
+        p = min(len(fixed_rows), len(fixed_cols))
+        q = n - p
+        rows = fixed_rows[:p] + [i for i in range(n) if i not in fixed_rows[:p]]
+        cols = fixed_cols[:p] + [j for j in range(n) if j not in fixed_cols[:p]]
+        perm = _perm_sign(rows) * _perm_sign(cols)
+        step = [(rows.index(i) - p, cols.index(j) - p, c) for i, j, c in last]
+        line = sign = pivot = trail = None
+
+        def oracle(pt):
+            nonlocal line, sign, pivot, trail
+            if pt[:-1] != line:
+                line = pt[:-1]
+                m = self.at(line + (0,))[1]
+                m = [[m[i][j] for j in cols] for i in rows]
+                sign = perm * _eliminate(m, p)
+                pivot = m[p - 1][p - 1] if p else 1
+                trail = [row[p:] for row in m[p:]]
+            if not sign:
+                return (int_det(self.at(pt)[1]),)
+            t = [row[:] for row in trail]
+            x = pt[-1] * pivot
+            for i, j, c in step:
+                t[i][j] += x * c
+            return (sign * _eliminate(t, q, pivot) * (t[-1][-1] if q else pivot),)
+
+        return oracle
 
     def graded_parts(self, variables, top):
         """[Phi_0, ..., Phi_top]: the homogeneous parts of degree 0..top of

@@ -2,15 +2,16 @@
 
 One fraction-free elimination kernel (Bareiss) behind the integer
 determinant, the integer solve, the Schur data of local_model (by
-Sylvester's identity), polymat.Pencil.graded_parts (in place) and, on
-polynomial entries, polymat.det_bareiss; the one congruence product
-rows g rows^t, Smith normal form with unimodular transforms, Hermite
-form for lattice bases and saturated kernels.  All else is integer
+Sylvester's identity), the line walk of polymat.Pencil.det_poly (a
+prefix per line, resumed per point), polymat.Pencil.graded_parts (in
+place) and, on polynomial entries, polymat.det_bareiss; the one
+congruence product rows g rows^t, Smith normal form with unimodular
+transforms, Hermite form for lattice bases and saturated kernels.  All else is integer
 arithmetic; nothing is imported.
 """
 
 
-def _eliminate(a, n):
+def _eliminate(a, n, prev=1):
     """Bareiss elimination (Bareiss 1968) in place: n steps, pivoting in
     the first n rows and columns and eliminating every row below the pivot;
     further columns are carried along.  Entries are ints or MultiPolys:
@@ -24,9 +25,13 @@ def _eliminate(a, n):
     Returns the sign of the row permutation, or 0 (leaving a partly
     eliminated) when a column has no pivot, i.e. when the leading n x n
     block is singular.
+
+    prev resumes an elimination: if a is the trailing block left by p
+    earlier steps on a larger matrix and prev its last pivot, the run is
+    those steps p + 1..p + n, so a[n - 1][n - 1] is the leading (p +
+    n)-minor of the larger matrix (row-permuted by both stages).
     """
     sign = 1
-    prev = 1
     for k in range(n):
         if not a[k][k]:
             piv = next((i for i in range(k + 1, n) if a[i][k]), None)

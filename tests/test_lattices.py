@@ -19,6 +19,7 @@ from epw.lattices import (
     is_isometry, induced_disc_action, NAMED_LATTICES,
     S2_STAR, S2_PRIME, S2_DPRIME, S4,
 )
+from epw.polymat import Pencil
 
 
 def unit(n, i):
@@ -798,8 +799,10 @@ def _run_tower_users():
 
 
 def _assert_tower_equals_fresh_builds():
-    """Each shared lattice, its sparse Gram rows and its held discriminant
-    group equal those of a fresh build."""
+    """Each shared lattice, its sparse Gram rows, its held discriminant
+    group and its held signature (where one is held) equal those of a
+    fresh build."""
+    signatures = 0
     for name, ctor in NAMED_LATTICES.items():
         shared, fresh = ctor(), ctor.__wrapped__()
         assert (shared.gram, shared.named, shared.u2_pairs) \
@@ -810,6 +813,11 @@ def _assert_tower_equals_fresh_builds():
         assert held is not None, name
         assert (held.invariants, held.gen_lifts, held._urows, held._vcols) \
             == (built.invariants, built.gen_lifts, built._urows, built._vcols), name
+        if shared._sig is not None:
+            assert fresh._sig is None and shared._sig == fresh.signature(), name
+            signatures += 1
+    # `overlattices` reads the signature of each lattice that has one
+    assert signatures >= 2
 
 
 def test_no_verb_or_ledger_mutates_the_shared_tower():
@@ -857,6 +865,37 @@ def test_tower_guard_catches_a_verb_that_mutates_the_held_group(monkeypatch, reb
     _run_tower_users()
     with pytest.raises(AssertionError, match="lambda"):
         _assert_tower_equals_fresh_builds()
+
+
+def test_tower_guard_catches_a_verb_that_mutates_a_held_signature(monkeypatch, rebuilt_tower):
+    overlattices_verb = cli.VERBS["overlattices"]
+
+    def mutant(args):
+        code = overlattices_verb(args)
+        if args.lattice == "gamma":
+            # no verb or ledger line reads gamma's signature afterwards,
+            # so only the guard can see it
+            l = gamma_lattice()
+            l._sig = l._sig[::-1]
+        return code
+
+    monkeypatch.setitem(cli.VERBS, "overlattices", mutant)
+    _run_tower_users()
+    with pytest.raises(AssertionError, match="gamma"):
+        _assert_tower_equals_fresh_builds()
+
+
+def test_signature_is_held_by_its_lattice(monkeypatch):
+    l = direct_sum(rank_one(-2), hyperbolic_plane(), rank_one(4))
+    assert l._sig is None
+    sig = l.signature()
+    assert sig == (2, 2) and l._sig == sig
+
+    def refuse(self, variables, degree=None):
+        raise AssertionError("signature recomputed")
+
+    monkeypatch.setattr(Pencil, "det_poly", refuse)
+    assert l.signature() == sig
 
 
 def test_lattice_json_group_dies_with_its_lattice(tmp_path, monkeypatch):

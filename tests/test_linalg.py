@@ -437,6 +437,42 @@ def test_eliminate_leaves_the_bordered_minors_below_its_pivot_rows():
     assert signs == {1, -1} and singular > 20
 
 
+def test_eliminate_resumed_from_prev_is_one_full_elimination():
+    """p steps of _eliminate, then the trailing block resumed with prev =
+    the last prefix pivot, give the pivots and the sign times last pivot
+    of one full elimination; the prefix returns 0 exactly when the leading
+    p x p block is singular, the case the resume never sees."""
+    rng = random.Random(2201)
+    seen = {"prefix swap": 0, "trailing swap": 0, "singular prefix": 0, "singular": 0}
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        p = rng.randint(0, n)
+        m = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            m[rng.randrange(n)] = [2 * x for x in m[rng.randrange(n)]]
+        full = [row[:] for row in m]
+        sign = zlinalg._eliminate(full, n)
+        assert sign * full[-1][-1] == reference_det(m)
+        a = [row[:] for row in m]
+        first = zlinalg._eliminate(a, p)
+        if int_det([row[:p] for row in m[:p]]) == 0:
+            assert first == 0
+            seen["singular prefix"] += 1
+            continue
+        pivot = a[p - 1][p - 1] if p else 1
+        trail = [row[p:] for row in a[p:]]
+        second = zlinalg._eliminate(trail, n - p, pivot)
+        assert first * second * (trail[-1][-1] if trail else pivot) == sign * full[-1][-1]
+        if second:
+            assert [a[i][i] for i in range(p)] + [trail[i][i] for i in range(n - p)] \
+                == [full[i][i] for i in range(n)]
+        seen["prefix swap"] += first == -1
+        seen["trailing swap"] += second == -1
+        seen["singular"] += second == 0
+    assert min(seen.values()) > 20, seen
+
+
 def test_bareiss_solve_contract():
     systems = random_systems()
     assert solve_failures(bareiss_solve, systems) == []
@@ -523,6 +559,19 @@ def test_restrict_gram_matches_fraction_reference():
     assert seen == {"single row", "k < n", "k >= n", "zero row", "denominators"}
     assert restrict_gram([[Fraction(1, 2)]], []) == []
     assert restrict_gram([[1, 2], [2, 0]], [["1/2", 1]]) == [[Fraction(9, 4)]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.det([[0.5, 0], [0, 2]]),
+    lambda: rank([[1, 0], [0, 2.0]]),
+    lambda: restrict_gram([[1.5]], [[1]]),
+    lambda: linalg.scaled_int_rows([[Fraction(1, 3), 0.25]]),
+])
+def test_scaled_rows_refuse_floats(call):
+    """as_integer_ratio reads a float exactly (det([[0.5, 0], [0, 2]]) was
+    1), so the one scaling helper refuses floats as frac does."""
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        call()
 
 
 def test_restrict_gram_rejects_a_row_of_the_wrong_length():

@@ -6,11 +6,19 @@ import random
 
 import pytest
 
+from collections import Counter
+
+from epw import polymat
+from epw.local_model import CHART_VARS, Chart, chart_pencil, pencil_rank_bound
 from epw.poly import MultiPoly, poly_from_text
 from epw.polymat import (
     Pencil, PolyMatrix, det_poly_matrix, det_bareiss, det_cofactor, det_interpolate,
     adjugate_poly_matrix, interpolate_poly_map,
 )
+from epw.wedge import (
+    PAIR5_INDEX, lagrangian_from_graph_basis, random_graph_lagrangian, standard_chart_basis,
+)
+from epw.zlinalg import int_det
 
 XY = ("x", "y")
 
@@ -409,6 +417,19 @@ def test_pencil_needs_one_variable_per_move(call):
         call(p)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Pencil([[1, 0], [0, 1]], [[[1, 0], [0, 0]]]).det([0.1]),
+    lambda: Pencil([[1, 0], [0, 1]], [[[1, 0], [0, 0]]]).at((2.0,)),
+    lambda: Pencil([[1, 0.5], [0, 1]], []),
+    lambda: Pencil([[1, 0], [0, 1]], [[[1, 0], [0, 0.25]]]),
+])
+def test_pencil_refuses_floats(call):
+    """det([0.1]) was 39631676720860365/36028797018963968: the float's
+    binary value, read exactly."""
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        call()
+
+
 def test_det_strategies_line_can_fail_through_the_pencil(monkeypatch):
     from epw import checks
 
@@ -416,3 +437,143 @@ def test_det_strategies_line_can_fail_through_the_pencil(monkeypatch):
     monkeypatch.setattr(Pencil, "det_poly", lambda self, *args: real(self, *args) * 2)
     r = checks.check_algebra_core(8)
     assert not r.ok and r.detail == "det-strategies-10x10"
+
+
+# -- the line walk of det_poly ---------------------------------------------------------
+
+def reference_det_poly(pencil, variables, degree=None):
+    """det_poly by one int_det per grid point, interpolated and divided by
+    L^side: the route before the line walk."""
+    if degree is None:
+        degree = pencil._row_bound()
+    if degree < 0:
+        return MultiPoly.zero(variables)
+    f = interpolate_poly_map(lambda pt: (int_det(pencil.at(pt)[1]),), variables, degree, 1)[0]
+    return f * Fraction(1, pencil.den ** len(pencil.base))
+
+
+@pytest.fixture
+def walk_work(monkeypatch):
+    """Counts of the walk's eliminations, keyed (steps, rows), and of the
+    int_det calls of its singular-prefix lines."""
+    work = Counter()
+    eliminate, det = polymat._eliminate, polymat.int_det
+
+    def counted_eliminate(a, n, prev=1):
+        work[n, len(a)] += 1
+        return eliminate(a, n, prev)
+
+    def counted_det(m):
+        work["int_det"] += 1
+        return det(m)
+
+    monkeypatch.setattr(polymat, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(polymat, "int_det", counted_det)
+    return work
+
+
+def chart_of_corank(k):
+    frame, _ = random_graph_lagrangian(random.Random(90 + k), corank=k)
+    v0, c = standard_chart_basis()
+    return Chart(frame, v0, c)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_det_poly_walk_matches_the_reference_on_charts(k):
+    pencil = chart_pencil(chart_of_corank(k))
+    bound = pencil_rank_bound()
+    assert pencil.det_poly(CHART_VARS, bound) == reference_det_poly(pencil, CHART_VARS, bound)
+
+
+def test_det_poly_walk_work_on_a_generic_chart(walk_work):
+    """The last move touches the six bivectors without e5: one 4-step
+    prefix per line of t5 (210 lines) and one 6-step trailing elimination
+    per grid point (462), no int_det."""
+    chart_pencil(chart_of_corank(0)).det_poly(CHART_VARS, pencil_rank_bound())
+    assert walk_work == {(4, 10): 210, (6, 6): 462}
+
+
+def test_det_poly_walk_falls_back_where_the_prefix_is_singular(walk_work):
+    """A chart form that vanishes on the pairs containing e5: the fixed
+    4 x 4 block is 0 on every line, so every point takes int_det."""
+    rng = random.Random(4)
+    fixed = {PAIR5_INDEX[i, 4] for i in range(4)}
+    g = [[0] * 10 for _ in range(10)]
+    for i in range(10):
+        for j in range(i, 10):
+            if not (i in fixed and j in fixed):
+                g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    v0, c = standard_chart_basis()
+    pencil = chart_pencil(Chart(lagrangian_from_graph_basis(v0, c, g), v0, c))
+    f = pencil.det_poly(CHART_VARS, 6)
+    assert walk_work == {(4, 10): 210, "int_det": 462}
+    assert pencil.den > 1 and not f.is_zero()
+    assert f == reference_det_poly(pencil, CHART_VARS, 6)
+
+
+def test_det_poly_walk_on_lines_with_and_without_a_singular_prefix(walk_work):
+    """Non-symmetric, with L = 6: the last move touches rows 2, 3 and
+    columns 1, 3, so rows 0, 1 and columns 0, 2 lead, and their block
+    [[t1, 1], [0, t2 - 1]] is singular exactly on the lines t1 = 0 or
+    t2 = 1.  The row bound is 4: of the 15 lines of t3, the 8 singular
+    ones hold 21 of the 35 grid points."""
+    base = [[0, 0, 1, Fraction(1, 2)], [0, 0, -1, 1], [1, 1, 0, 3], [0, -1, 2, Fraction(1, 3)]]
+    moves = [[[int((i, j) == (0, 0)) for j in range(4)] for i in range(4)],
+             [[int((i, j) == (1, 2)) for j in range(4)] for i in range(4)],
+             [[0, 0, 0, 0], [0, 0, 0, 0], [0, Fraction(1, 2), 0, 1], [0, -1, 0, 2]]]
+    pencil = Pencil(base, moves)
+    variables = PENCIL_VARS[:3]
+    f = pencil.det_poly(variables)
+    assert walk_work == {(2, 4): 15, (2, 2): 14, "int_det": 21}
+    assert pencil.den == 6 and not f.is_zero() and f == reference_det_poly(pencil, variables)
+
+
+def test_det_poly_walk_edge_pencils(walk_work):
+    rng = random.Random(8)
+    g = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+    # no moves: one int_det
+    assert Pencil(g, []).det_poly(()) == reference_det_poly(Pencil(g, []), ())
+    assert walk_work == {"int_det": 1}
+    # Pencil(G, [-I]), the signature's pencil: no prefix, the whole matrix
+    # trails, as one int_det per point did
+    walk_work.clear()
+    minus_id = [[-int(i == j) for j in range(5)] for i in range(5)]
+    p = Pencil(g, [minus_id])
+    assert p.det_poly(("x",)) == reference_det_poly(p, ("x",))
+    assert walk_work == {(0, 5): 1, (5, 5): 6}
+    # a zero last move: every row and column is fixed, one elimination per
+    # line gives the determinant all along it, and the trailing block is empty
+    walk_work.clear()
+    p = Pencil(g, [minus_id, [[0] * 5 for _ in range(5)]])
+    assert p.det_poly(("x", "y"), 3) == reference_det_poly(p, ("x", "y"), 3)
+    assert walk_work == {(5, 5): 4, (0, 0): 10}
+
+
+def test_det_poly_walk_matches_the_reference_on_seeded_pencils(walk_work):
+    """Rational pencils, a third of them symmetric, whose last move touches
+    random rows and columns: every p from 0 to n, and singular prefixes."""
+    rng = random.Random(2202)
+    seen = Counter()
+
+    def rat():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+
+    for _ in range(150):
+        n, k = rng.randint(1, 6), rng.randint(1, 3)
+        rows = rng.sample(range(n), rng.randint(1, n) if rng.random() < 0.9 else 0)
+        cols = rng.sample(range(n), rng.randint(1, n))
+        mats = [[[rat() for _ in range(n)] for _ in range(n)] for _ in range(k + 1)]
+        mats[-1] = [[x if i in rows and j in cols else 0 for j, x in enumerate(row)]
+                    for i, row in enumerate(mats[-1])]
+        if rng.random() < 0.3:
+            mats = [[[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)] for m in mats]
+        pencil = Pencil(mats[0], mats[1:])
+        variables = PENCIL_VARS[:k]
+        before = walk_work["int_det"]
+        assert pencil.det_poly(variables) == reference_det_poly(pencil, variables)
+        last = pencil.moves[-1]
+        p = n - max(len({i for i, _, _ in last}), len({j for _, j, _ in last}))
+        seen["p = 0" if p == 0 else "p = n" if p == n else "0 < p < n"] += 1
+        seen["singular prefix"] += walk_work["int_det"] > before
+        seen["den > 1"] += pencil.den > 1
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen
