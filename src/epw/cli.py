@@ -14,7 +14,6 @@ import sys
 
 from . import checks, jsonio, lattices
 from . import hilbert_square as hs
-from .jsonio import SchemaError
 
 
 class CheckFailure(RuntimeError):
@@ -27,13 +26,13 @@ class UsageError(RuntimeError):
 
 def _load(path, expected_kind):
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            kind, value = jsonio.load_document(fh.read())
     except OSError as e:
         raise UsageError("cannot read %s: %s" % (path, e)) from None
-    try:
-        kind, value = jsonio.load_document(text)
-    except (SchemaError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
+        # not UTF-8, not JSON, an integer literal too long to convert, arrays
+        # nested too deep, or off the schema (SchemaError is a ValueError)
         raise UsageError("%s: %s" % (path, e)) from None
     if kind != expected_kind:
         raise UsageError("%s: expected a %s document, found %s" % (path, expected_kind, kind))

@@ -20,11 +20,11 @@ determinants are interpolated at that bound from integer evaluations of
 one integer-scaled pencil (polymat.Pencil, built by chart_pencil).
 
 The Schur complement of the nondegenerate block of q_A is kept as an
-exact pair (M_hat, D) with M_J = M_hat / D, interpolated from one
-partial Bareiss elimination per grid point: D is its last pivot and, by
-Sylvester's identity, M_hat its trailing block of bordered minors.  The
-analytic square root factorization that motivates it is replaced by the
-polynomial identity
+exact pair (M_hat, D) with M_J = M_hat / D, interpolated from the same
+walker over the grid as the local equation (Pencil.bordered): D is the
+leading minor of the J rows and, by Sylvester's identity, M_hat the
+trailing block of bordered minors.  The analytic square root
+factorization that motivates it is replaced by the polynomial identity
 
     det(q_A + q_v) * D^(k-1) = det(M_hat),   k = dim ker q_A,
 
@@ -42,7 +42,7 @@ from .linalg import fvec, rank, restrict_gram, scaled_ints, stack
 from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_cofactor, det_poly_matrix, interpolate_poly_map
-from .zlinalg import _eliminate, int_adjugate, int_det, int_gram
+from .zlinalg import int_det, int_gram
 
 CHART_VARS = ("t1", "t2", "t3", "t4", "t5")
 
@@ -289,14 +289,13 @@ def schur_complement(chart: Chart, k_basis=None) -> SchurData:
     k_basis optionally fixes the basis of ker q_A (rows in bivector
     coordinates), e.g. to put a decomposable kernel direction first;
     supplied rows are cleared of denominators, else the chart form's
-    primitive kernel rows are used.  The grid evaluations run on the
-    integer-scaled congruent pencil C (G + M(t)) C^t: per point one
-    Bareiss elimination of its J rows (zlinalg._eliminate) leaves D as
-    the last pivot and, by Sylvester's identity, M_hat = det(N) P -
-    R adj(N) R^t as the trailing k x k block of bordered minors, both up
-    to the permutation sign.  Where det(N) = 0 it reads M_hat =
-    -R adj(N) R^t off the adjugate.  At k = 0 the same oracle gives D
-    alone, the chart determinant in the adapted basis.
+    primitive kernel rows are used.  The grid evaluations are the walker
+    Pencil.bordered(jdim) of the integer-scaled congruent pencil C (G +
+    M(t)) C^t, scaled back by its lcm: D is the leading jdim-minor and,
+    by Sylvester's identity, M_hat = det(N) P - R adj(N) R^t the
+    trailing k x k block of bordered minors, -R adj(N) R^t where det(N)
+    = 0.  At k = 0 the same oracle gives D alone, the chart determinant
+    in the adapted basis.
 
     Degree bound: D is a principal jdim-minor of the congruent pencil and
     each M_hat entry is a bordered (jdim + 1)-minor of it (the J rows and
@@ -320,22 +319,12 @@ def schur_complement(chart: Chart, k_basis=None) -> SchurData:
     jdim = 10 - k
     # moving Gram in the adapted basis: integer coefficient matrices per t_a
     pencil = Pencil(gp, [int_gram(ba, c) for ba in moving_int_matrices()])
+    walk = pencil.bordered(jdim)
+    dscale, mscale = pencil.den ** jdim, pencil.den ** (jdim + 1)
 
     def oracle(pt):
-        s, m = pencil.at(pt)
-        sign = _eliminate(m, jdim)
-        if sign:
-            d = sign * m[jdim - 1][jdim - 1] if jdim else 1
-            mh = [sign * v for row in m[jdim:] for v in row[jdim:]]
-        else:
-            # det(N) = 0: the bordered minors are -R adj(N) R^t
-            m = pencil.at(pt)[1]
-            d = 0
-            nq = [row[:jdim] for row in m[:jdim]]
-            mh = [-v for row in int_gram(int_adjugate(nq), [row[:jdim] for row in m[jdim:]])
-                  for v in row]
-        mscale = s ** (jdim + 1)
-        return [Fraction(d, s ** jdim)] + [Fraction(v, mscale) for v in mh]
+        d, *mh = walk(pt)
+        return [Fraction(d, dscale)] + [Fraction(v, mscale) for v in mh]
 
     degree = min(jdim + 1, pencil_rank_bound())
     flat = interpolate_poly_map(oracle, CHART_VARS, degree, 1 + k * k)

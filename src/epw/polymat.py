@@ -12,14 +12,16 @@ serves as the reference:
   matrices (the chart pencil det(q_A + q_v), the congruent Schur pencil
   and the pencils det(q_* + q(t)) of varquad) is scaled to integers by one
   lcm L, evaluated at the points of a triangular interpolation grid,
-  interpolated and divided once by L^side.  det_poly walks the grid line
-  by line in the last variable: the p rows and columns that the last move
-  never touches lead, one Bareiss prefix of p steps
-  (zlinalg._eliminate) per line leaves their pivot D and the trailing
-  block of bordered minors, and each point of the line adds t D M_last to
-  that block and resumes the elimination from D (prev=D) for the last q
-  steps.  On the chart pencil p = 4 (the pairs containing e5) and q = 6.
-  A line whose prefix block is singular takes one int_det per point.
+  interpolated and divided once by L^side.  The values at the grid
+  points come from one walker, bordered(n): the leading n-minor D and
+  the bordered (n + 1)-minors, line by line in the last variable.  Of
+  the first n rows and columns, the p that the last move never touches
+  lead; per line one Bareiss prefix of p steps (zlinalg._eliminate)
+  leaves their pivot P and the trailing block of bordered minors, and
+  per point that block gains t P M_last and the elimination resumes
+  from P for the other n - p steps.  det_poly is the walker at n = side
+  (p = 4 on the chart pencil, the pairs containing e5), the Schur data
+  of local_model at n = jdim.
   det_interpolate reads an affine PolyMatrix into a Pencil.
   Pencil.graded_parts(variables, top) is the graded route: only the
   homogeneous parts Phi_0..Phi_top, from the univariate
@@ -51,7 +53,7 @@ from .linalg import frac, scaled_int_rows, scaled_ints
 # span targets up by name, polymat.det_fraction_matrix among them.
 from .linalg import det as det_fraction_matrix  # noqa: F401
 from .poly import MultiPoly
-from .zlinalg import _eliminate, int_det
+from .zlinalg import _eliminate, int_adjugate, int_det
 
 # ---------------------------------------------------------------------
 # PolyMatrix
@@ -266,6 +268,8 @@ class Pencil:
     moves[a]) an integer matrix, where s = L * lcm(denominators of t); on
     the integer interpolation grid s is L.  A point has one coordinate,
     and det_poly one variable, per move (ValueError otherwise).
+    bordered(n) is the walker over the grid behind det_poly and the
+    Schur data of local_model.
     """
 
     __slots__ = ("den", "base", "moves")
@@ -302,10 +306,10 @@ class Pencil:
         interpolated from its integer values L^side det at the grid points
         and divided once by L^side (not at all when L is 1).
 
-        The values come from a walk along the lines of the last variable
-        (_line_walk): one Bareiss prefix per line, on the rows and columns
-        the last move never touches, and per point only the trailing block
-        that it moves.
+        The values come from the walker at n = side (bordered): one
+        Bareiss prefix per line of the last variable, on the rows and
+        columns the last move never touches, and per point only the
+        trailing block that it moves.
 
         degree is a bound on its total degree.  It defaults to the row
         bound (_row_bound): the sum of the row degrees, -1 (a zero
@@ -316,37 +320,35 @@ class Pencil:
             degree = self._row_bound()
         if degree < 0:
             return MultiPoly.zero(variables)
-        f = interpolate_poly_map(self._line_walk(), variables, degree, 1)[0]
+        f = interpolate_poly_map(self.bordered(len(self.base)), variables, degree, 1)[0]
         return f if self.den == 1 else f * Fraction(1, self.den ** len(self.base))
 
-    def _line_walk(self):
-        """The oracle of det_poly: pt -> (int_det(at(pt)[1]),) at integer
-        points, for points that come line by line, the points of one line
-        differing only in their last coordinate.
+    def bordered(self, n):
+        """The walker: the oracle pt -> [D, bordered minors] at integer
+        points that come line by line, the points of one line differing
+        only in their last coordinate.  D is the leading n-minor of m =
+        at(pt)[1], then come, row-major, the (n + 1)-minors of m that
+        border it by one more row and column (Sylvester's identity).
 
-        The p rows and p columns that the last move never touches are
-        permuted to the front, once.  Along a line only the trailing q x q
-        block then moves, by t times the last move's integer entries.  At
-        the line's point with t = 0, one _eliminate(m0, p) leaves D, the
-        last prefix pivot, and the trailing block of bordered (p +
-        1)-minors (Sylvester's identity).  A bordered minor is linear in
-        its corner entry with slope D, so at t the trailing block is that
-        block plus t D times the last move; _eliminate(trail, q, prev=D)
-        finishes the elimination of the whole matrix from there.  A line
-        whose prefix block is singular takes int_det at each of its points,
-        and so does the one point of a pencil without moves.
+        Of the first n rows and columns, the p of each that the last move
+        never touches are permuted to the front, once.  At the line's point
+        with t = 0, _eliminate(m0, p) leaves P, the last prefix pivot, and
+        the trailing block of bordered (p + 1)-minors.  Each is linear in
+        its corner entry with slope P, so at t that block gains t P times
+        the last move, and _eliminate(trail, n - p, prev=P) finishes the n
+        steps.  A line whose prefix is singular eliminates each point from
+        scratch.  Where the n x n block N is singular, D = 0 and the
+        bordered minors are -R adj(N) C (R, C: the rows below and the
+        columns beside N).
         """
-        if not self.moves:
-            return lambda pt: (int_det(self.at(pt)[1]),)
-        n = len(self.base)
-        last = self.moves[-1]
+        side = len(self.base)
+        last = self.moves[-1] if self.moves else []
         moved_rows, moved_cols = {i for i, _, _ in last}, {j for _, j, _ in last}
         fixed_rows = [i for i in range(n) if i not in moved_rows]
         fixed_cols = [j for j in range(n) if j not in moved_cols]
         p = min(len(fixed_rows), len(fixed_cols))
-        q = n - p
-        rows = fixed_rows[:p] + [i for i in range(n) if i not in fixed_rows[:p]]
-        cols = fixed_cols[:p] + [j for j in range(n) if j not in fixed_cols[:p]]
+        rows = fixed_rows[:p] + [i for i in range(side) if i not in fixed_rows[:p]]
+        cols = fixed_cols[:p] + [j for j in range(side) if j not in fixed_cols[:p]]
         perm = _perm_sign(rows) * _perm_sign(cols)
         step = [(rows.index(i) - p, cols.index(j) - p, c) for i, j, c in last]
         line = sign = pivot = trail = None
@@ -355,18 +357,26 @@ class Pencil:
             nonlocal line, sign, pivot, trail
             if pt[:-1] != line:
                 line = pt[:-1]
-                m = self.at(line + (0,))[1]
+                m = self.at(line + (0,) if pt else pt)[1]
                 m = [[m[i][j] for j in cols] for i in rows]
                 sign = perm * _eliminate(m, p)
                 pivot = m[p - 1][p - 1] if p else 1
                 trail = [row[p:] for row in m[p:]]
-            if not sign:
-                return (int_det(self.at(pt)[1]),)
-            t = [row[:] for row in trail]
-            x = pt[-1] * pivot
-            for i, j, c in step:
-                t[i][j] += x * c
-            return (sign * _eliminate(t, q, pivot) * (t[-1][-1] if q else pivot),)
+            if sign:
+                a, k = [row[:] for row in trail], n - p
+                x = pt[-1] * pivot if pt else 0
+                for i, j, c in step:
+                    a[i][j] += x * c
+                s = sign * _eliminate(a, k, pivot)
+            else:   # a prefix that can fail has p >= 1 steps, so k = n >= 1
+                a, k = self.at(pt)[1], n
+                s = _eliminate(a, k)
+            if not s:
+                m = self.at(pt)[1]
+                adj = int_adjugate([row[:n] for row in m[:n]]) if n < side else []
+                return [0] + [-sum(m[i][u] * adj[u][v] * m[v][j] for u in range(n) for v in range(n))
+                              for i in range(n, side) for j in range(n, side)]
+            return [s * (a[k - 1][k - 1] if k else pivot)] + [s * v for row in a[k:] for v in row[k:]]
 
         return oracle
 

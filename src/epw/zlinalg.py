@@ -1,10 +1,10 @@
 """Integer matrix routines for lattice arithmetic.
 
 One fraction-free elimination kernel (Bareiss) behind the integer
-determinant, the integer solve, the Schur data of local_model (by
-Sylvester's identity), the line walk of polymat.Pencil.det_poly (a
-prefix per line, resumed per point), polymat.Pencil.graded_parts (in
-place) and, on polynomial entries, polymat.det_bareiss; the one
+determinant, the integer solve, the walker polymat.Pencil.bordered (a
+prefix per line, resumed per point; by Sylvester's identity it gives
+det_poly and the Schur data of local_model), polymat.Pencil.graded_parts
+(in place) and, on polynomial entries, polymat.det_bareiss; the one
 congruence product rows g rows^t, Smith normal form with unimodular
 transforms, Hermite form for lattice bases and saturated kernels.  All else is integer
 arithmetic; nothing is imported.

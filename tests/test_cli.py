@@ -263,6 +263,43 @@ def test_strata_malformed_wedge_json_usage_error(plane_frame_file, tmp_path, fla
     assert out.startswith("error: ")
 
 
+# the three verbs that read a document through cli._load, with "{}" for its path
+DOCUMENT_VERBS = [
+    ["local-sextic", "--frame", "{}", "--point", "1,0,0,0,0,0"],
+    ["disc-group", "--lattice-json", "{}"],
+    ["sextic-sing", "--poly", "{}", "--point", "0,0,1"],
+]
+
+
+def run_on_document(tmp_path, argv, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    return run([str(path) if a == "{}" else a for a in argv])
+
+
+@pytest.mark.parametrize("argv", DOCUMENT_VERBS)
+def test_a_document_that_is_not_utf8_usage_error(tmp_path, argv):
+    code, out = run_on_document(tmp_path, argv, b'\xff\xfe{"kind": "even_lattice"}')
+    assert code == 2
+    assert out.startswith("error: ") and "utf-8" in out
+
+
+@pytest.mark.parametrize("argv", DOCUMENT_VERBS)
+def test_an_integer_literal_of_5000_digits_usage_error(tmp_path, argv):
+    """Python refuses to convert an integer string of more than 4300 digits
+    (a ValueError); where it does not, the document is off the schema."""
+    code, out = run_on_document(tmp_path, argv, b"[" + b"9" * 5000 + b"]")
+    assert code == 2
+    assert out.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", DOCUMENT_VERBS)
+def test_arrays_nested_100000_deep_usage_error(tmp_path, argv):
+    code, out = run_on_document(tmp_path, argv, b"[" * 100000 + b"]" * 100000)
+    assert code == 2
+    assert out.startswith("error: ") and "recursion" in out
+
+
 def test_pell_bound_two():
     code, out = run(["pell", "--bound", "2"])
     assert code == 0

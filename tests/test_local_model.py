@@ -1,5 +1,6 @@
 """Charts, the local sextic, Taylor orders, Schur data, double covers."""
 
+from collections import Counter
 from fractions import Fraction
 import random
 
@@ -15,7 +16,7 @@ from epw.wedge import (
     trivector_from_vectors,
     _unit, PAIR5_INDEX,
 )
-from epw import checks, local_model, wedge
+from epw import checks, local_model, polymat, wedge
 from epw.local_model import (
     Chart, ChartError, chart_pencil, make_chart, local_sextic, taylor_order_check, rank_f2,
     schur_complement, schur_identity_check, double_cover_ideal,
@@ -352,20 +353,25 @@ def hyperbolic_chart(k):
     return Chart(lagrangian_from_graph_basis(v0, c, g), v0, c)
 
 
+def schur_case(case):
+    """(chart, k_basis) of a Schur oracle case: a seeded standard chart of
+    corank case, the formstan chart with its supplied kernel basis, or
+    hyperbolic_chart(k) for "hyperbolic-k"."""
+    if case == "formstan":
+        return checks.formstan_instance()
+    if str(case).startswith("hyperbolic"):
+        return hyperbolic_chart(int(case[-1])), None
+    frame, _ = random_graph_lagrangian(random.Random(90 + case), corank=case)
+    return Chart(frame, unit(1), standard_chart_basis()[1]), None
+
+
 @pytest.mark.parametrize("case", [1, 2, 3, 4, "formstan", "hyperbolic-1", "hyperbolic-2"])
 def test_schur_oracle_matches_the_solve_reference(monkeypatch, case):
     """At every grid point the oracle equals the one-solve reference, on
     seeded standard charts of corank 1-4, on the formstan chart with its
     supplied kernel basis, and on charts whose elimination swaps rows and
     meets det(N) = 0."""
-    k_basis = None
-    if case == "formstan":
-        chart, k_basis = checks.formstan_instance()
-    elif str(case).startswith("hyperbolic"):
-        chart = hyperbolic_chart(int(case[-1]))
-    else:
-        frame, _ = random_graph_lagrangian(random.Random(90 + case), corank=case)
-        chart = Chart(frame, unit(1), standard_chart_basis()[1])
+    chart, k_basis = schur_case(case)
     calls = []
     interpolate = local_model.interpolate_poly_map
 
@@ -387,10 +393,50 @@ def test_schur_oracle_matches_the_solve_reference(monkeypatch, case):
         assert any(out[0] == 0 for _, out in calls)
 
 
+@pytest.mark.parametrize("case, work, failed", [
+    (1, {(3, 10): 210, (6, 7): 462}, {}),
+    (2, {(2, 10): 210, (6, 8): 462}, {}),
+    (3, {(2, 10): 210, (5, 8): 462}, {}),
+    ("hyperbolic-1", {(3, 10): 210, (9, 10): 462}, {(3, 10): 210, (9, 10): 32}),
+    ("hyperbolic-2", {(2, 10): 210, (8, 10): 462}, {(2, 10): 210, (8, 10): 44}),
+])
+def test_schur_walk_work(monkeypatch, case, work, failed):
+    """schur_complement runs the walker of Pencil.bordered at n = jdim.
+    The J rows that the last move never touches lead: 3 of 9 at k = 1, 2
+    of 8 or 7 at k = 2 or 3.  Eliminations are keyed (steps, rows): one
+    prefix per line of t5 (210 lines), then one resumed elimination of
+    jdim - p steps per grid point (462).  On the hyperbolic charts every
+    prefix is singular, so each point is eliminated from scratch, and
+    det(N) = 0 at 32 and 44 of them."""
+    done, refused = Counter(), Counter()
+    eliminate = polymat._eliminate
+
+    def counted(a, n, prev=1):
+        sign = eliminate(a, n, prev)
+        done[n, len(a)] += 1
+        refused[n, len(a)] += not sign
+        return sign
+
+    monkeypatch.setattr(polymat, "_eliminate", counted)
+    chart, _ = schur_case(case)
+    schur_complement(chart)
+    assert done == work and +refused == failed
+
+
+def test_a_walker_resumed_from_one_fails_the_solve_reference(monkeypatch):
+    """A broken walker that resumes each point's elimination from 1, not
+    from the prefix pivot, must fail the one-solve reference."""
+    eliminate = polymat._eliminate
+    monkeypatch.setattr(polymat, "_eliminate", lambda a, n, prev=1: eliminate(a, n))
+    with pytest.raises(AssertionError):
+        test_schur_oracle_matches_the_solve_reference(monkeypatch, 1)
+
+
 def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
     """At every point the eliminated branch gives M_hat = det(N) P - R adj(N) R^t;
-    the det(N) = 0 branch gives -R adj(N) R^t.  Forcing that branch (an
-    elimination that reports a singular N) at points where det(N) != 0 must
+    the det(N) = 0 branch gives -R adj(N) R^t.  Forcing that branch (a
+    walker whose every elimination reports a singular block, the line's
+    prefix and then the point's own) at points where det(N) != 0 must
     therefore change M_hat by exactly det(N) P, with P the kernel block of
     the congruent pencil."""
     frame, _ = random_graph_lagrangian(random.Random(62), corank=2)
@@ -411,7 +457,7 @@ def test_schur_oracle_singular_branch_is_the_solve_without_det_p(monkeypatch):
              for b in local_model.moving_int_matrices()]
     points = [(1, 0, 2, -1, 0), (2, 1, 1, 1, 0), (0, 0, 0, 0, 0)]
     eliminated = [oracles[0](pt) for pt in points]
-    monkeypatch.setattr(local_model, "_eliminate", lambda m, n: 0)
+    monkeypatch.setattr(polymat, "_eliminate", lambda a, n, prev=1: 0)
     for pt, out in zip(points, eliminated):
         forced = oracles[0](pt)
         assert out[0] != 0 and forced[0] == 0

@@ -454,8 +454,8 @@ def reference_det_poly(pencil, variables, degree=None):
 
 @pytest.fixture
 def walk_work(monkeypatch):
-    """Counts of the walk's eliminations, keyed (steps, rows), and of the
-    int_det calls of its singular-prefix lines."""
+    """Counts of the walker's eliminations, keyed (steps, rows), and of
+    int_det calls, which the walker makes none of."""
     work = Counter()
     eliminate, det = polymat._eliminate, polymat.int_det
 
@@ -470,6 +470,24 @@ def walk_work(monkeypatch):
     monkeypatch.setattr(polymat, "_eliminate", counted_eliminate)
     monkeypatch.setattr(polymat, "int_det", counted_det)
     return work
+
+
+@pytest.fixture
+def failures(monkeypatch):
+    """Counts of the walker's eliminations that report a singular block,
+    keyed (steps, rows).  A point is eliminated from scratch only after
+    its line's prefix failed, so failures[p, side] grows exactly when a
+    prefix of p >= 1 steps fails."""
+    failed = Counter()
+    eliminate = polymat._eliminate
+
+    def watched(a, n, prev=1):
+        sign = eliminate(a, n, prev)
+        failed[n, len(a)] += not sign
+        return sign
+
+    monkeypatch.setattr(polymat, "_eliminate", watched)
+    return failed
 
 
 def chart_of_corank(k):
@@ -495,7 +513,8 @@ def test_det_poly_walk_work_on_a_generic_chart(walk_work):
 
 def test_det_poly_walk_falls_back_where_the_prefix_is_singular(walk_work):
     """A chart form that vanishes on the pairs containing e5: the fixed
-    4 x 4 block is 0 on every line, so every point takes int_det."""
+    4 x 4 block is 0 on every line, so every point is eliminated from
+    scratch."""
     rng = random.Random(4)
     fixed = {PAIR5_INDEX[i, 4] for i in range(4)}
     g = [[0] * 10 for _ in range(10)]
@@ -506,34 +525,40 @@ def test_det_poly_walk_falls_back_where_the_prefix_is_singular(walk_work):
     v0, c = standard_chart_basis()
     pencil = chart_pencil(Chart(lagrangian_from_graph_basis(v0, c, g), v0, c))
     f = pencil.det_poly(CHART_VARS, 6)
-    assert walk_work == {(4, 10): 210, "int_det": 462}
+    assert walk_work == {(4, 10): 210, (10, 10): 462}
     assert pencil.den > 1 and not f.is_zero()
     assert f == reference_det_poly(pencil, CHART_VARS, 6)
 
 
-def test_det_poly_walk_on_lines_with_and_without_a_singular_prefix(walk_work):
-    """Non-symmetric, with L = 6: the last move touches rows 2, 3 and
-    columns 1, 3, so rows 0, 1 and columns 0, 2 lead, and their block
-    [[t1, 1], [0, t2 - 1]] is singular exactly on the lines t1 = 0 or
-    t2 = 1.  The row bound is 4: of the 15 lines of t3, the 8 singular
-    ones hold 21 of the 35 grid points."""
+def lines_pencil():
+    """A non-symmetric pencil in three variables with L = 6, whose last
+    move touches rows 2, 3 and columns 1, 3: rows 0, 1 and columns 0, 2
+    lead, an odd permutation, and their block [[t1, 1], [0, t2 - 1]] is
+    singular exactly on the lines t1 = 0 or t2 = 1."""
     base = [[0, 0, 1, Fraction(1, 2)], [0, 0, -1, 1], [1, 1, 0, 3], [0, -1, 2, Fraction(1, 3)]]
     moves = [[[int((i, j) == (0, 0)) for j in range(4)] for i in range(4)],
              [[int((i, j) == (1, 2)) for j in range(4)] for i in range(4)],
              [[0, 0, 0, 0], [0, 0, 0, 0], [0, Fraction(1, 2), 0, 1], [0, -1, 0, 2]]]
-    pencil = Pencil(base, moves)
-    variables = PENCIL_VARS[:3]
+    return Pencil(base, moves), PENCIL_VARS[:3]
+
+
+def test_det_poly_walk_on_lines_with_and_without_a_singular_prefix(walk_work):
+    """The pencil of lines_pencil().  The row bound is 4: of the 15 lines
+    of t3, the 8 singular ones hold 21 of the 35 grid points, each
+    eliminated from scratch."""
+    pencil, variables = lines_pencil()
     f = pencil.det_poly(variables)
-    assert walk_work == {(2, 4): 15, (2, 2): 14, "int_det": 21}
+    assert walk_work == {(2, 4): 15, (2, 2): 14, (4, 4): 21}
     assert pencil.den == 6 and not f.is_zero() and f == reference_det_poly(pencil, variables)
 
 
 def test_det_poly_walk_edge_pencils(walk_work):
     rng = random.Random(8)
     g = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
-    # no moves: one int_det
+    # no moves: every row and column is fixed, so one line of one point,
+    # whose prefix is the whole elimination and whose trailing block is empty
     assert Pencil(g, []).det_poly(()) == reference_det_poly(Pencil(g, []), ())
-    assert walk_work == {"int_det": 1}
+    assert walk_work == {(5, 5): 1, (0, 0): 1}
     # Pencil(G, [-I]), the signature's pencil: no prefix, the whole matrix
     # trails, as one int_det per point did
     walk_work.clear()
@@ -549,7 +574,7 @@ def test_det_poly_walk_edge_pencils(walk_work):
     assert walk_work == {(5, 5): 4, (0, 0): 10}
 
 
-def test_det_poly_walk_matches_the_reference_on_seeded_pencils(walk_work):
+def test_det_poly_walk_matches_the_reference_on_seeded_pencils(failures):
     """Rational pencils, a third of them symmetric, whose last move touches
     random rows and columns: every p from 0 to n, and singular prefixes."""
     rng = random.Random(2202)
@@ -569,11 +594,83 @@ def test_det_poly_walk_matches_the_reference_on_seeded_pencils(walk_work):
             mats = [[[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)] for m in mats]
         pencil = Pencil(mats[0], mats[1:])
         variables = PENCIL_VARS[:k]
-        before = walk_work["int_det"]
-        assert pencil.det_poly(variables) == reference_det_poly(pencil, variables)
         last = pencil.moves[-1]
         p = n - max(len({i for i, _, _ in last}), len({j for _, j, _ in last}))
+        before = failures[p, n]
+        assert pencil.det_poly(variables) == reference_det_poly(pencil, variables)
         seen["p = 0" if p == 0 else "p = n" if p == n else "0 < p < n"] += 1
-        seen["singular prefix"] += walk_work["int_det"] > before
+        seen["singular prefix"] += failures[p, n] > before
         seen["den > 1"] += pencil.den > 1
     assert len(seen) == 5 and min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("mutant", ["resume from 1", "drop the permutation sign"])
+def test_mutant_walkers_fail_the_reference(monkeypatch, mutant):
+    """Two broken walkers: one resumes each point's elimination from 1, not
+    from the prefix pivot; the other drops the sign of the permutation
+    that brings the fixed rows and columns to the front.  Each must change
+    det_poly on lines_pencil(), whose permutation is odd.  The first must
+    also fail the chart test; on the symmetric chart pencils rows and
+    columns move alike, so their permutation sign is always 1."""
+    if mutant == "resume from 1":
+        eliminate = polymat._eliminate
+        monkeypatch.setattr(polymat, "_eliminate", lambda a, n, prev=1: eliminate(a, n))
+        with pytest.raises(AssertionError):
+            test_det_poly_walk_matches_the_reference_on_charts(1)
+    else:
+        monkeypatch.setattr(polymat, "_perm_sign", lambda order: 1)
+    pencil, variables = lines_pencil()
+    assert pencil.det_poly(variables) != reference_det_poly(pencil, variables)
+
+
+def reference_bordered(pencil, n, pt):
+    """[D, bordered minors] at a point by one int_det each: the leading
+    n x n block of the integer pencil, then that block bordered by row i
+    and column j for i, j >= n, row-major."""
+    m = pencil.at(pt)[1]
+    side = len(m)
+
+    def minor(i, j):
+        keep = list(range(n)) + [i]
+        return int_det([[m[r][c] for c in list(range(n)) + [j]] for r in keep])
+
+    return [int_det([row[:n] for row in m[:n]])] + [minor(i, j) for i in range(n, side)
+                                                    for j in range(n, side)]
+
+
+def test_walker_gives_the_bordered_minors_on_seeded_pencils(failures):
+    """Pencil.bordered(n) at n < side, at every point of a degree-2 grid in
+    its order, against reference_bordered on seeded rational pencils with
+    many zeros, whose last move touches random rows and columns: every p
+    from 0 to n, singular prefixes, and points where
+    the n x n block is singular although the line's prefix is not, which
+    take the adjugate.  A resumed elimination takes n - p steps on side -
+    p rows."""
+    rng = random.Random(2303)
+    seen = Counter()
+
+    def rat():
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.5 else 0
+
+    for _ in range(200):
+        side, k = rng.randint(2, 5), rng.randint(1, 3)
+        n = rng.randint(0, side - 1)
+        rows, cols = (rng.sample(range(side), rng.randint(1, side)) for _ in range(2))
+        mats = [[[rat() for _ in range(side)] for _ in range(side)] for _ in range(k + 1)]
+        mats[-1] = [[x if i in rows and j in cols else 0 for j, x in enumerate(row)]
+                    for i, row in enumerate(mats[-1])]
+        if rng.random() < 0.3:
+            mats = [[[m[min(i, j)][max(i, j)] for j in range(side)] for i in range(side)]
+                    for m in mats]
+        pencil = Pencil(mats[0], mats[1:])
+        last = pencil.moves[-1]
+        p = n - max(len({i for i, _, _ in last if i < n}), len({j for _, j, _ in last if j < n}))
+        prefix, resumed = failures[p, side], failures[n - p, side - p]
+        walk = pencil.bordered(n)
+        for pt in polymat._simplex_grid(k, 2):
+            assert walk(pt) == reference_bordered(pencil, n, pt)
+        seen["p = 0" if p == 0 else "p = n" if p == n else "0 < p < n"] += 1
+        seen["singular prefix"] += failures[p, side] > prefix
+        seen["singular block, regular prefix"] += failures[n - p, side - p] > resumed
+        seen["den > 1"] += pencil.den > 1
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
