@@ -39,7 +39,7 @@ import random
 
 from . import linalg, varquad, wedge
 from .linalg import fvec, rank, restrict_gram, scaled_ints, stack
-from .poly import MultiPoly, homogeneous_part, is_homogeneous, \
+from .poly import MultiPoly, homogeneous_part, homogeneous_parts, is_homogeneous, \
     div_exact, squarefree_part, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_cofactor, det_poly_matrix, interpolate_poly_map
 from .zlinalg import int_det, int_gram
@@ -163,7 +163,7 @@ class LocalSextic:
                 "local determinant has degree %d > 6; conventions are broken" % f.degree()
             )
         self.f = f
-        self.parts = [homogeneous_part(f, i) for i in range(7)]
+        self.parts = homogeneous_parts(f, 6)
 
     def part(self, i):
         return self.parts[i]

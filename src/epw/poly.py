@@ -222,18 +222,30 @@ class MultiPoly:
         return MultiPoly._canonical(self.vars, t)
 
     def evaluate(self, point):
-        """Evaluate at a full point (sequence of rationals)."""
+        """Evaluate at a full point (sequence of rationals), in integers.
+
+        The point is scaled once to p / q and the coefficients to integers
+        by the lcm L of their denominators; with D the total degree,
+        L q^D f(p / q) = sum_e (L c_e) p^e q^(D - |e|) is one integer sum,
+        divided once at the end.
+        """
         point = [frac(x) for x in point]
         if len(point) != len(self.vars):
             raise ValueError("point has wrong length")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
+        if not self.terms:
+            return Fraction(0)
+        q, p = scaled_ints(point)
+        den, ints = scaled_ints(self.terms.values())
+        d = self.degree()
+        total = 0
+        for e, c in zip(self.terms, ints):
+            if q != 1:
+                c *= q ** (d - sum(e))
+            for x, k in zip(p, e):
                 if k:
-                    v *= x ** k
-            total += v
-        return total
+                    c *= x ** k
+            total += c
+        return Fraction(total, den * q ** d)
 
     def substitute(self, mapping):
         """Substitute polynomials (or rationals) for variables.
@@ -302,8 +314,15 @@ def homogeneous_part(f: MultiPoly, i: int) -> MultiPoly:
 
 
 def homogeneous_parts(f: MultiPoly, up_to=None):
+    """[f_0, ..., f_d], the homogeneous pieces of f up to degree d = up_to
+    (deg f by default), sorted out of f's terms in one pass."""
     d = f.degree() if up_to is None else up_to
-    return [homogeneous_part(f, i) for i in range(max(d, 0) + 1)]
+    parts = [{} for _ in range(max(d, 0) + 1)]
+    for e, c in f.terms.items():
+        i = sum(e)
+        if i < len(parts):
+            parts[i][e] = c
+    return [MultiPoly._canonical(f.vars, t) for t in parts]
 
 
 def is_homogeneous(f: MultiPoly, d=None):

@@ -40,14 +40,24 @@ the triangular grid {a in N^n : |a| <= degree}, builds the Newton table
 of forward differences in place in integer arithmetic, one variable at a
 time, converts the binomial Newton basis to monomials by Stirling
 numbers of the first kind, and divides once per coefficient at the end.
-The graded route runs its univariate step and its y-grid on the same
-integer core (_newton_stirling).
+The grid and that transform are one plan per (n, degree) (_plan), built
+on first use and held for the process: the forward-difference pairs,
+the weights degree!/prod_i a_i! and the (target, source, Stirling
+number) triples as flat integer update lists, so the transform
+(_newton_stirling) is three flat loops per table.  The graded route runs
+its univariate step and its y-grid on the same held plans.  The walker
+builds each line's integer matrix from the integer grid point as it is,
+with no rescaling, and integer oracle values enter the tables as they
+are.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
+from operator import mul
+from typing import NamedTuple
 
-from .linalg import frac, scaled_int_rows, scaled_ints
+from .linalg import scaled_int_rows, scaled_ints
 # The Fraction determinant is linalg.det; this name stays bound to it only
 # because the benchmark tracer (perfbench/tracer.py) looks every one of its
 # span targets up by name, polymat.det_fraction_matrix among them.
@@ -167,20 +177,6 @@ def _simplex_grid(nvars, degree):
     return pts
 
 
-def _grid_lines(grid, index, i):
-    """Lines of the grid in variable i: positions of a, a + e_i, ... for
-    every grid point a with a_i = 0, in increasing order of a_i."""
-    lines = []
-    for a in grid:
-        if a[i] == 0:
-            line = []
-            while a in index:
-                line.append(index[a])
-                a = a[:i] + (a[i] + 1,) + a[i + 1:]
-            lines.append(line)
-    return lines
-
-
 def _stirling1(n):
     """Signed Stirling numbers of the first kind s(a, k), 0 <= k <= a <= n:
     the falling factorial x(x-1)...(x-a+1) is sum_k s(a, k) x^k."""
@@ -191,72 +187,105 @@ def _stirling1(n):
     return s
 
 
-def _newton_stirling(grid, degree, tables):
+class _Plan(NamedTuple):
+    """The interpolation plan of one (nvars, degree): the grid and the
+    Newton-Stirling transform on it as flat integer update tuples, read
+    and never written, so one plan serves every caller."""
+    grid: tuple      # _simplex_grid(nvars, degree), in grid order
+    diffs: tuple     # (target, source): tab[target] -= tab[source], in order
+    weights: tuple   # degree! / prod_i a_i!, one per grid point
+    stirling: tuple  # (target, source, s(a, k)): tab[target] += s * tab[source]
+
+
+@cache
+def _plan(nvars, degree):
+    """The held plan of (nvars, degree), built on first use.
+
+    The lines of the grid in variable i are the positions of a, a + e_i,
+    ... for every a with a_i = 0; the lines of variable 1 come first, then
+    2, and so on.  On a line of length n the forward differences of the
+    Newton form take, for k = 1..n-1, line[j] -= line[j - 1] for j from
+    n - 1 down to k.  The falling factorials of a line turn into monomials
+    as new[k] = sum_{a >= k} s(a, k) old[a]; with s(k, k) = 1 and k
+    ascending, every old[a] with a > k is still in place, so each nonzero
+    s(a, k), a > k, is one in-place update.
+    """
+    grid = _simplex_grid(nvars, degree)
+    index = {a: p for p, a in enumerate(grid)}
+    lines = []
+    for i in range(nvars):
+        for a in grid:
+            if a[i] == 0:
+                line = []
+                while a in index:
+                    line.append(index[a])
+                    a = a[:i] + (a[i] + 1,) + a[i + 1:]
+                lines.append(line)
+    top = factorial(degree)
+    s = _stirling1(degree)
+    return _Plan(
+        tuple(grid),
+        tuple((line[j], line[j - 1]) for line in lines
+              for k in range(1, len(line)) for j in range(len(line) - 1, k - 1, -1)),
+        tuple(top // prod(factorial(x) for x in a) for a in grid),
+        tuple((line[k], line[a], s[a][k]) for line in lines
+              for k in range(len(line)) for a in range(k + 1, len(line)) if s[a][k]))
+
+
+def _newton_stirling(plan, tables):
     """The integer core of interpolation on the triangular grid.
 
-    Each table holds integer values at the points of grid =
-    _simplex_grid(nvars, degree), in its order.  In place, it becomes the
-    integer monomial coefficients, indexed like the grid, of degree!
-    times the interpolating polynomial of total degree <= degree: the
-    forward differences of the Newton form, the weights degree!/prod_i
-    a_i! that turn binomials into falling factorials, and Stirling
-    numbers of the first kind, each one variable at a time.
+    Each table holds integer values at the points of plan.grid, in its
+    order.  In place, it becomes the integer monomial coefficients, indexed
+    like the grid, of degree! times the interpolating polynomial of total
+    degree <= degree: the forward differences of the Newton form, the
+    weights degree!/prod_i a_i! that turn binomials into falling
+    factorials, and Stirling numbers of the first kind, each one variable
+    at a time, as three flat loops over the plan's update lists.
     """
-    index = {a: p for p, a in enumerate(grid)}
-    lines = [line for i in range(len(grid[0])) for line in _grid_lines(grid, index, i)]
-    top = factorial(degree)
-    weights = [top // prod(factorial(x) for x in a) for a in grid]
-    stirling = _stirling1(degree)
+    diffs, weights, stirling = plan.diffs, plan.weights, plan.stirling
     for tab in tables:
-        # forward differences: lines of variable 1 first, then 2, ...
-        for line in lines:
-            for k in range(1, len(line)):
-                for j in range(len(line) - 1, k - 1, -1):
-                    tab[line[j]] -= tab[line[j - 1]]
-        for p, w in enumerate(weights):
-            tab[p] *= w
-        # falling factorials to monomials, in the same variable order
-        for line in lines:
-            old = [tab[p] for p in line]
-            for k, p in enumerate(line):
-                tab[p] = sum(stirling[a][k] * old[a] for a in range(k, len(line)))
+        for t, s in diffs:
+            tab[t] -= tab[s]
+        tab[:] = map(mul, tab, weights)
+        for t, s, c in stirling:
+            tab[t] += c * tab[s]
 
 
 def interpolate_poly_map(oracle, variables, degree, width):
     """Reconstruct a vector of polynomials from point evaluations.
 
-    oracle(point) must return a sequence of `width` rationals, the values
-    of `width` polynomials of total degree <= degree at the point.  It is
-    called exactly once at each of the C(degree + nvars, nvars) points of
-    the triangular grid {a in N^nvars : |a| <= degree}, given as tuples
-    of integers, so vector components share every call.
+    oracle(point) must return a sequence of `width` rationals (ints or
+    Fractions; floats raise TypeError), the values of `width` polynomials
+    of total degree <= degree at the point.  It is called exactly once at
+    each of the C(degree + nvars, nvars) points of the triangular grid
+    {a in N^nvars : |a| <= degree}, given as tuples of integers in grid
+    order, so vector components share every call.
 
     The Newton form on this lower set (Sauer-Xu; de Boor-Ron) is
 
         f(x) = sum_{|a| <= degree} (Delta^a f)(0) * prod_i binom(x_i, a_i)
 
     with forward differences Delta.  The values are scaled once to
-    integers by the lcm L of their denominators, and _newton_stirling
-    turns the tables into degree! times the monomial coefficients in
-    integer arithmetic; each coefficient is divided by L * degree! once
-    at the end.
+    integers by the lcm L of their denominators (integer values pass as
+    they are), and _newton_stirling turns the tables into degree! times
+    the monomial coefficients in integer arithmetic, along the plan held
+    for (nvars, degree) (_plan: built on the first call with that key,
+    then reused for the process); each coefficient is divided by L *
+    degree! once at the end.
     """
     variables = MultiPoly.zero(variables).vars  # validated once, for _canonical
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    grid = _simplex_grid(len(variables), degree)
-    columns = [[] for _ in range(width)]
-    for pt in grid:
-        val = [frac(x) for x in oracle(pt)]
-        if len(val) != width:
-            raise ValueError("oracle returned wrong width")
-        for col, v in zip(columns, val):
-            col.append(v)
-    den, tables = scaled_int_rows(columns)
-    _newton_stirling(grid, degree, tables)
+    plan = _plan(len(variables), degree)
+    values = [oracle(pt) for pt in plan.grid]
+    if any(len(val) != width for val in values):
+        raise ValueError("oracle returned wrong width")
+    den, tables = scaled_int_rows(zip(*values))
+    _newton_stirling(plan, tables)
     scale = den * factorial(degree)
     return [MultiPoly._canonical(variables, {a: Fraction(c, scale)
-                                             for a, c in zip(grid, tab) if c})
+                                             for a, c in zip(plan.grid, tab) if c})
             for tab in tables]
 
 
@@ -285,16 +314,22 @@ class Pencil:
                       for a in range(1, len(moves) + 1)]
 
     def at(self, pt):
-        if len(pt) != len(self.moves):
-            raise ValueError("pencil with %d moves at a point of %d coordinates"
-                             % (len(self.moves), len(pt)))
         q, qt = scaled_ints(pt)
-        m = [[x * q for x in row] for row in self.base]
-        for t, move in zip(qt, self.moves):
+        return self.den * q, self._matrix(qt, q)
+
+    def _matrix(self, ts, q=1):
+        """The integer matrix q * base + sum_a ts[a] moves[a], for integers
+        ts (one per move, ValueError otherwise) and q: at(pt)[1] at an
+        integer point pt is _matrix(pt)."""
+        if len(ts) != len(self.moves):
+            raise ValueError("pencil with %d moves at a point of %d coordinates"
+                             % (len(self.moves), len(ts)))
+        m = [[x * q for x in row] for row in self.base] if q != 1 else [row[:] for row in self.base]
+        for t, move in zip(ts, self.moves):
             if t:
                 for i, j, c in move:
                     m[i][j] += t * c
-        return self.den * q, m
+        return m
 
     def det(self, pt):
         """Exact determinant of the pencil at a rational point."""
@@ -357,7 +392,7 @@ class Pencil:
             nonlocal line, sign, pivot, trail
             if pt[:-1] != line:
                 line = pt[:-1]
-                m = self.at(line + (0,) if pt else pt)[1]
+                m = self._matrix(line + (0,) if pt else pt)
                 m = [[m[i][j] for j in cols] for i in rows]
                 sign = perm * _eliminate(m, p)
                 pivot = m[p - 1][p - 1] if p else 1
@@ -369,10 +404,10 @@ class Pencil:
                     a[i][j] += x * c
                 s = sign * _eliminate(a, k, pivot)
             else:   # a prefix that can fail has p >= 1 steps, so k = n >= 1
-                a, k = self.at(pt)[1], n
+                a, k = self._matrix(pt), n
                 s = _eliminate(a, k)
             if not s:
-                m = self.at(pt)[1]
+                m = self._matrix(pt)
                 adj = int_adjugate([row[:n] for row in m[:n]]) if n < side else []
                 return [0] + [-sum(m[i][u] * adj[u][v] * m[v][j] for u in range(n) for v in range(n))
                               for i in range(n, side) for j in range(n, side)]
@@ -407,7 +442,8 @@ class Pencil:
         det0 = int_det(self.base)
         if reach == 0:
             return [MultiPoly.const(variables, Fraction(det0, self.den ** n))] + [zero] * top
-        ygrid = _simplex_grid(len(self.moves) - 1, reach)
+        yplan = _plan(len(self.moves) - 1, reach)
+        ygrid = yplan.grid
         series = []  # series[p][s] = L^n g_u(s) at the direction u = (1, ygrid[p])
         for y in ygrid:
             step = {}
@@ -422,9 +458,9 @@ class Pencil:
                     m[i][j] += s * c
                 vals.append(_eliminate(m, n) * m[-1][-1])
             series.append(vals)
-        _newton_stirling(_simplex_grid(1, d), d, series)
+        _newton_stirling(_plan(1, d), series)
         tables = [[vals[i] for vals in series] for i in range(reach + 1)]
-        _newton_stirling(ygrid, reach, tables)
+        _newton_stirling(yplan, tables)
         scale = self.den ** n * factorial(d) * factorial(reach)
         return [MultiPoly._canonical(zero.vars, {(i - sum(b),) + b: Fraction(c, scale)
                                                  for b, c in zip(ygrid, tab) if c})

@@ -25,7 +25,7 @@ from math import lcm, prod
 
 from . import linalg
 from .linalg import _gauss_jordan, _kernel, fmat, fvec, rank, restrict_gram, scaled_int_rows
-from .poly import MultiPoly, homogeneous_part, quadratic_form_rank
+from .poly import MultiPoly, homogeneous_parts, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_poly_matrix
 from .zlinalg import bareiss_solve, int_gram
 
@@ -202,7 +202,7 @@ class PencilFamily:
 def phi_expansion(fam: PencilFamily):
     """The graded pieces Phi_0..Phi_d of det(q_* + q(t)) in t."""
     det = fam.pencil.det_poly(fam.varnames)
-    return [homogeneous_part(det, i) for i in range(fam.base.dim + 1)]
+    return homogeneous_parts(det, fam.base.dim)
 
 
 def _image(b, v):

@@ -92,7 +92,6 @@ TEST_ONLY = {
 # Public names that only the package exports (epw/__init__.py) keep, each
 # kept on purpose.
 EXPORT_ONLY = {
-    "poly.py homogeneous_parts": "the graded pieces of a polynomial, for users",
     "wedge.py symplectic_pairing": "the wedge pairing of two trivectors, for users",
     "wedge.py is_lagrangian": "the Lagrangian test of a row space; demos/01 calls it",
     "wedge.py lagrangian_from_graph": "the graph Lagrangian on the standard chart, for users",

@@ -172,6 +172,10 @@ def test_grading_reassembles():
         for part in homogeneous_parts(f):
             total = total + part
         assert total == f
+        # the one-pass split equals the per-degree pieces, below and above deg f
+        for up_to in (0, 2, f.degree() + 2):
+            assert homogeneous_parts(f, up_to) == [homogeneous_part(f, i) for i in range(up_to + 1)]
+    assert homogeneous_parts(MultiPoly.zero(XY)) == [MultiPoly.zero(XY)]
 
 
 def test_canonical_text_roundtrip():
@@ -194,8 +198,46 @@ def test_json_roundtrip():
 def test_evaluate_and_derivative():
     f = p("x^2*y - 3*y + 1")
     assert f.evaluate([2, 3]) == 4 * 3 - 9 + 1
+    assert f.evaluate([Fraction(1, 2), Fraction(-2, 3)]) == Fraction(-1, 6) + 2 + 1
+    with pytest.raises(ValueError):
+        f.evaluate([1])
+    with pytest.raises(TypeError):
+        f.evaluate([0.5, 1])
     assert f.derivative("x") == p("2*x*y")
     assert f.derivative("y") == p("x^2 - 3")
+
+
+def reference_evaluate(f, point):
+    """MultiPoly.evaluate as one Fraction product per term: the loop before
+    the integer sum."""
+    point = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v *= x ** k
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("variables", [(), ("x",), XY, XYZ, ("a", "b", "c", "d", "e")], ids=len)
+def test_evaluate_in_integers_matches_the_fraction_loop(variables):
+    """Random polynomials with rational coefficients, at integer points,
+    rational points, points with zero coordinates and the origin."""
+    rng = random.Random(2404 + len(variables))
+    n = len(variables)
+    for trial in range(60):
+        f = rand_poly(rng, variables, deg=rng.randint(0, 7) if n else 0, terms=rng.randint(0, 12))
+        f = f * MultiPoly.const(variables, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        points = [[rng.randint(-5, 5) for _ in range(n)],
+                  [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)],
+                  [rng.choice([0, Fraction(rng.randint(-4, 4), rng.randint(1, 5))])
+                   for _ in range(n)],
+                  [0] * n]
+        for pt in points:
+            value = f.evaluate(pt)
+            assert type(value) is Fraction and value == reference_evaluate(f, pt)
 
 
 def test_substitution_composes():

@@ -1,8 +1,12 @@
 """Determinant strategies agree with each other and with cofactor expansion."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -225,6 +229,126 @@ def test_interpolation_rejects_bad_input():
         interpolate_poly_map(lambda pt: (1,), XY, -1, 1)
     with pytest.raises(ValueError):
         interpolate_poly_map(lambda pt: (1, 2), XY, 2, 1)
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        interpolate_poly_map(lambda pt: (Fraction(1, 3), 0.5 * pt[0]), XY, 2, 2)
+
+
+# -- the held interpolation plan ---------------------------------------------------
+
+def reference_grid_lines(grid, index, i):
+    """Lines of the grid in variable i: positions of a, a + e_i, ... for
+    every grid point a with a_i = 0, in increasing order of a_i."""
+    lines = []
+    for a in grid:
+        if a[i] == 0:
+            line = []
+            while a in index:
+                line.append(index[a])
+                a = a[:i] + (a[i] + 1,) + a[i + 1:]
+            lines.append(line)
+    return lines
+
+
+def reference_newton_stirling(grid, degree, tables):
+    """The Newton-Stirling transform before the held plan: the grid index,
+    its lines and the weights rebuilt on every call, nested loops over the
+    lines and one sum per Stirling update."""
+    index = {a: p for p, a in enumerate(grid)}
+    lines = [line for i in range(len(grid[0])) for line in reference_grid_lines(grid, index, i)]
+    top = factorial(degree)
+    weights = [top // prod(factorial(x) for x in a) for a in grid]
+    stirling = polymat._stirling1(degree)
+    for tab in tables:
+        for line in lines:
+            for k in range(1, len(line)):
+                for j in range(len(line) - 1, k - 1, -1):
+                    tab[line[j]] -= tab[line[j - 1]]
+        for p, w in enumerate(weights):
+            tab[p] *= w
+        for line in lines:
+            old = [tab[p] for p in line]
+            for k, p in enumerate(line):
+                tab[p] = sum(stirling[a][k] * old[a] for a in range(k, len(line)))
+
+
+def plan_matches_the_reference(plan, degree, width, rng):
+    """_newton_stirling along plan against reference_newton_stirling on
+    `width` tables of random signed integers."""
+    tables = [[rng.randint(-10 ** 6, 10 ** 6) for _ in plan.grid] for _ in range(width)]
+    expected = [tab[:] for tab in tables]
+    reference_newton_stirling(plan.grid, degree, expected)
+    polymat._newton_stirling(plan, tables)
+    return tables == expected
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_held_plan_matches_the_reference_transform(nvars):
+    rng = random.Random(2400 + nvars)
+    for degree in range(9):
+        plan = polymat._plan(nvars, degree)
+        assert list(plan.grid) == polymat._simplex_grid(nvars, degree)
+        for width in (1, 2, 3):
+            assert plan_matches_the_reference(plan, degree, width, rng), (degree, width)
+
+
+def test_no_plan_is_built_at_import():
+    """Plans are built on first use: a fresh process that imports the
+    package and its CLI holds none."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import epw, epw.cli; print(epw.polymat._plan.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_second_call_on_a_key_builds_no_plan():
+    rng = random.Random(2401)
+    variables = ("a", "b", "c", "d")
+    polys = [rand_poly(rng, variables, 7) for _ in range(2)]
+    oracle, _ = counting_oracle(polys)
+    assert interpolate_poly_map(oracle, variables, 7, 2) == polys
+    held = polymat._plan(4, 7)
+    before = polymat._plan.cache_info()
+    assert interpolate_poly_map(oracle, variables, 7, 2) == polys
+    after = polymat._plan.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+    assert polymat._plan(4, 7) is held
+
+
+def test_alternating_keys_give_the_results_of_fresh_plans():
+    """Interpolations that alternate between keys, as the chart, Schur and
+    graded routes do, leave every held plan as a fresh build makes it and
+    transform tables as a fresh plan does."""
+    rng = random.Random(2402)
+    for nvars, degree in [(5, 6), (1, 4), (2, 3), (5, 6), (0, 2), (2, 3), (1, 4), (5, 6)]:
+        variables = PENCIL_VARS[:nvars]
+        polys = [rand_poly(rng, variables, degree) if nvars else MultiPoly.const((), 7)
+                 for _ in range(2)]
+        oracle, calls = counting_oracle(polys)
+        assert interpolate_poly_map(oracle, variables, degree, 2) == polys
+        fresh = polymat._plan.__wrapped__(nvars, degree)
+        assert polymat._plan(nvars, degree) == fresh and calls == list(fresh.grid)
+        tables = [[rng.randint(-99, 99) for _ in fresh.grid] for _ in range(2)]
+        copies = [tab[:] for tab in tables]
+        polymat._newton_stirling(polymat._plan(nvars, degree), tables)
+        polymat._newton_stirling(fresh, copies)
+        assert tables == copies
+
+
+@pytest.mark.parametrize("mutant", ["stirling coefficient off by one", "dropped difference pair"])
+def test_mutant_plans_fail_the_reference(mutant):
+    degree = 5
+    plan = polymat._plan(3, degree)
+    if mutant == "stirling coefficient off by one":
+        i = len(plan.stirling) // 2
+        t, s, c = plan.stirling[i]
+        plan = plan._replace(stirling=plan.stirling[:i] + ((t, s, c + 1),) + plan.stirling[i + 1:])
+    else:
+        i = len(plan.diffs) // 2
+        plan = plan._replace(diffs=plan.diffs[:i] + plan.diffs[i + 1:])
+    assert not plan_matches_the_reference(plan, degree, 1, random.Random(2403))
+    assert plan_matches_the_reference(polymat._plan(3, degree), degree, 1, random.Random(2403))
 
 
 # -- rational matrices, affine and not --------------------------------------------
@@ -511,10 +635,9 @@ def test_det_poly_walk_work_on_a_generic_chart(walk_work):
     assert walk_work == {(4, 10): 210, (6, 6): 462}
 
 
-def test_det_poly_walk_falls_back_where_the_prefix_is_singular(walk_work):
-    """A chart form that vanishes on the pairs containing e5: the fixed
-    4 x 4 block is 0 on every line, so every point is eliminated from
-    scratch."""
+def singular_prefix_chart_pencil():
+    """The pencil of a chart form that vanishes on the pairs containing e5:
+    the fixed 4 x 4 block is 0 on every line."""
     rng = random.Random(4)
     fixed = {PAIR5_INDEX[i, 4] for i in range(4)}
     g = [[0] * 10 for _ in range(10)]
@@ -523,11 +646,39 @@ def test_det_poly_walk_falls_back_where_the_prefix_is_singular(walk_work):
             if not (i in fixed and j in fixed):
                 g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
     v0, c = standard_chart_basis()
-    pencil = chart_pencil(Chart(lagrangian_from_graph_basis(v0, c, g), v0, c))
+    return chart_pencil(Chart(lagrangian_from_graph_basis(v0, c, g), v0, c))
+
+
+def test_det_poly_walk_falls_back_where_the_prefix_is_singular(walk_work):
+    """On singular_prefix_chart_pencil() every point is eliminated from
+    scratch."""
+    pencil = singular_prefix_chart_pencil()
     f = pencil.det_poly(CHART_VARS, 6)
     assert walk_work == {(4, 10): 210, (10, 10): 462}
     assert pencil.den > 1 and not f.is_zero()
     assert f == reference_det_poly(pencil, CHART_VARS, 6)
+
+
+@pytest.mark.parametrize("case", ["generic", "det N = 0", "singular prefix"])
+def test_det_poly_walk_scales_no_grid_point(monkeypatch, failures, case):
+    """The walker builds every matrix from the integer grid point as it is:
+    det_poly on a chart pencil calls scaled_ints at no point, on a generic
+    chart, on a corank-1 chart (det N = 0 at the origin, after a regular
+    prefix) and where every line's prefix is singular."""
+    pencil = (singular_prefix_chart_pencil() if case == "singular prefix"
+              else chart_pencil(chart_of_corank(int(case == "det N = 0"))))
+    calls = []
+    scaled = polymat.scaled_ints
+
+    def counted(xs):
+        calls.append(xs)
+        return scaled(xs)
+
+    monkeypatch.setattr(polymat, "scaled_ints", counted)
+    f = pencil.det_poly(CHART_VARS, pencil_rank_bound())
+    assert calls == [] and not f.is_zero()
+    assert (failures[6, 6] > 0) == (case == "det N = 0")
+    assert (failures[4, 10] == 210) == (case == "singular prefix")
 
 
 def lines_pencil():
