@@ -34,7 +34,8 @@ from .varquad import (
 from .wedge import (
     PAIR5_INDEX, Subspace3, degeneracy_dim, lagrangian_containing,
     lagrangian_from_graph_basis, random_graph_lagrangian, random_symmetric,
-    random_vector, sigma_level, standard_chart_basis, symmetric_with_kernel,
+    random_unimodular, random_vector, sigma_level, standard_chart_basis,
+    symmetric_with_kernel,
     _unit,
 )
 from . import hilbert_square as hs
@@ -237,7 +238,9 @@ def check_corank_duality(seed, cases):
     """cork(q|S) = cork(q^dual|Ann S) for nondegenerate q on Q^d.  Every
     other case has cork(q|S) = c >= 1 in a random basis: the top-left
     m x m block of G0 is symmetric_with_kernel's (c <= d - m), G =
-    P G0 P^t and S is the first m rows of P^-1."""
+    P G0 P^t for P unimodular (random_unimodular) and S is the first m
+    rows of P^-1.  A dependent kernel draw is refused before the other
+    draws."""
     checked = 0
 
     def case(rng):
@@ -246,13 +249,15 @@ def check_corank_duality(seed, cases):
         if checked % 2:
             m = rng.randint(1, d - 1)
             kern = [random_vector(rng, m) for _ in range(rng.randint(1, min(m, d - m)))]
+            if linalg.rank(kern) != len(kern):
+                return None
             g = random_symmetric(rng, d)
             for i, row in enumerate(symmetric_with_kernel(rng, m, kern)):
                 g[i][:m] = row
-            p = [random_vector(rng, d) for _ in range(d)]
-            if linalg.rank(kern) != len(kern) or linalg.rank(g) != d or linalg.rank(p) != d:
+            if linalg.rank(g) != d:
                 return None
-            g, s = linalg.restrict_gram(g, p), linalg.inverse(p)[:m]
+            p, p_inv = random_unimodular(rng, d)
+            g, s = linalg.restrict_gram(g, p), p_inv[:m]
         else:
             g = random_symmetric(rng, d)
             if linalg.rank(g) != d:
@@ -294,7 +299,7 @@ def check_vanishing_kernel(seed, cases):
         s = random_symmetric(rng, d - k)
         if linalg.rank(s) != d - k:
             return None
-        base = [[Fraction(0)] * d for _ in range(d)]
+        base = [[0] * d for _ in range(d)]
         for i in range(d - k):
             for jj in range(d - k):
                 base[i][jj] = s[i][jj]
@@ -303,7 +308,7 @@ def check_vanishing_kernel(seed, cases):
             b = random_symmetric(rng, d)
             for i in range(d - k, d):
                 for jj in range(d - k, d):
-                    b[i][jj] = Fraction(0)
+                    b[i][jj] = 0
             coeffs.append(b)
         return vanishing_kernel_check(PencilFamily(QuadSpace(base), coeffs))[0], ""
 

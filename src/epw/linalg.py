@@ -1,20 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction; vectors are lists of Fraction.
+Matrices are lists of lists of rationals, Fractions or ints, and vectors
+are lists of them; the matrices and vectors returned hold Fractions.
 Every function returns fresh objects and never mutates its arguments,
 so values can be shared freely between threads or worker pools.
 
 The hot routines scale their input to integers once (scaled_int_rows,
-one as_integer_ratio per entry) and run on integer rows: det and inverse
-on the Bareiss elimination of zlinalg, and restrict_gram, the one
-congruence product rows g rows^t that carries a form to another basis, on
-int_gram.  rref, rank, nullspace and solve share one fraction-free
-Gauss-Jordan loop on integer rows (_gauss_jordan): rank counts its pivots,
-nullspace reads its primitive integer kernel (_kernel), rref divides each
-row by its pivot once, and solve carries all its right sides through one
-elimination.  Callers that already hold integer rows (varquad, and the
-sublattice coordinates of lattices) call _gauss_jordan and _kernel
-directly and meet Fractions only at their outputs.
+one as_integer_ratio per entry; rows of ints pass as they are) and run
+on integer rows: det and inverse on the Bareiss elimination of zlinalg,
+and restrict_gram, the one congruence product rows g rows^t that carries
+a form to another basis, on int_gram.  rref, rank, nullspace and solve
+share one fraction-free Gauss-Jordan loop on integer rows
+(_gauss_jordan): rank counts its pivots, nullspace reads its primitive
+integer kernel (_kernel), rref divides each row by its pivot once, and
+solve carries all its right sides through one elimination.  Callers that
+already hold integer rows (varquad, and the sublattice coordinates of
+lattices) call _gauss_jordan and _kernel directly and meet Fractions
+only at their outputs.
 """
 
 from fractions import Fraction
@@ -35,8 +37,12 @@ def frac(x) -> Fraction:
 def scaled_int_rows(rows):
     """(L, [[L * x for x in row] for row in rows]) for rows of Fractions or
     ints, with L the lcm of all their denominators (1 if there are none).
-    Each entry is read once, by as_integer_ratio; a float raises frac's
+    Rows of ints only are copied as they are, L = 1; otherwise each entry
+    is read once, by as_integer_ratio, and a float raises frac's
     TypeError."""
+    rows = [list(row) for row in rows]
+    if all(type(x) is int for row in rows for x in row):
+        return 1, rows
     ratios = [[(frac(x) if isinstance(x, float) else x).as_integer_ratio() for x in row]
               for row in rows]
     den = lcm(*(d for row in ratios for _, d in row))
@@ -223,7 +229,10 @@ def solve(a, b):
 
 def inverse(m):
     """Exact inverse: one fraction-free solve of the integer-scaled matrix
-    L m against L * identity, divided once by its determinant."""
+    L m against L * identity, divided once by its determinant.  No module
+    of the program calls it (the corank-duality draws carry P^-1 along
+    with P, wedge.random_unimodular); the tests do, and the benchmark
+    tracer (perfbench/tracer.py) looks it up by name."""
     den, a = scaled_int_rows(m)
     n = len(a)
     d, y = bareiss_solve(a, [[den if i == j else 0 for j in range(n)] for i in range(n)])

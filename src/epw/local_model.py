@@ -290,12 +290,14 @@ def schur_complement(chart: Chart, k_basis=None) -> SchurData:
     coordinates), e.g. to put a decomposable kernel direction first;
     supplied rows are cleared of denominators, else the chart form's
     primitive kernel rows are used.  The grid evaluations are the walker
-    Pencil.bordered(jdim) of the integer-scaled congruent pencil C (G +
-    M(t)) C^t, scaled back by its lcm: D is the leading jdim-minor and,
-    by Sylvester's identity, M_hat = det(N) P - R adj(N) R^t the
-    trailing k x k block of bordered minors, -R adj(N) R^t where det(N)
-    = 0.  At k = 0 the same oracle gives D alone, the chart determinant
-    in the adapted basis.
+    Pencil.bordered(jdim) of the congruent pencil C (G + M(t)) C^t scaled
+    to integers by its lcm L: D is the leading jdim-minor and, by
+    Sylvester's identity, M_hat = det(N) P - R adj(N) R^t the trailing k
+    x k block of bordered minors, -R adj(N) R^t where det(N) = 0.  They
+    are interpolated as the walker's integers, and the interpolated D and
+    M_hat are each scaled once, by 1/L^jdim and 1/L^(jdim + 1) (not at
+    all when L is 1).  At k = 0 the same oracle gives D alone, the chart
+    determinant in the adapted basis.
 
     Degree bound: D is a principal jdim-minor of the congruent pencil and
     each M_hat entry is a bordered (jdim + 1)-minor of it (the J rows and
@@ -319,15 +321,11 @@ def schur_complement(chart: Chart, k_basis=None) -> SchurData:
     jdim = 10 - k
     # moving Gram in the adapted basis: integer coefficient matrices per t_a
     pencil = Pencil(gp, [int_gram(ba, c) for ba in moving_int_matrices()])
-    walk = pencil.bordered(jdim)
-    dscale, mscale = pencil.den ** jdim, pencil.den ** (jdim + 1)
-
-    def oracle(pt):
-        d, *mh = walk(pt)
-        return [Fraction(d, dscale)] + [Fraction(v, mscale) for v in mh]
-
     degree = min(jdim + 1, pencil_rank_bound())
-    flat = interpolate_poly_map(oracle, CHART_VARS, degree, 1 + k * k)
+    flat = interpolate_poly_map(pencil.bordered(jdim), CHART_VARS, degree, 1 + k * k)
+    if pencil.den != 1:
+        dscale, mscale = Fraction(1, pencil.den ** jdim), Fraction(1, pencil.den ** (jdim + 1))
+        flat = [flat[0] * dscale] + [f * mscale for f in flat[1:]]
     m_hat = PolyMatrix([flat[1 + i * k:1 + (i + 1) * k] for i in range(k)]) if k else None
     return SchurData(k, j, flat[0], m_hat, c)
 

@@ -26,10 +26,13 @@ serves as the reference:
   Pencil.graded_parts(variables, top) is the graded route: only the
   homogeneous parts Phi_0..Phi_top, from the univariate
   det(base + s Q_u) along the directions u = (1, y) of one triangular
-  y-grid of degree top, each a fresh integer matrix eliminated in place
-  (zlinalg._eliminate).  varquad's statements read it to the last piece
-  each uses: the kernel block to Phi_k (k = cork q_*), the vanishing
-  kernel to Phi_2k, the corank-one rank formula Phi_2.
+  y-grid of degree top.  Each direction is one zlinalg._eliminate of
+  base + 2^w Q_u (Kronecker substitution): w is wide enough, by a
+  Hadamard bound H on every coefficient (_digit_width), that the
+  balanced base-2^w digits of that one determinant are the coefficients
+  in s.  varquad's statements read it to the last piece each uses: the
+  kernel block to Phi_k (k = cork q_*), the vanishing kernel to Phi_2k,
+  the corank-one rank formula Phi_2.
 * cofactor expansion (det_cofactor): the reference oracle, small sides
   only.
 
@@ -45,7 +48,7 @@ on first use and held for the process: the forward-difference pairs,
 the weights degree!/prod_i a_i! and the (target, source, Stirling
 number) triples as flat integer update lists, so the transform
 (_newton_stirling) is three flat loops per table.  The graded route runs
-its univariate step and its y-grid on the same held plans.  The walker
+its y-grid on the same held plans.  The walker
 builds each line's integer matrix from the integer grid point as it is,
 with no rescaling, and integer oracle values enter the tables as they
 are.
@@ -53,7 +56,7 @@ are.
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial, isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -63,7 +66,7 @@ from .linalg import scaled_int_rows, scaled_ints
 # span targets up by name, polymat.det_fraction_matrix among them.
 from .linalg import det as det_fraction_matrix  # noqa: F401
 from .poly import MultiPoly
-from .zlinalg import _eliminate, int_adjugate, int_det
+from .zlinalg import _eliminate, int_det
 
 # ---------------------------------------------------------------------
 # PolyMatrix
@@ -289,6 +292,16 @@ def interpolate_poly_map(oracle, variables, degree, width):
             for tab in tables]
 
 
+def _digit_width(base_norms, q):
+    """The digit width w of Pencil.graded_parts along one direction:
+    (2H).bit_length() + 1 for H = prod_j (base_norms[j] + isqrt|q_j|^2 +
+    1), q_j the columns of the integer matrix q and base_norms[j] =
+    isqrt|b_j|^2 + 1 for the columns b_j of the base.  H bounds every
+    coefficient of det(base + s q), so 2^(w - 1) > 2H exceeds each."""
+    h = prod(b + isqrt(sum(x * x for x in col)) + 1 for b, col in zip(base_norms, zip(*q)))
+    return (2 * h).bit_length() + 1
+
+
 class Pencil:
     """The affine pencil base + sum_a t_a moves[a] of square rational matrices.
 
@@ -372,9 +385,8 @@ class Pencil:
         its corner entry with slope P, so at t that block gains t P times
         the last move, and _eliminate(trail, n - p, prev=P) finishes the n
         steps.  A line whose prefix is singular eliminates each point from
-        scratch.  Where the n x n block N is singular, D = 0 and the
-        bordered minors are -R adj(N) C (R, C: the rows below and the
-        columns beside N).
+        scratch.  Where the n x n block N is singular, D = 0 and each
+        bordered minor is one int_det of N bordered by its row and column.
         """
         side = len(self.base)
         last = self.moves[-1] if self.moves else []
@@ -408,8 +420,7 @@ class Pencil:
                 s = _eliminate(a, k)
             if not s:
                 m = self._matrix(pt)
-                adj = int_adjugate([row[:n] for row in m[:n]]) if n < side else []
-                return [0] + [-sum(m[i][u] * adj[u][v] * m[v][j] for u in range(n) for v in range(n))
+                return [0] + [int_det([m[r][:n] + [m[r][j]] for r in (*range(n), i)])
                               for i in range(n, side) for j in range(n, side)]
             return [s * (a[k - 1][k - 1] if k else pivot)] + [s * v for row in a[k:] for v in row[k:]]
 
@@ -420,15 +431,19 @@ class Pencil:
         det_poly(variables), without the parts above top.
 
         Along a direction u = (1, y) with y integral, g_u(s) = det(base +
-        s Q_u), Q_u = sum_a u_a moves[a], is sum_i s^i Phi_i(u), of degree
-        at most the row bound d of det_poly.  Its d + 1 values at s = 0..d
-        (s = 0 is det(base) for every u; each further s is one fresh integer
-        matrix base + s Q_u, eliminated in place by zlinalg._eliminate) fix
-        Phi_i(u).  Phi_i(1, y) has degree <= i in y, so one
-        triangular y-grid of degree min(top, d) fixes Phi_0..Phi_top at
-        once, and Phi_i is its homogenization.  Both steps run on
-        _newton_stirling, and each coefficient is divided once at the end.
-        Parts above d are zero.
+        s Q_u), Q_u = sum_a u_a moves[a], is sum_i s^i L^n Phi_i(u), with
+        integer coefficients.  By multilinearity in the columns and
+        Hadamard's inequality each coefficient is below H = prod_j
+        (isqrt|b_j|^2 + 1 + isqrt|q_j|^2 + 1) in absolute value (b_j, q_j:
+        the columns of base and Q_u).  So for w = (2H).bit_length() + 1
+        (_digit_width) the balanced base-2^w digits of the one integer
+        g_u(2^w) are those coefficients (Kronecker substitution): one
+        zlinalg._eliminate of base + 2^w Q_u per direction, and g_u(2^w)
+        = 0 means g_u = 0.  Phi_i(1, y) has degree <= i in y, so one
+        triangular y-grid of degree min(top, d), d the row bound of
+        det_poly, fixes Phi_0..Phi_top at once, and Phi_i is its
+        homogenization.  The y-step runs on _newton_stirling, and each
+        coefficient is divided once at the end.  Parts above d are zero.
         """
         self._check_variables(variables)
         if top < 0:
@@ -439,31 +454,32 @@ class Pencil:
         if reach < 0:
             return [zero] * (top + 1)
         n = len(self.base)
-        det0 = int_det(self.base)
         if reach == 0:
-            return [MultiPoly.const(variables, Fraction(det0, self.den ** n))] + [zero] * top
+            det0 = Fraction(int_det(self.base), self.den ** n)
+            return [MultiPoly.const(variables, det0)] + [zero] * top
         yplan = _plan(len(self.moves) - 1, reach)
-        ygrid = yplan.grid
-        series = []  # series[p][s] = L^n g_u(s) at the direction u = (1, ygrid[p])
-        for y in ygrid:
-            step = {}
+        base_norms = [isqrt(sum(x * x for x in col)) + 1 for col in zip(*self.base)]
+        tables = [[] for _ in range(reach + 1)]   # tables[i][p]: L^n Phi_i(1, ygrid[p])
+        for y in yplan.grid:
+            q = [[0] * n for _ in range(n)]
             for ua, move in zip((1,) + y, self.moves):
                 if ua:
                     for i, j, c in move:
-                        step[i, j] = step.get((i, j), 0) + ua * c
-            vals = [det0]
-            for s in range(1, d + 1):
-                m = [row[:] for row in self.base]
-                for (i, j), c in step.items():
-                    m[i][j] += s * c
-                vals.append(_eliminate(m, n) * m[-1][-1])
-            series.append(vals)
-        _newton_stirling(_plan(1, d), series)
-        tables = [[vals[i] for vals in series] for i in range(reach + 1)]
+                        q[i][j] += ua * c
+            w = _digit_width(base_norms, q)
+            m = [[b + (x << w) for b, x in zip(brow, qrow)] for brow, qrow in zip(self.base, q)]
+            g = _eliminate(m, n) * m[-1][-1]
+            half, mask = 1 << (w - 1), (1 << w) - 1
+            for tab in tables:
+                c = g & mask
+                if c >= half:
+                    c -= mask + 1
+                tab.append(c)
+                g = (g - c) >> w
         _newton_stirling(yplan, tables)
-        scale = self.den ** n * factorial(d) * factorial(reach)
+        scale = self.den ** n * factorial(reach)
         return [MultiPoly._canonical(zero.vars, {(i - sum(b),) + b: Fraction(c, scale)
-                                                 for b, c in zip(ygrid, tab) if c})
+                                                 for b, c in zip(yplan.grid, tab) if c})
                 for i, tab in enumerate(tables)] + [zero] * (top - reach)
 
     def _check_variables(self, variables):

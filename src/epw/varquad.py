@@ -7,16 +7,18 @@ q(t) = sum t_a B_a, held as one polymat.Pencil; the graded pieces Phi_i
 of det(q_* + q(t)) are then homogeneous of degree i in t and the
 corank/kernel statements about them are checkable exactly.
 
-The forms are held as integer rows, scaled once.  A QuadSpace scales its
-Gram by the lcm of its denominators and takes its rank, its reduced rows
-and a primitive integer kernel from one linalg._gauss_jordan.  A
-PencilFamily reads the integer base L q_* and coefficients L B_a off the
-one lcm L its Pencil computes.  The scale-free steps of the three pencil
-statements (the zero tests, ranks and kernels, the solve for q~(K), the
-restricted pencils and the proportionality test) run on these rows with
-zlinalg.int_gram and integer elimination.  Fractions appear only at the
-public outputs: kernel(), DualForm, the pieces Phi_i and the constant c,
-which is rescaled once by the integer factor the scaling put in.
+The forms are held as integer rows, scaled once.  The ints of a Gram or
+coefficient matrix are kept as they are (no Fraction is built); a
+QuadSpace scales its Gram by the lcm of its denominators and takes its
+rank, its reduced rows and a primitive integer kernel from one
+linalg._gauss_jordan.  A PencilFamily reads the integer base L q_* and
+coefficients L B_a off the one lcm L its Pencil computes.  The
+scale-free steps of the three pencil statements (the zero tests, ranks
+and kernels, the solve for q~(K), the restricted pencils and the
+proportionality test) run on these rows with zlinalg.int_gram and
+integer elimination.  Fractions appear only at the public outputs:
+kernel(), DualForm, the pieces Phi_i and the constant c, which is
+rescaled once by the integer factor the scaling put in.
 """
 
 from fractions import Fraction
@@ -24,17 +26,18 @@ from itertools import combinations
 from math import lcm, prod
 
 from . import linalg
-from .linalg import _gauss_jordan, _kernel, fmat, fvec, rank, restrict_gram, scaled_int_rows
+from .linalg import _gauss_jordan, _kernel, fmat, frac, fvec, rank, restrict_gram, scaled_int_rows
 from .poly import MultiPoly, homogeneous_parts, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_poly_matrix
 from .zlinalg import bareiss_solve, int_gram
 
 
 def _matrix(m):
-    """m as a Fraction matrix; ValueError unless m is a list of rows."""
+    """m with its ints kept as they are and every other entry made a
+    Fraction by linalg.frac; ValueError unless m is a list of rows."""
     if not isinstance(m, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in m):
         raise ValueError("a Gram or coefficient matrix must be a list of rows")
-    return fmat(m)
+    return [[x if type(x) is int else frac(x) for x in r] for r in m]
 
 
 class QuadSpace:

@@ -19,11 +19,12 @@ first.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 import random
 
 from . import linalg
 from .linalg import fvec, rank, stack
-from .zlinalg import bareiss_solve, int_det
+from .zlinalg import bareiss_solve, int_det, int_gram
 
 DIM = 6
 TRIPLES = tuple(combinations(range(DIM), 3))          # 20 basis trivectors
@@ -413,25 +414,50 @@ def apply_gl6_frame(g6, a: LagrangianFrame) -> LagrangianFrame:
 COEFF_BOX = 5  # sampler coefficients are uniform in [-5, 5]
 
 
-def _rand_frac(rng):
-    return Fraction(rng.randint(-COEFF_BOX, COEFF_BOX))
+def _rand_coeff(rng):
+    """One sampler coefficient, an int uniform in [-COEFF_BOX, COEFF_BOX]."""
+    return rng.randint(-COEFF_BOX, COEFF_BOX)
 
 
 def random_symmetric(rng, n, invertible=False):
+    """A random symmetric n x n matrix of ints in [-COEFF_BOX, COEFF_BOX],
+    drawn row by row on and above the diagonal; with invertible, drawn
+    again until its rank is n."""
     while True:
-        g = [[Fraction(0)] * n for _ in range(n)]
+        g = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                g[i][j] = g[j][i] = _rand_frac(rng)
+                g[i][j] = g[j][i] = _rand_coeff(rng)
         if not invertible or rank(g) == n:
             return g
 
 
 def random_vector(rng, n, nonzero=False):
+    """A random vector of n ints in [-COEFF_BOX, COEFF_BOX]; with nonzero,
+    drawn again until some entry is nonzero."""
     while True:
-        v = [_rand_frac(rng) for _ in range(n)]
-        if not nonzero or any(x != 0 for x in v):
+        v = [_rand_coeff(rng) for _ in range(n)]
+        if not nonzero or any(v):
             return v
+
+
+def random_unimodular(rng, n):
+    """(P, P^-1) for P a seeded product of integer elementary operations,
+    row i += c row j with c uniform in [-COEFF_BOX, COEFF_BOX]: one for
+    every i > j, then one for every i < j.  P^-1 is the reversed product
+    of their inverses, built alongside: each row operation on P is the
+    column operation column j -= c column i on P^-1.  Both are integer
+    matrices and det P = 1, so no solve is needed."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in p]
+    for i, j in ([(i, j) for i in range(n) for j in range(i)]
+                 + [(i, j) for i in range(n) for j in range(i + 1, n)]):
+        c = _rand_coeff(rng)
+        if c:
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+            for row in inv:
+                row[j] -= c * row[i]
+    return p, inv
 
 
 def standard_chart_basis():
@@ -457,16 +483,27 @@ def symmetric_with_kernel(rng, n, kernel_rows):
     """Random symmetric n x n matrix whose kernel is exactly span(kernel_rows).
 
     The matrix is C^t S C with S a random invertible symmetric matrix and
-    the rows of C a basis of Ann(span kernel_rows).  C^t is injective and
-    ker C = span(kernel_rows), so every draw has exactly that kernel.
+    the rows of C the canonical basis of Ann(span kernel_rows) (nullspace
+    of the kernel rows).  C^t is injective and ker C = span(kernel_rows),
+    so every draw has exactly that kernel.  The rows of C are the
+    primitive integer kernel rows w of one _gauss_jordan, divided by their
+    free coordinates w[j]; with D the lcm of those, int_gram forms D^2
+    C^t S C on the integer rows D C, and the result is divided by D^2 only
+    when D > 1, so it is a matrix of ints unless C has denominators.
     """
-    k = linalg.row_basis(linalg.fmat(kernel_rows))
-    if not k:
+    cols = len(kernel_rows[0]) if kernel_rows else n
+    a, pivots = linalg._gauss_jordan(linalg.scaled_int_rows(kernel_rows)[1], cols)
+    if not pivots:
         return random_symmetric(rng, n, invertible=True)
-    ann = linalg.nullspace(k)
-    smat = random_symmetric(rng, n - len(k), invertible=True)
-    # the rows of C^t: n of them, also when C has none
-    return linalg.restrict_gram(smat, [[row[i] for row in ann] for i in range(n)])
+    ann = linalg._kernel(a, pivots, cols)
+    smat = random_symmetric(rng, n - len(pivots), invertible=True)
+    den = lcm(*(w[j] for j, w in ann))
+    # the rows of D C^t: n of them, also when C has none
+    g = int_gram(smat, [[w[i] * (den // w[j]) for j, w in ann] for i in range(n)])
+    if den == 1:
+        return g
+    den *= den
+    return [[Fraction(x, den) for x in row] for row in g]
 
 
 class ConstraintError(RuntimeError):
@@ -530,10 +567,10 @@ def lagrangian_containing(w: Subspace3, level=1, extra_theta=(), seed=0):
                 g[i][j] = g77[i][j]
         for i in range(7, 10):
             for j in range(1, 7):
-                g[i][j] = g[j][i] = _rand_frac(rng)
+                g[i][j] = g[j][i] = _rand_coeff(rng)
         for i in range(7, 10):
             for j in range(i, 10):
-                g[i][j] = g[j][i] = _rand_frac(rng)
+                g[i][j] = g[j][i] = _rand_coeff(rng)
         if extra_theta:
             idx = PAIR5_INDEX[(2, 3)]  # bivector c3 ^ c4 spans Λ²(W' ∩ V0)
             for t in range(10):

@@ -4,10 +4,14 @@ One fraction-free elimination kernel (Bareiss) behind the integer
 determinant, the integer solve, the walker polymat.Pencil.bordered (a
 prefix per line, resumed per point; by Sylvester's identity it gives
 det_poly and the Schur data of local_model), polymat.Pencil.graded_parts
-(in place) and, on polynomial entries, polymat.det_bareiss; the one
-congruence product rows g rows^t, Smith normal form with unimodular
-transforms, Hermite form for lattice bases and saturated kernels.  All else is integer
-arithmetic; nothing is imported.
+(one elimination of base + 2^w Q_u per direction, whose determinant
+carries every graded coefficient as a base-2^w digit) and, on
+polynomial entries, polymat.det_bareiss; the one congruence product rows
+g rows^t, Smith normal form with unimodular transforms, Hermite form for
+lattice bases and saturated kernels.  All else is integer arithmetic;
+nothing is imported.  int_adjugate has no caller in the program: the
+tests read it as a reference and the benchmark tracer
+(perfbench/tracer.py) looks it up by name.
 """
 
 

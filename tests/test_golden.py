@@ -20,8 +20,9 @@
   text output on 51 seeded frames: points of degeneracy 0-3 and 10,
   planes of level 1-3 and frames without a Theta plane;
 * the SHA-256 of the JSON documents of seeded graph frames
-  (random_graph_lagrangian at coranks 0-3, lagrangian_containing at
-  levels 1-3, off the coordinate planes and with an extra Theta plane);
+  (random_graph_lagrangian at coranks 0-3, also on every seed 0-199,
+  lagrangian_containing at levels 1-3, off the coordinate planes and with
+  an extra Theta plane);
 * the SHA-256 of the swap involution iota_swap(lambda) and its action on
   the discriminant group;
 * the SHA-256 of the Gram, named vectors and hyperbolic pairs of the
@@ -101,6 +102,8 @@ FRAME_DIGESTS = {
         "34ecd6c92f643596da39703f5a11cfdb73b397efd91d85c99e056a326ede96c4",
     "containing":
         "62255dca590784d7ea49908d898c2b124e8bee68a7868ee5c3b5ae3b2a6e3027",
+    "graph-seeds-0-199":
+        "b335b6b745b482c07480479298ad3c6dff1a1cedcc4f14fb5c4d32dbb4b62597",
 }
 STRATA_DIGEST = "9baf445bb83af4aa317e6b02be1d7b023a56cd9c6e53fa6516eb459ddae5c8b8"
 LATTICE_DIGESTS = {
@@ -291,6 +294,15 @@ def test_random_graph_frame_digest():
         rng = random.Random(60 + k)
         frames += [random_graph_lagrangian(rng, corank=k)[0] for _ in range(2)]
     assert _frames_digest(frames) == FRAME_DIGESTS["random-graph"]
+
+
+def test_graph_frames_on_seeds_0_to_199_digest():
+    """random_graph_lagrangian at coranks 0-3 from Random(seed) for seeds
+    0-199, the sampler behind the benchmark's frames: the integer draws
+    must give the frames, byte for byte, that the Fraction draws gave."""
+    frames = [random_graph_lagrangian(random.Random(seed), corank=k)[0]
+              for seed in range(200) for k in range(4)]
+    assert _frames_digest(frames) == FRAME_DIGESTS["graph-seeds-0-199"]
 
 
 def test_lagrangian_containing_frame_digest():

@@ -795,7 +795,7 @@ def test_walker_gives_the_bordered_minors_on_seeded_pencils(failures):
     many zeros, whose last move touches random rows and columns: every p
     from 0 to n, singular prefixes, and points where
     the n x n block is singular although the line's prefix is not, which
-    take the adjugate.  A resumed elimination takes n - p steps on side -
+    take one int_det per bordered minor.  A resumed elimination takes n - p steps on side -
     p rows."""
     rng = random.Random(2303)
     seen = Counter()
@@ -825,3 +825,134 @@ def test_walker_gives_the_bordered_minors_on_seeded_pencils(failures):
         seen["singular block, regular prefix"] += failures[n - p, side - p] > resumed
         seen["den > 1"] += pencil.den > 1
     assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+
+# -- the graded route: one elimination per direction --------------------------------------
+
+
+def reference_graded_parts(pencil, variables, top):
+    """Phi_0..Phi_top by the s-grid route: along each direction u = (1, y)
+    of the triangular y-grid of degree min(top, d), the d + 1 values
+    L^n det(base + s Q_u) at s = 0..d, each an integer determinant, are
+    interpolated in s and then in y; d is the row bound."""
+    d = pencil._row_bound()
+    zero = MultiPoly.zero(variables)
+    reach = min(top, d)
+    if reach < 0:
+        return [zero] * (top + 1)
+    n = len(pencil.base)
+    det0 = int_det(pencil.base)
+    if reach == 0:
+        return [MultiPoly.const(variables, Fraction(det0, pencil.den ** n))] + [zero] * top
+    yplan = polymat._plan(len(pencil.moves) - 1, reach)
+    series = []
+    for y in yplan.grid:
+        q = [[0] * n for _ in range(n)]
+        for ua, move in zip((1,) + y, pencil.moves):
+            for i, j, c in move:
+                q[i][j] += ua * c
+        series.append([det0] + [int_det([[b + s * x for b, x in zip(brow, qrow)]
+                                         for brow, qrow in zip(pencil.base, q)])
+                                for s in range(1, d + 1)])
+    polymat._newton_stirling(polymat._plan(1, d), series)
+    tables = [[vals[i] for vals in series] for i in range(reach + 1)]
+    polymat._newton_stirling(yplan, tables)
+    scale = pencil.den ** n * factorial(d) * factorial(reach)
+    return [MultiPoly(variables, {(i - sum(b),) + b: Fraction(c, scale)
+                                  for b, c in zip(yplan.grid, tab) if c})
+            for i, tab in enumerate(tables)] + [zero] * (top - reach)
+
+
+def graded_cases():
+    """Seeded pencils for the graded route, as (kind, d, pencil,
+    variables): every row bound d = 0..8 (the rows the moves touch) with
+    each kind: small entries, entries of 2^60 and more, entries with
+    mixed denominators, a zero column, whose determinant is identically
+    zero although no row is, and diagonal pencils with positive entries,
+    whose coefficients sum to the product of the column sums, so H is
+    nearly tight."""
+    rng = random.Random(2501)
+    for case in range(90):
+        kind = ("small", "huge", "rational", "zero column", "positive diagonal")[case % 5]
+        d, k = case % 9, rng.randint(1, 3)
+        n = rng.randint(max(d, 1), 8)
+        moving = rng.sample(range(n), d)
+
+        def entry():
+            if kind == "huge":
+                return rng.choice((-1, 1)) * rng.randint(2 ** 60, 2 ** 64)
+            if kind == "rational":
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            return rng.randint(-5, 5)
+
+        if kind == "positive diagonal":
+            base = [[rng.randint(1, 2 ** 20) * (i == j) for j in range(n)] for i in range(n)]
+            moves = [[[rng.randint(1, 2 ** 20) * (i == j and i in moving) for j in range(n)]
+                      for i in range(n)] for _ in range(k)]
+        else:
+            base = [[entry() for _ in range(n)] for _ in range(n)]
+            moves = [[[entry() if i in moving else 0 for _ in range(n)] for i in range(n)]
+                     for _ in range(k)]
+            if kind == "zero column":
+                c = rng.randrange(n)
+                for m in [base] + moves:
+                    for row in m:
+                        row[c] = 0
+        yield kind, d, Pencil(base, moves), PENCIL_VARS[:k]
+
+
+def graded_mismatches():
+    """The (kind, d, top) of every graded case and top = 0..d + 2 where
+    graded_parts differs from reference_graded_parts."""
+    out = []
+    for kind, d, pencil, variables in graded_cases():
+        for top in range(d + 3):
+            if pencil.graded_parts(variables, top) != reference_graded_parts(pencil, variables, top):
+                out.append((kind, d, top))
+    return out
+
+
+def test_graded_parts_match_the_s_grid_route():
+    seen = {(kind, d) for kind, d, _, _ in graded_cases()}
+    assert len(seen) == 5 * 9
+    assert graded_mismatches() == []
+
+
+def test_graded_parts_with_two_bit_digits_fail_the_s_grid_route(monkeypatch):
+    """Digits of width 2 cannot hold the coefficients, so the decode must
+    go wrong on every kind of pencil whose determinant is not zero."""
+    monkeypatch.setattr(polymat, "_digit_width", lambda base_norms, q: 2)
+    kinds = {kind for kind, d, top in graded_mismatches()}
+    assert kinds == {"small", "huge", "rational", "positive diagonal"}
+
+
+def test_graded_parts_eliminate_once_per_direction(monkeypatch):
+    """One _eliminate of side n per direction of the y-grid of degree
+    min(top, d), and no int_det, once the reach is positive; at reach 0
+    one int_det of the base and no elimination."""
+    work = Counter()
+    eliminate, det = polymat._eliminate, polymat.int_det
+
+    def counted_eliminate(a, n, prev=1):
+        work["eliminate", n, len(a)] += 1
+        return eliminate(a, n, prev)
+
+    def counted_det(m):
+        work["int_det"] += 1
+        return det(m)
+
+    monkeypatch.setattr(polymat, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(polymat, "int_det", counted_det)
+    rng = random.Random(2502)
+    for k in range(1, 6):
+        pencil = rand_pencil(rng, 6, k)
+        d = pencil._row_bound()
+        assert d == 6
+        for top in (0, 1, 2, 4, 9):
+            work.clear()
+            pencil.graded_parts(PENCIL_VARS[:k], top)
+            reach = min(top, d)
+            if reach == 0:
+                assert work == {"int_det": 1}
+            else:
+                assert work == {("eliminate", 6, 6): comb(reach + k - 1, k - 1)}

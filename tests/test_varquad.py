@@ -284,7 +284,7 @@ def test_phi2_rank_random_sweep():
             if val != 0:
                 # find a diagonal position to fix with e_i != 0
                 i = next(t for t in range(d) if e[t] != 0)
-                b[i][i] -= val / (e[i] * e[i])
+                b[i][i] -= Fraction(val, e[i] * e[i])
             coeffs.append(b)
         fam = PencilFamily(QuadSpace(base), coeffs)
         lhs, rhs, equal = phi2_rank(fam)
@@ -310,7 +310,7 @@ def graded_family(rng, m):
         for mat in [base] + coeffs:
             for i in range(n):
                 for j in range(i, n):
-                    mat[i][j] = mat[j][i] = mat[i][j] / (dens[i][j] * dens[j][i])
+                    mat[i][j] = mat[j][i] = Fraction(mat[i][j], dens[i][j] * dens[j][i])
     if kind == 3:
         zero = rng.sample(range(n), rng.randint(1, n))
         for mat in [base] + (coeffs if rng.random() < 0.5 else []):
@@ -379,7 +379,7 @@ def scaled_form(rng, g):
     """g divided by a random positive integer: mixed denominators between
     the base and the coefficients of a family."""
     den = rng.randint(1, 6)
-    return [[x / den for x in row] for row in g]
+    return [[Fraction(x, den) for x in row] for row in g]
 
 
 def congruent_family(rng, d, k, m):
@@ -517,6 +517,40 @@ def test_every_kernel_ledger_line_fails_on_a_kernel_missing_a_vector(monkeypatch
     verdicts = {r.name: r.ok for r in checks.quadratic_form_suites(1, 20)}
     assert verdicts == {"corank-duality": True, "kernel-block-expansion": False,
                         "vanishing-kernel-expansion": False, "phi2-rank-formula": False}
+
+
+def test_corank_duality_draws_of_positive_corank_catch_a_dual_gram_off_by_det(monkeypatch):
+    """On seed 1, at least 100 of 200 corank-duality cases restrict q to S
+    of positive corank, and the dual Gram with det added to entry (0, 0)
+    of its solve gives the wrong corank on at least 192 of the first 200
+    such draws."""
+    from epw import checks, varquad
+
+    seen = []
+    real_cork = checks.cork_restrict
+
+    def recording(q, s):
+        seen.append((q, s, real_cork(q, s)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(checks, "cork_restrict", recording)
+    assert checks.check_corank_duality(1, 200).ok
+    assert sum(c > 0 for _, _, c in seen) >= 100
+    seen.clear()
+    assert checks.check_corank_duality(1, 420).ok
+    degenerate = [(q, s, c) for q, s, c in seen if c > 0][:200]
+    assert len(degenerate) == 200
+    real = varquad.bareiss_solve
+
+    def off_by_det(m, rhs):
+        det, y = real(m, rhs)
+        if y:
+            y[0][0] += det
+        return det, y
+
+    monkeypatch.setattr(varquad, "bareiss_solve", off_by_det)
+    wrong = sum(dual_form(q).corank_on(ann_of_span(s, q.dim)) != c for q, s, c in degenerate)
+    assert wrong >= 192
 
 
 def test_corank_duality_fails_on_a_dual_gram_off_by_det(monkeypatch):

@@ -278,7 +278,7 @@ def _graph_case(rng, n):
     else:
         g = symmetric_with_kernel(rng, 10, [random_vector(rng, 10) for _ in range(k)])
     if n % 5 < 2:
-        g = [[x / (n % 7 + 2) for x in row] for row in g]
+        g = [[Fraction(x, n % 7 + 2) for x in row] for row in g]
     if n % 2 == 0:
         v0, c = standard_chart_basis()
         return v0, c, g
@@ -286,8 +286,8 @@ def _graph_case(rng, n):
         v0 = random_vector(rng, 6, nonzero=True)
         c = [random_vector(rng, 6) for _ in range(5)]
         if n % 3 == 0:
-            c[1] = [x / 3 for x in c[1]]
-            v0 = [x / 5 for x in v0]
+            c[1] = [Fraction(x, 3) for x in c[1]]
+            v0 = [Fraction(x, 5) for x in v0]
         if rank(stack([v0], c)) == 6:
             return v0, c, g
 
@@ -311,7 +311,7 @@ def test_graph_gram_matches_fraction_reference():
             v0 = random_vector(rng, 6, nonzero=True)
             c = [random_vector(rng, 6) for _ in range(5)]
             if n % 3 == 0:
-                c[0] = [x / 7 for x in c[0]]
+                c[0] = [Fraction(x, 7) for x in c[0]]
             if rank(stack([v0], c)) == 6:
                 break
         assert graph_gram(frame, v0, c) == graph_gram_reference(frame, v0, c)
@@ -375,6 +375,71 @@ def test_symmetric_with_kernel_has_exactly_the_requested_kernel():
         g = symmetric_with_kernel(rng, n, rows)
         assert len(g) == n and linalg.is_symmetric(g)
         assert linalg.row_basis(linalg.nullspace(g)) == linalg.row_basis(rows)
+
+
+# The Fraction samplers before the integer draws: every entry a Fraction,
+# the kernel's annihilator from row_basis and nullspace, C^t S C by
+# restrict_gram.
+
+
+def reference_random_symmetric(rng, n, invertible=False):
+    while True:
+        g = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = Fraction(rng.randint(-wedge.COEFF_BOX, wedge.COEFF_BOX))
+        if not invertible or rank(g) == n:
+            return g
+
+
+def reference_random_vector(rng, n, nonzero=False):
+    while True:
+        v = [Fraction(rng.randint(-wedge.COEFF_BOX, wedge.COEFF_BOX)) for _ in range(n)]
+        if not nonzero or any(x != 0 for x in v):
+            return v
+
+
+def reference_symmetric_with_kernel(rng, n, kernel_rows):
+    k = linalg.row_basis(linalg.fmat(kernel_rows))
+    if not k:
+        return reference_random_symmetric(rng, n, invertible=True)
+    ann = linalg.nullspace(k)
+    smat = reference_random_symmetric(rng, n - len(k), invertible=True)
+    return linalg.restrict_gram(smat, [[row[i] for row in ann] for i in range(n)])
+
+
+def test_samplers_draw_what_the_fraction_samplers_drew():
+    """On 1200 seeds, random_symmetric, random_vector and
+    symmetric_with_kernel (kernel rows of ints or Fractions, dependent or
+    zero, of rank 0 to n) give the values of the Fraction samplers and
+    leave the generator in the same state; the first two give ints, the
+    third ints exactly when the annihilator basis has no denominator."""
+    kinds = set()
+    for seed in range(1200):
+        n = 1 + seed % 8
+        new, old = random.Random(seed), random.Random(seed)
+        invertible = seed % 3 == 0
+        g = random_symmetric(new, n, invertible)
+        assert g == reference_random_symmetric(old, n, invertible)
+        assert all(type(x) is int for row in g for x in row)
+        v = random_vector(new, n, nonzero=seed % 2 == 0)
+        assert v == reference_random_vector(old, n, nonzero=seed % 2 == 0)
+        assert all(type(x) is int for x in v)
+        assert new.getstate() == old.getstate()
+        rows = [random_vector(new, n) for _ in range(seed % (n + 1))]
+        assert rows == [reference_random_vector(old, n) for _ in rows]
+        if seed % 5 == 1 and rows:
+            rows.append([Fraction(x, 3) for x in rows[0]])
+        if seed % 7 == 2:
+            rows.append([0] * n)
+        kernel = symmetric_with_kernel(new, n, rows)
+        assert kernel == reference_symmetric_with_kernel(old, n, rows)
+        assert new.getstate() == old.getstate()
+        ints = all(type(x) is int for row in kernel for x in row)
+        assert ints or all(type(x) is Fraction for row in kernel for x in row)
+        assert ints == all(x.denominator == 1 for w in linalg.nullspace(rows) for x in w)
+        kinds.add((ints, rank(rows) if rows else 0))
+    assert {ints for ints, _ in kinds} == {True, False} and {r for _, r in kinds} == set(range(9))
 
 
 def test_nonsymmetric_gram_rejected():
