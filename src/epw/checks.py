@@ -28,16 +28,17 @@ from .local_model import (
 )
 from .poly import homogeneous_part, quadratic_form_rank
 from .varquad import (
-    PencilFamily, QuadSpace, ann_of_span, cork_restrict, degenerate_cone_check,
+    PencilFamily, QuadSpace, cork_restrict, degenerate_cone_check,
     dual_form, phi2_rank, vanishing_kernel_check,
 )
 from .wedge import (
     PAIR5_INDEX, Subspace3, degeneracy_dim, lagrangian_containing,
     lagrangian_from_graph_basis, random_graph_lagrangian, random_symmetric,
-    random_unimodular, random_vector, sigma_level, standard_chart_basis,
-    symmetric_with_kernel,
+    random_unimodular, random_vector, scaled_symmetric_with_kernel, sigma_level,
+    standard_chart_basis, symmetric_with_kernel,
     _unit,
 )
+from .zlinalg import int_gram
 from . import hilbert_square as hs
 
 
@@ -234,13 +235,21 @@ def _cases(name, seed, cases, case):
     return CheckResult(name, True, "cases=%d" % cases)
 
 
+def _span_and_annihilator(rows, d):
+    """(basis, ann) for integer rows in Q^d: the reduced rows of their
+    span S and a primitive integer basis of Ann S, from one elimination."""
+    a, pivots = linalg._gauss_jordan(rows, d)
+    return a[:len(pivots)], [w for _, w in linalg._kernel(a, pivots, d)]
+
+
 def check_corank_duality(seed, cases):
     """cork(q|S) = cork(q^dual|Ann S) for nondegenerate q on Q^d.  Every
     other case has cork(q|S) = c >= 1 in a random basis: the top-left
     m x m block of G0 is symmetric_with_kernel's (c <= d - m), G =
     P G0 P^t for P unimodular (random_unimodular) and S is the first m
     rows of P^-1.  A dependent kernel draw is refused before the other
-    draws."""
+    draws.  Every Gram is held as integer rows with one scale, and S and
+    Ann S come from one elimination of the rows drawn for S."""
     checked = 0
 
     def case(rng):
@@ -252,23 +261,26 @@ def check_corank_duality(seed, cases):
             if linalg.rank(kern) != len(kern):
                 return None
             g = random_symmetric(rng, d)
-            for i, row in enumerate(symmetric_with_kernel(rng, m, kern)):
+            den, block = scaled_symmetric_with_kernel(rng, m, kern)
+            if den != 1:
+                g = [[den * x for x in row] for row in g]
+            for i, row in enumerate(block):
                 g[i][:m] = row
             if linalg.rank(g) != d:
                 return None
             p, p_inv = random_unimodular(rng, d)
-            g, s = linalg.restrict_gram(g, p), p_inv[:m]
+            q = QuadSpace(int_gram(g, p), den=den)
+            s, ann = _span_and_annihilator(p_inv[:m], d)
         else:
-            g = random_symmetric(rng, d)
-            if linalg.rank(g) != d:
+            q = QuadSpace(random_symmetric(rng, d))
+            if q.corank():
                 return None
-            s = linalg.row_basis([random_vector(rng, d)
-                                  for _ in range(rng.randint(1, d - 1))])
+            s, ann = _span_and_annihilator([random_vector(rng, d)
+                                            for _ in range(rng.randint(1, d - 1))], d)
             if not s:
                 return None
-        q = QuadSpace(g)
         checked += 1
-        return cork_restrict(q, s) == dual_form(q).corank_on(ann_of_span(s, d)), ""
+        return cork_restrict(q, s) == dual_form(q).corank_on(ann), ""
 
     return _cases("corank-duality", seed, cases, case)
 
@@ -281,12 +293,16 @@ def check_degenerate_cone(seed, cases):
             kern = [random_vector(rng, d) for _ in range(k)]
             if linalg.rank(kern) != k:
                 return None
-            base = symmetric_with_kernel(rng, d, kern)
+            den, base = scaled_symmetric_with_kernel(rng, d, kern)
+            q = QuadSpace(base, den=den)
         else:
-            base = random_symmetric(rng, d, invertible=True)
+            # random_symmetric(rng, d, invertible=True), each draw
+            # eliminated once, by its QuadSpace
+            q = QuadSpace(random_symmetric(rng, d))
+            while q.corank():
+                q = QuadSpace(random_symmetric(rng, d))
         m = rng.randint(1, 3)
-        fam = PencilFamily(QuadSpace(base),
-                           [random_symmetric(rng, d) for _ in range(m)])
+        fam = PencilFamily(q, [random_symmetric(rng, d) for _ in range(m)])
         return degenerate_cone_check(fam)[0], ""
 
     return _cases("kernel-block-expansion", seed, cases, case)
@@ -297,12 +313,12 @@ def check_vanishing_kernel(seed, cases):
         d = rng.randint(3, 8)
         k = rng.randint(1, min(2, d - 2))
         s = random_symmetric(rng, d - k)
-        if linalg.rank(s) != d - k:
-            return None
         base = [[0] * d for _ in range(d)]
         for i in range(d - k):
-            for jj in range(d - k):
-                base[i][jj] = s[i][jj]
+            base[i][:d - k] = s[i]
+        q = QuadSpace(base)
+        if len(q.pivots) != d - k:      # s is singular
+            return None
         coeffs = []
         for _ in range(rng.randint(1, 3)):
             b = random_symmetric(rng, d)
@@ -310,7 +326,7 @@ def check_vanishing_kernel(seed, cases):
                 for jj in range(d - k, d):
                     b[i][jj] = 0
             coeffs.append(b)
-        return vanishing_kernel_check(PencilFamily(QuadSpace(base), coeffs))[0], ""
+        return vanishing_kernel_check(PencilFamily(q, coeffs))[0], ""
 
     return _cases("vanishing-kernel-expansion", seed, cases, case)
 
@@ -319,16 +335,16 @@ def check_phi2_rank(seed, cases):
     def case(rng):
         d = rng.randint(2, 8)
         e = random_vector(rng, d, nonzero=True)
-        base = symmetric_with_kernel(rng, d, [e])
+        den, base = scaled_symmetric_with_kernel(rng, d, [e])
         coeffs = []
         for _ in range(rng.randint(1, 3)):
             b = random_symmetric(rng, d)
-            val = linalg.restrict_gram(b, [e])[0][0]
-            if val != 0:
+            val = int_gram(b, [e])[0][0]
+            if val:
                 i = next(t for t in range(d) if e[t] != 0)
-                b[i][i] -= val / (e[i] * e[i])
+                b[i][i] -= Fraction(val, e[i] * e[i])
             coeffs.append(b)
-        lhs, rhs, equal = phi2_rank(PencilFamily(QuadSpace(base), coeffs))
+        lhs, rhs, equal = phi2_rank(PencilFamily(QuadSpace(base, den=den), coeffs))
         return equal, "lhs=%d rhs=%d" % (lhs, rhs)
 
     return _cases("phi2-rank-formula", seed, cases, case)

@@ -9,16 +9,28 @@ corank/kernel statements about them are checkable exactly.
 
 The forms are held as integer rows, scaled once.  The ints of a Gram or
 coefficient matrix are kept as they are (no Fraction is built); a
-QuadSpace scales its Gram by the lcm of its denominators and takes its
+QuadSpace scales its Gram by the lcm of its denominators, or takes
+integer rows with their one scale as a sampler draws them, and takes its
 rank, its reduced rows and a primitive integer kernel from one
-linalg._gauss_jordan.  A PencilFamily reads the integer base L q_* and
-coefficients L B_a off the one lcm L its Pencil computes.  The
-scale-free steps of the three pencil statements (the zero tests, ranks
-and kernels, the solve for q~(K), the restricted pencils and the
-proportionality test) run on these rows with zlinalg.int_gram and
-integer elimination.  Fractions appear only at the public outputs:
-kernel(), DualForm, the pieces Phi_i and the constant c, which is
-rescaled once by the integer factor the scaling put in.
+linalg._gauss_jordan, so a drawn Gram is eliminated once.  A
+PencilFamily builds its Pencil on those rows and reads the integer base
+L q_* and coefficients L B_a off the pencil's one lcm L.
+
+Corank duality runs on the same rows.  cork_restrict takes the reduced
+integer rows of S and the rank of zlinalg.int_gram(q.rows, basis).  The
+dual form holds the reduced rows e_i of q, whose pivots p_i give the
+covector basis e_i / e_i[p_i] of Ann(ker q), and the integer solve y of
+den M y = det I on the pivot minor M.  A covector phi has coordinates
+phi[p_i] in that basis, and lies in Ann(ker q) exactly when L phi =
+sum phi[p_i] (L / e_i[p_i]) e_i, L the lcm of the pivot entries; the
+corank of the dual form on a span is that of int_gram(y, basis) on the
+reduced coordinates.  The scale-free steps of the three pencil
+statements (the zero tests, ranks and kernels, the solve for q~(K), the
+restricted pencils and the proportionality test) run on these rows with
+int_gram and integer elimination.  Fractions appear only at the public
+outputs: gram, kernel(), the DualForm's ann_basis and gram (views built
+on access), the pieces Phi_i and the constant c, which is rescaled once
+by the integer factor the scaling put in.
 """
 
 from fractions import Fraction
@@ -26,7 +38,7 @@ from itertools import combinations
 from math import lcm, prod
 
 from . import linalg
-from .linalg import _gauss_jordan, _kernel, fmat, frac, fvec, rank, restrict_gram, scaled_int_rows
+from .linalg import _gauss_jordan, _kernel, fmat, frac, restrict_gram, scaled_int_rows
 from .poly import MultiPoly, homogeneous_parts, quadratic_form_rank
 from .polymat import Pencil, PolyMatrix, det_poly_matrix
 from .zlinalg import bareiss_solve, int_gram
@@ -47,21 +59,35 @@ class QuadSpace:
     rows = den * gram is integral; echelon and pivots are its reduced
     rows, and free its kernel as linalg._kernel's [(j, w)]: a primitive
     integer w per free column j, with w / w[j] the canonical kernel vector.
+
+    With den, gram is already the integer rows of den times the form (as
+    wedge.scaled_symmetric_with_kernel draws them) and is taken as it is;
+    the Fraction Gram is then built on first access.
     """
 
-    __slots__ = ("dim", "gram", "den", "rows", "echelon", "pivots", "free")
+    __slots__ = ("dim", "_gram", "den", "rows", "echelon", "pivots", "free")
 
-    def __init__(self, gram, _cap=10):
+    def __init__(self, gram, _cap=10, den=1):
         g = _matrix(gram)
         if _cap is not None and len(g) > _cap:
             raise ValueError("dimension bound is %d" % _cap)
         if not linalg.is_symmetric(g):
             raise ValueError("Gram matrix must be symmetric")
         self.dim = len(g)
-        self.gram = g
         self.den, self.rows = scaled_int_rows(g)
+        self._gram = g
+        if den != 1:
+            if self.den != 1:
+                raise ValueError("a Gram with a scale must be integer rows")
+            self.den, self._gram = den, None
         self.echelon, self.pivots = _gauss_jordan(self.rows, self.dim)
         self.free = _kernel(self.echelon, self.pivots, self.dim)
+
+    @property
+    def gram(self):
+        if self._gram is None:
+            self._gram = [[Fraction(x, self.den) for x in row] for row in self.rows]
+        return self._gram
 
     def corank(self):
         return len(self.free)
@@ -85,38 +111,83 @@ class QuadSpace:
         return restrict_gram(self.gram, [v, w])[0][1]
 
 
-def cork_restrict(q: QuadSpace, s_rows) -> int:
-    """Corank of the restriction of q to the subspace spanned by s_rows."""
-    basis = linalg.row_basis(fmat(s_rows))
+def _int_rows(rows, dim):
+    """Rows of length dim (ints, Fractions or what linalg.frac reads),
+    each scaled by one common lcm to integers; ValueError for another
+    length."""
+    rows = _matrix(rows)
+    if any(len(row) != dim for row in rows):
+        raise ValueError("vector of length other than %d" % dim)
+    return scaled_int_rows(rows)[1]
+
+
+def _reduced(rows, ncols):
+    """The nonzero reduced rows of integer rows: a basis of their span."""
+    a, pivots = _gauss_jordan(rows, ncols)
+    return a[:len(pivots)]
+
+
+def _corank_on(g, basis):
+    """len(basis) - rank of the integer form g restricted to the rows basis."""
     if not basis:
         return 0
-    g = restrict_gram(q.gram, basis)
-    return len(basis) - rank(g)
+    return len(basis) - len(_gauss_jordan(int_gram(g, basis), len(basis))[1])
+
+
+def cork_restrict(q: QuadSpace, s_rows) -> int:
+    """Corank of the restriction of q to the subspace spanned by s_rows:
+    the reduced integer rows of S and the rank of int_gram(q.rows, basis)."""
+    return _corank_on(q.rows, _reduced(_int_rows(s_rows, q.dim), q.dim))
 
 
 class DualForm:
-    """The dual form on Ann(ker q), with its chosen covector basis."""
+    """The dual form on Ann(ker q), with its chosen covector basis.
 
-    __slots__ = ("ann_basis", "gram")
+    Held as integers: rows and pivots are the reduced rows of q, so the
+    basis covectors are phi_i = rows[i] / rows[i][pivots[i]], and y is
+    the integer solve den M y = det I of dual_form, so the Gram is
+    den * y / det.  ann_basis and gram are Fraction views built on access.
+    """
 
-    def __init__(self, ann_basis, gram):
-        self.ann_basis = ann_basis  # rows: covectors in the standard dual basis
-        self.gram = gram
+    __slots__ = ("dim", "rows", "pivots", "den", "det", "y")
+
+    def __init__(self, dim, rows, pivots, den, det, y):
+        self.dim, self.rows, self.pivots = dim, rows, pivots
+        self.den, self.det, self.y = den, det, y
+
+    @property
+    def ann_basis(self):
+        """The covector basis phi_i, rows in the standard dual basis."""
+        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self.rows, self.pivots)]
+
+    @property
+    def gram(self):
+        return [[Fraction(self.den * x, self.det) for x in row] for row in self.y]
 
     def corank_on(self, covector_rows):
         """Corank of the dual form restricted to a span of covectors.
 
-        The covectors must lie in Ann(ker q).
+        The covectors must lie in Ann(ker q), the row space of the reduced
+        rows e_i, where each e_i is the only one nonzero at its pivot p_i.
+        So the coordinates of phi are its entries phi[p_i], and phi lies in
+        it exactly when L phi = sum_i phi[p_i] (L / e_i[p_i]) e_i, with L
+        the lcm of the pivot entries.  The corank is then that of the
+        integer form y on the reduced rows of the coordinates.
         """
-        coords = linalg.solve(linalg.transpose(self.ann_basis),
-                              [fvec(phi) for phi in covector_rows])
-        if None in coords:
-            raise ValueError("covector is not in Ann(ker q)")
-        basis = linalg.row_basis(coords)
-        if not basis:
-            return 0
-        g = restrict_gram(self.gram, basis)
-        return len(basis) - rank(g)
+        lead = lcm(*(row[p] for row, p in zip(self.rows, self.pivots)))
+        scales = [lead // row[p] for row, p in zip(self.rows, self.pivots)]
+        coords = []
+        for phi in _int_rows(covector_rows, self.dim):
+            c = [phi[p] for p in self.pivots]
+            combo = [lead * x for x in phi]
+            for ci, s, row in zip(c, scales, self.rows):
+                if ci:
+                    f = ci * s
+                    combo = [x - f * y for x, y in zip(combo, row)]
+            if any(combo):
+                raise ValueError("covector is not in Ann(ker q)")
+            coords.append(c)
+        return _corank_on(self.y, _reduced(coords, len(self.pivots)))
 
 
 def dual_form(q: QuadSpace) -> DualForm:
@@ -126,15 +197,14 @@ def dual_form(q: QuadSpace) -> DualForm:
     basis of Ann(ker q), its row space) plus the Gram matrix [x_i . phi_j]
     where G x_j = phi_j.  G = R^t M R for R the rows phi_i and M the minor
     of G on the pivot coordinates, where R is the identity, so R x_j =
-    M^-1 e_j and x_i . phi_j = (M^-1)_ij: one integer solve of the minor.
-    For nondegenerate q this is the inverse Gram matrix in disguise.
+    M^-1 e_j and x_i . phi_j = (M^-1)_ij: one integer solve of the minor,
+    den M y = det I, and M^-1 = den y / det.  For nondegenerate q this is
+    the inverse Gram matrix in disguise.
     """
-    ann = [[Fraction(x, row[p]) for x in row] for row, p in zip(q.echelon, q.pivots)]
     minor = [[q.rows[i][j] for j in q.pivots] for i in q.pivots]   # den * M
     r = len(minor)
     det, y = bareiss_solve(minor, [[int(i == j) for j in range(r)] for i in range(r)])
-    # den M y = det I, so M^-1 = den * y / det
-    return DualForm(ann, [[Fraction(q.den * x, det) for x in row] for row in y])
+    return DualForm(q.dim, q.echelon[:r], q.pivots, q.den, det, y)
 
 
 def ann_of_span(rows, dim):
@@ -178,7 +248,11 @@ class PencilFamily:
     """q_* plus a linear family q(t) = sum_a t_a B_a of symmetric forms.
 
     int_coeffs are the integer rows L B_a, read off the pencil's one lcm L
-    (pencil.den); pencil.base is L q_*.
+    (pencil.den); pencil.base is L q_*.  The pencil is built on the base's
+    integer rows D q_*, D = base.den, and the coefficients D B_a, and its
+    own lcm is then multiplied by D: where D is the lcm of q_*'s
+    denominators, that is the scale and the rows a Pencil of q_* and the
+    B_a would find.
     """
 
     __slots__ = ("base", "coeffs", "varnames", "pencil", "int_coeffs")
@@ -192,7 +266,10 @@ class PencilFamily:
             if len(b) != base.dim or not linalg.is_symmetric(b):
                 raise ValueError("coefficient matrices must be symmetric of matching size")
         self.varnames = tuple("t%d" % (a + 1) for a in range(len(self.coeffs)))
-        self.pencil = Pencil(base.gram, self.coeffs)
+        den = base.den
+        self.pencil = Pencil(base.rows, self.coeffs if den == 1 else
+                             [[[den * x for x in row] for row in b] for b in self.coeffs])
+        self.pencil.den *= den
         n = base.dim
         self.int_coeffs = []
         for move in self.pencil.moves:

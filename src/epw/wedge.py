@@ -415,8 +415,10 @@ COEFF_BOX = 5  # sampler coefficients are uniform in [-5, 5]
 
 
 def _rand_coeff(rng):
-    """One sampler coefficient, an int uniform in [-COEFF_BOX, COEFF_BOX]."""
-    return rng.randint(-COEFF_BOX, COEFF_BOX)
+    """One sampler coefficient, an int uniform in [-COEFF_BOX, COEFF_BOX]:
+    the one _randbelow(2 COEFF_BOX + 1) call of randint(-COEFF_BOX,
+    COEFF_BOX), without its argument checks."""
+    return rng.randrange(2 * COEFF_BOX + 1) - COEFF_BOX
 
 
 def random_symmetric(rng, n, invertible=False):
@@ -485,25 +487,33 @@ def symmetric_with_kernel(rng, n, kernel_rows):
     The matrix is C^t S C with S a random invertible symmetric matrix and
     the rows of C the canonical basis of Ann(span kernel_rows) (nullspace
     of the kernel rows).  C^t is injective and ker C = span(kernel_rows),
-    so every draw has exactly that kernel.  The rows of C are the
-    primitive integer kernel rows w of one _gauss_jordan, divided by their
-    free coordinates w[j]; with D the lcm of those, int_gram forms D^2
-    C^t S C on the integer rows D C, and the result is divided by D^2 only
-    when D > 1, so it is a matrix of ints unless C has denominators.
+    so every draw has exactly that kernel.  It is the integer rows of
+    scaled_symmetric_with_kernel divided by their scale, only when the
+    scale is not 1, so it is a matrix of ints unless C has denominators.
+    """
+    den, g = scaled_symmetric_with_kernel(rng, n, kernel_rows)
+    if den == 1:
+        return g
+    return [[Fraction(x, den) for x in row] for row in g]
+
+
+def scaled_symmetric_with_kernel(rng, n, kernel_rows):
+    """(D^2, D^2 G) for G the draw of symmetric_with_kernel, from the same
+    randomness.  The rows of C are the primitive integer kernel rows w of
+    one _gauss_jordan, divided by their free coordinates w[j]; with D the
+    lcm of those, int_gram forms D^2 C^t S C on the integer rows D C.
+    Without kernel rows (or only zero ones) G is an invertible
+    random_symmetric and the scale is 1.
     """
     cols = len(kernel_rows[0]) if kernel_rows else n
     a, pivots = linalg._gauss_jordan(linalg.scaled_int_rows(kernel_rows)[1], cols)
     if not pivots:
-        return random_symmetric(rng, n, invertible=True)
+        return 1, random_symmetric(rng, n, invertible=True)
     ann = linalg._kernel(a, pivots, cols)
     smat = random_symmetric(rng, n - len(pivots), invertible=True)
     den = lcm(*(w[j] for j, w in ann))
     # the rows of D C^t: n of them, also when C has none
-    g = int_gram(smat, [[w[i] * (den // w[j]) for j, w in ann] for i in range(n)])
-    if den == 1:
-        return g
-    den *= den
-    return [[Fraction(x, den) for x in row] for row in g]
+    return den * den, int_gram(smat, [[w[i] * (den // w[j]) for j, w in ann] for i in range(n)])
 
 
 class ConstraintError(RuntimeError):

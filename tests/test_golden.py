@@ -13,8 +13,8 @@
   parameter count 1-5, the first family with a zero row;
 * the SHA-256 of Gram matrices carried to another basis: seeded dual
   forms, symmetric_with_kernel draws at coranks 1-3, the restricted Grams
-  behind cork_restrict and DualForm.corank_on, and the Gram of e1^perp in
-  the polarized lattice;
+  of the Fraction route to cork_restrict and DualForm.corank_on, and the
+  Gram of e1^perp in the polarized lattice;
 * the SHA-256 of the strata predicates (degeneracy_dim, sigma_level,
   theta_contains, dual_membership) and of the `degeneracy` and `strata`
   text output on 51 seeded frames: points of degeneracy 0-3 and 10,
@@ -45,7 +45,7 @@ import sys
 
 import pytest
 
-from epw import jsonio, linalg, varquad
+from epw import jsonio, linalg
 from epw.cli import run
 from epw.lattices import (
     NAMED_LATTICES, EvenLattice, direct_sum, hyperbolic_plane, induced_disc_action,
@@ -252,26 +252,33 @@ def test_symmetric_with_kernel_digest():
     assert _grams_digest(mats) == GRAM_DIGESTS["symmetric-with-kernel"]
 
 
-def test_restricted_gram_digest(monkeypatch):
-    """Every Gram restrict_gram forms for cork_restrict and corank_on."""
+def test_restricted_gram_digest():
+    """The Grams that the Fraction route of cork_restrict and corank_on
+    forms, by linalg.restrict_gram on the same bases: q on the reduced
+    rows of S, and the dual Gram on the reduced coordinates of Ann S in
+    the dual form's covector basis.  The integer route forms none of
+    them; its coranks are len(basis) - rank of each."""
     seen = []
-
-    def recording(g, rows):
-        out = linalg.restrict_gram(g, rows)
-        seen.append(out)
-        return out
-
     rng = random.Random(41)
     for i in range(30):
         d = i % 6 + 2
         q = QuadSpace(random_symmetric(rng, d))
         s = [random_vector(rng, d) for _ in range(rng.randint(1, d))]
-        dual = dual_form(q) if q.corank() == 0 else None
-        with monkeypatch.context() as patch:
-            patch.setattr(varquad, "restrict_gram", recording)
-            cork_restrict(q, s)
-            if dual is not None:
-                dual.corank_on(ann_of_span(linalg.row_basis(s), d))
+        basis = linalg.row_basis(s)
+        if basis:
+            seen.append(linalg.restrict_gram(q.gram, basis))
+            assert cork_restrict(q, s) == len(basis) - linalg.rank(seen[-1])
+        else:
+            assert cork_restrict(q, s) == 0
+        if q.corank() == 0:
+            dual = dual_form(q)
+            covectors = ann_of_span(basis, d)
+            coords = linalg.row_basis(linalg.solve(linalg.transpose(dual.ann_basis), covectors))
+            if coords:
+                seen.append(linalg.restrict_gram(dual.gram, coords))
+                assert dual.corank_on(covectors) == len(coords) - linalg.rank(seen[-1])
+            else:
+                assert dual.corank_on(covectors) == 0
     assert len(seen) > 30
     assert _grams_digest(seen) == GRAM_DIGESTS["restricted"]
 

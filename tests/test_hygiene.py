@@ -6,7 +6,11 @@
 * Every module-level function whose name starts with one underscore is
   referenced somewhere in src/epw outside its own body.
 * Every public module-level function and class is referenced somewhere
-  in src/epw outside its own body.  An import in the package __init__ is
+  in src/epw outside its own body, by a reference that can resolve to it:
+  its bare name in its own module or in a module that imports it from
+  there, or an attribute of a name bound to its module (`linalg.rank`
+  after `from . import linalg`).  A method or attribute of the same name
+  on another object is no reference.  An import in the package __init__ is
   not a reference, so a name that only the exports keep alive shows; the
   few kept for the tests alone are listed in TEST_ONLY, those kept for
   the package namespace alone in EXPORT_ONLY and those kept for the
@@ -69,6 +73,42 @@ def _references(tree, skip=None):
     return out
 
 
+def _bindings(tree):
+    """The package imports of a module: (names, modules), with names
+    mapping each local name of `from .m import f [as local]` to (m, f) and
+    modules each local name of `from . import m [as local]` to m."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module:
+                    names[local] = (node.module.split(".")[-1], alias.name)
+                else:
+                    modules[local] = alias.name
+    return names, modules
+
+
+def _resolved_references(tree, module):
+    """Per top-level statement of the module `module`, the set of
+    (module, name) its references can resolve to: a bare name to what the
+    module imports under it, else to the module's own name; an attribute
+    of a name bound to a module m to (m, attribute).  Other attributes
+    resolve to nothing."""
+    names, modules = _bindings(tree)
+    out = []
+    for stmt in tree.body:
+        refs = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                refs.add(names.get(node.id, (module, node.id)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                refs.add((modules[node.value.id], node.attr))
+        out.append((stmt, refs))
+    return out
+
+
 def unreferenced_private_functions():
     trees = {path.name: _tree(path) for path in MODULES}
     out = []
@@ -89,6 +129,10 @@ TEST_ONLY = {
     "linalg.py mat_vec": "tests apply matrices to vectors with it",
     "wedge.py basis_trivector": "tests name basis trivectors with it",
     "wedge.py apply_gl6_frame": "tests transport frames by GL(6) with it",
+    "linalg.py solve":
+        "tests solve rational systems with it, the Fraction route to corank_on among them",
+    "varquad.py ann_of_span":
+        "the annihilator of a span as Fraction covectors; the corank-duality tests read it",
 }
 # Public names that only the package exports (epw/__init__.py) keep, each
 # kept on purpose.
@@ -107,21 +151,26 @@ EXPORT_ONLY = {
 TRACED_ONLY = {
     "zlinalg.py int_adjugate":
         "span target zlinalg.int_adjugate; Pencil.bordered takes bordered minors by int_det",
+    "linalg.py inverse":
+        "span target linalg.inverse; the corank-duality draws carry P^-1 along with P",
 }
 
 
 def unreferenced_public_names(paths):
     """Public top-level functions and classes of the modules in paths that
-    no module references outside their own definition, as sorted "module
+    no module references outside their own definition, by a reference
+    that can resolve to them (_resolved_references), as sorted "module
     name".  An import (the exports of a package __init__) is no reference."""
     trees = {path.name: _tree(path) for path in paths}
+    refs = [item for name, tree in trees.items()
+            for item in _resolved_references(tree, name[:-3])]
     out = []
     for name, tree in trees.items():
         for node in tree.body:
+            key = (name[:-3], getattr(node, "name", None))
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
-                    and not any(node.name in _references(t, skip=node)
-                                for t in trees.values())):
+                    and not any(key in r for stmt, r in refs if stmt is not node)):
                 out.append("%s %s" % (name, node.name))
     return sorted(out)
 
@@ -217,10 +266,18 @@ def test_the_checks_see_what_they_look_for(tmp_path):
     init.write_text("from .sample import C\n")
     lonely = tmp_path / "lonely.py"
     lonely.write_text("def in_rowspace(m, v):\n    return in_rowspace(m, v)\n\n"
-                      "class Kept:\n    pass\n\ndef caller():\n    return Kept\n")
+                      "class Kept:\n    pass\n\ndef caller():\n    return Kept\n\n"
+                      "def inverse(m):\n    return m\n")
     # C is exported and referenced nowhere else, so it shows
     assert unreferenced_public_names([init, path, lonely]) == [
-        "lonely.py caller", "lonely.py in_rowspace", "sample.py C"]
+        "lonely.py caller", "lonely.py in_rowspace", "lonely.py inverse", "sample.py C"]
+    # a method of the same name is no reference; the module attribute and
+    # an imported name under another name are
+    user = tmp_path / "user.py"
+    user.write_text("from . import lonely as lone\nfrom .lonely import in_rowspace as inside\n\n"
+                    "def use(z):\n    return z.inverse(), lone.caller, inside\n")
+    assert unreferenced_public_names([init, path, lonely, user]) == [
+        "lonely.py inverse", "sample.py C", "user.py use"]
     path.write_text("class D:\n    def __init__(self, v):\n        self.vars = v\n\n"
                     "def build(v, t):\n    out = MultiPoly.__new__(MultiPoly)\n"
                     "    out.vars, out.terms = v, t\n    out.terms[()] = 1\n"

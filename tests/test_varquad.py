@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import prod
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from epw import linalg
@@ -16,6 +17,7 @@ from epw.varquad import (
     degenerate_cone_check, vanishing_kernel_check,
 )
 from epw.wedge import random_symmetric, symmetric_with_kernel, random_vector
+from epw.zlinalg import bareiss_solve
 
 
 def diag(*entries):
@@ -239,6 +241,16 @@ def test_value_and_pairing_reject_a_vector_of_the_wrong_length():
             q.pairing([1, 0, 0], v)
 
 
+def test_corank_duality_rejects_a_vector_of_the_wrong_length():
+    q = QuadSpace(diag(1, 2, 3))
+    assert cork_restrict(q, [[1, "1/2", 0]]) == 0 and dual_form(q).corank_on([[0, 1, 0]]) == 0
+    for v in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="length"):
+            cork_restrict(q, [[1, 0, 0], v])
+        with pytest.raises(ValueError, match="length"):
+            dual_form(q).corank_on([v])
+
+
 @pytest.mark.parametrize("bad", [5, "12", [5], [[1, 0], 1], None])
 def test_quad_space_and_family_refuse_a_matrix_that_is_not_rows(bad):
     with pytest.raises(ValueError, match="list of rows"):
@@ -428,6 +440,43 @@ def test_quad_space_kernel_follows_the_fraction_route():
         assert q.kernel_scale() == prod(factors)
 
 
+def test_quad_space_with_a_scale_is_the_form_of_its_gram():
+    """QuadSpace(rows, den=D) is QuadSpace of the Gram rows / D: the same
+    Gram, reduced rows, kernel and dual form; a PencilFamily on it has the
+    same pencil as on the Fraction Gram, and the same pieces.  A scale
+    with rows that are not integers is refused."""
+    rng = random.Random(67)
+    for _ in range(100):
+        d = rng.randint(1, 6)
+        den = rng.randint(1, 12)
+        g = symmetric_with_kernel(rng, d, [random_vector(rng, d)
+                                           for _ in range(rng.randint(0, d - 1))])
+        rows = [[den * x for x in row] for row in linalg.scaled_int_rows(g)[1]]
+        scale = den * linalg.scaled_int_rows(g)[0]
+        q, ref = QuadSpace(rows, den=scale), QuadSpace(g)
+        assert q.gram == ref.gram and q.den == scale
+        assert (q.echelon, q.pivots, q.free) == (ref.echelon, ref.pivots, ref.free)
+        assert q.kernel() == ref.kernel() and dual_form(q).gram == dual_form(ref).gram
+        coeffs = [scaled_form(rng, rand_sym_ints(rng, d)) for _ in range(rng.randint(0, 2))]
+        fam, ref_fam = PencilFamily(q, coeffs), PencilFamily(ref, coeffs)
+        assert fam.pencil.det_poly(fam.varnames) == ref_fam.pencil.det_poly(fam.varnames)
+        assert phi_expansion(fam) == phi_expansion(ref_fam)
+        assert degenerate_cone_check(fam)[:2] == degenerate_cone_check(ref_fam)[:2]
+    with pytest.raises(ValueError, match="integer rows"):
+        QuadSpace([[Fraction(1, 2)]], den=2)
+
+
+def test_family_pencil_holds_the_rows_of_a_fraction_pencil():
+    """The pencil of a PencilFamily, built on the base's integer rows,
+    holds the scale, base and moves that a Pencil of the Fraction Gram
+    and coefficients holds."""
+    rng = random.Random(68)
+    for case in range(100):
+        fam = graded_family(rng, case % 4)
+        ref = Pencil(fam.base.gram, fam.coeffs)
+        assert (fam.pencil.den, fam.pencil.base, fam.pencil.moves) == (ref.den, ref.base, ref.moves)
+
+
 def test_dual_form_matches_the_congruence_route():
     """ann_basis is the reduced row basis of the Gram and the Gram is the
     congruence [x_i . G x_j] of the solutions of G x_j = phi_j."""
@@ -499,6 +548,148 @@ def test_vanishing_kernel_constant_is_the_fraction_dual_determinant():
             assert c is None
         else:
             assert c == _constant(phis[2 * k], rhs) and phis[2 * k] == rhs * c
+
+
+# -- the Fraction route to corank duality, kept as the reference -------------------
+
+def reference_cork_restrict(q, s_rows):
+    """cork(q|S) on the Fraction row basis of S and its restricted Gram."""
+    basis = linalg.row_basis(linalg.fmat(s_rows))
+    if not basis:
+        return 0
+    return len(basis) - rank(linalg.restrict_gram(q.gram, basis))
+
+
+def reference_dual_form(q):
+    """(ann_basis, gram) of the dual form as Fractions: the reduced rows of
+    the Gram divided by their pivots, and den y / det for the solve of
+    the pivot minor."""
+    ann = [[Fraction(x, row[p]) for x in row] for row, p in zip(q.echelon, q.pivots)]
+    minor = [[q.rows[i][j] for j in q.pivots] for i in q.pivots]
+    r = len(minor)
+    det, y = bareiss_solve(minor, [[int(i == j) for j in range(r)] for i in range(r)])
+    return ann, [[Fraction(q.den * x, det) for x in row] for row in y]
+
+
+def reference_corank_on(ann_basis, gram, covector_rows):
+    """The corank of the dual Gram on a span of covectors, by one Fraction
+    solve for their coordinates and the Gram on their row basis."""
+    coords = linalg.solve(linalg.transpose(ann_basis),
+                          [linalg.fvec(phi) for phi in covector_rows])
+    if None in coords:
+        raise ValueError("covector is not in Ann(ker q)")
+    basis = linalg.row_basis(coords)
+    if not basis:
+        return 0
+    return len(basis) - rank(linalg.restrict_gram(gram, basis))
+
+
+def reference_ann_of_span(rows, dim):
+    if not rows:
+        return linalg.identity(dim)
+    return linalg.nullspace(linalg.fmat(rows))
+
+
+def _outcome(f, *args):
+    """f(*args), or "raises" for a ValueError."""
+    try:
+        return f(*args)
+    except ValueError:
+        return "raises"
+
+
+def _compare_duality_routes(q, s_rows, covector_rows):
+    """The integer and Fraction routes agree on q, S and the covectors:
+    cork_restrict, the dual form's basis and Gram, the annihilator of S
+    and corank_on (a ValueError in both for a covector outside Ann(ker q)).
+    Returns (cork(q|S), the corank_on outcome)."""
+    cork = cork_restrict(q, s_rows)
+    assert cork == reference_cork_restrict(q, s_rows)
+    dual = dual_form(q)
+    ann, gram = reference_dual_form(q)
+    assert dual.ann_basis == ann and dual.gram == gram
+    assert ann_of_span(s_rows, q.dim) == reference_ann_of_span(s_rows, q.dim)
+    got = _outcome(dual.corank_on, covector_rows)
+    if q.pivots:
+        assert got == _outcome(reference_corank_on, ann, gram, covector_rows)
+    else:
+        # q = 0: Ann(ker q) = 0, where the Fraction solve has no equation
+        # and refuses even the zero covector
+        assert got == ("raises" if any(x for row in covector_rows for x in row) else 0)
+    return cork, got
+
+
+def duality_draw(rng):
+    """(q, S rows, covector rows) on Q^d, d <= 7: q of corank 0..d-1, or
+    in a quarter of the draws q with a degenerate top-left m x m block
+    and S its m unit vectors; q rational in half the draws (scaled_form);
+    S with a dependent row in
+    half the draws, rational in some; covectors G s for the rows s of S
+    and random integer combinations of the rows of G (all inside Ann(ker
+    q), and isotropic for the dual form where q is on S), plus a random
+    covector in a third of the draws (outside Ann(ker q) when q is
+    degenerate, almost always)."""
+    d = rng.randint(1, 7)
+    if d > 1 and rng.random() < 0.25:
+        m = rng.randint(1, d - 1)
+        g = random_symmetric(rng, d)
+        for i, row in enumerate(symmetric_with_kernel(rng, m, [random_vector(rng, m)])):
+            g[i][:m] = row
+        s = [[int(i == j) for j in range(d)] for i in range(m)]
+    else:
+        k = rng.randint(0, d - 1)
+        g = symmetric_with_kernel(rng, d, [random_vector(rng, d) for _ in range(k)])
+        s = [random_vector(rng, d) for _ in range(rng.randint(0, d))]
+    q = QuadSpace(scaled_form(rng, g) if rng.random() < 0.5 else g)
+    if s and rng.random() < 0.5:
+        s.append([2 * x - y for x, y in zip(s[0], s[-1])])
+    if rng.random() < 0.2:
+        s = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in s]
+    rows = q.gram
+    covectors = [[sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(d)]
+                 for coeffs in s + [random_vector(rng, d) for _ in range(rng.randint(0, 2))]]
+    if rng.random() < 1 / 3:
+        covectors.append(random_vector(rng, d))
+    return q, s, covectors
+
+
+def test_corank_duality_integer_route_matches_the_fraction_route():
+    """On 2000 seeded draws the two routes agree; the draws reach positive
+    cork(q|S), positive coranks of the dual form and covectors outside
+    Ann(ker q)."""
+    rng = random.Random(65)
+    corks, coranks, raised = 0, 0, 0
+    for _ in range(2000):
+        cork, got = _compare_duality_routes(*duality_draw(rng))
+        corks += cork > 0
+        raised += got == "raises"
+        coranks += got != "raises" and got > 0
+    assert min(corks, coranks, raised) >= 50, (corks, coranks, raised)
+
+
+@st.composite
+def duality_examples(draw):
+    """q on Q^d, d <= 5, with entries in [-4, 4] over a denominator 1-3
+    and some rows and columns zero, rows of S and covectors in [-3, 3]:
+    small boxes, so singular Grams, dependent rows and covectors in and
+    outside Ann(ker q) occur often."""
+    d = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    upper = [[draw(entry) for _ in range(d - i)] for i in range(d)]
+    den = draw(st.integers(1, 3))
+    zero = draw(st.sets(st.integers(0, d - 1), max_size=d))
+    g = [[Fraction(0) if i in zero or j in zero else
+          Fraction(upper[min(i, j)][abs(i - j)], den) for j in range(d)] for i in range(d)]
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    s = draw(st.lists(vec, max_size=d + 1))
+    covectors = draw(st.lists(vec, max_size=3))
+    return QuadSpace(g), s, covectors
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(example=duality_examples())
+def test_corank_duality_routes_agree_under_search(example):
+    _compare_duality_routes(*example)
 
 
 def test_every_kernel_ledger_line_fails_on_a_kernel_missing_a_vector(monkeypatch):

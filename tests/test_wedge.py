@@ -690,3 +690,32 @@ def test_strata_ledger_fails_when_dual_membership_is_false(monkeypatch):
     monkeypatch.setattr(wedge, "dual_membership", lambda frame, e_rows: False)
     res = checks.check_strata_predicates()
     assert not res.ok and res.detail == "dual-membership-generic-5space"
+
+
+def test_sampler_coefficient_is_randint_over_the_box():
+    """_rand_coeff draws what randint(-COEFF_BOX, COEFF_BOX) draws, 10^5
+    times on each of several seeds, and leaves the generator in the same
+    state."""
+    box = wedge.COEFF_BOX
+    for seed in (0, 1, 7, 2024):
+        new, old = random.Random(seed), random.Random(seed)
+        draws = [wedge._rand_coeff(new) for _ in range(10 ** 5)]
+        assert draws == [old.randint(-box, box) for _ in range(10 ** 5)]
+        assert new.getstate() == old.getstate()
+        assert set(draws) == set(range(-box, box + 1))
+
+
+def test_scaled_symmetric_with_kernel_is_the_draw_times_its_scale():
+    """(D^2, rows) from the randomness of symmetric_with_kernel: rows of
+    ints equal to D^2 times its draw, D^2 = 1 when the draw is of ints."""
+    for seed in range(300):
+        n = 1 + seed % 7
+        new, old = random.Random(seed), random.Random(seed)
+        rows = [random_vector(new, n) for _ in range(seed % (n + 1))]
+        assert rows == [random_vector(old, n) for _ in rows]
+        den, scaled = wedge.scaled_symmetric_with_kernel(new, n, rows)
+        g = symmetric_with_kernel(old, n, rows)
+        assert new.getstate() == old.getstate()
+        assert all(type(x) is int for row in scaled for x in row)
+        assert [[Fraction(x, den) for x in row] for row in scaled] == g
+        assert den == 1 or any(type(x) is Fraction for row in g for x in row)
