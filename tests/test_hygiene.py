@@ -167,10 +167,10 @@ def unreferenced_public_names(paths):
     out = []
     for name, tree in trees.items():
         for node in tree.body:
-            key = (name[:-3], getattr(node, "name", None))
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
-                    and not any(key in r for stmt, r in refs if stmt is not node)):
+                    and not any((name[:-3], node.name) in r for stmt, r in refs
+                                if stmt is not node)):
                 out.append("%s %s" % (name, node.name))
     return sorted(out)
 

@@ -443,7 +443,8 @@ def test_quad_space_kernel_follows_the_fraction_route():
 def test_quad_space_with_a_scale_is_the_form_of_its_gram():
     """QuadSpace(rows, den=D) is QuadSpace of the Gram rows / D: the same
     Gram, reduced rows, kernel and dual form; a PencilFamily on it has the
-    same pencil as on the Fraction Gram, and the same pieces.  A scale
+    determinant, pieces and kernel-block constant of one on the Fraction
+    Gram, also where D is not the lcm of the Gram's denominators.  A scale
     with rows that are not integers is refused."""
     rng = random.Random(67)
     for _ in range(100):
