@@ -8,6 +8,10 @@
 * the SHA-256 of `local-sextic` at two centers where the first coordinate
   complement meets A, so make_chart falls through to a later basis, and
   its exit code and message where no complement is transversal;
+* the exit code and SHA-256 of `local-sextic --format json` and
+  `double-cover --format json` on the four corank frames and at the two
+  off-chart centers: the polynomial's JSON terms and the text of its
+  graded parts, and the text of the double cover's generators;
 * the SHA-256 of the graded pieces Phi_i of det(q_* + q(t)) over 40
   seeded pencil families with rational entries: every side 1-8 with every
   parameter count 1-5, the first family with a zero row;
@@ -97,6 +101,35 @@ OFF_CHART = {
         "1,2,3,0,0,0",
         "12733d12995552d8ef844e138fd9208d683d7adc1d7a8dd49815a5a42b36c87c"),
 }
+# (verb, corank k or OFF_CHART name) -> (exit code, SHA-256 of the output)
+# of `verb --format json`
+JSON_DIGESTS = {
+    ("local-sextic", "0"):
+        (0, "66a4bb99c593441ba1375badec8466ce050f7b97ade13ced40763f70954b1dfa"),
+    ("local-sextic", "1"):
+        (0, "fd9ba362cedd0772cfb5bc53bf0651871eb07370c9ffeecf35a83d0fd36b21cf"),
+    ("local-sextic", "2"):
+        (0, "66211d8443f5bde09d4cf0d52b997b801e94830e674fb7596986f3c9b8b5f561"),
+    ("local-sextic", "3"):
+        (0, "daf119a4f2971517150f0f6182e2b04dec90414447ef3addfb764be3e776649d"),
+    ("local-sextic", "plane-seed18"):
+        (0, "987e3f6d4436d358037fb1b4767dfcc8493db34a92932269e5b2c6e524f752d5"),
+    ("local-sextic", "vee-e2"):
+        (0, "749de58b2c4a29051e2035fbf1fe27fdd5c52e9dcdae59b2f47b03401ffb8f12"),
+    ("double-cover", "0"):
+        (0, "2440b6a096319e8fe02327c6dbc16124899b63861edd97bf92c0c6d73fdf8443"),
+    ("double-cover", "1"):
+        (0, "a9a99a4bfb3b6ce88710d4103a678cf8f5c8958c30eec9851b3c7fcffd1ddc4c"),
+    ("double-cover", "2"):
+        (0, "d8107b92e5e9eed049fcdb32e0ceb8017bbd251e199ac35a88750d1894109900"),
+    ("double-cover", "3"):
+        (0, "7ffbded71cd9f179122443c769ffdf218e7a3dd3724cb213fd22aa1544ad09b2"),
+    ("double-cover", "plane-seed18"):
+        (0, "2440b6a096319e8fe02327c6dbc16124899b63861edd97bf92c0c6d73fdf8443"),
+    # the kernel at this center is beyond the double-cover model: exit 2
+    ("double-cover", "vee-e2"):
+        (2, "cedc31185789b067cfce3156b1bc555326915d2a473efe2c15597feceb7bba3b"),
+}
 FRAME_DIGESTS = {
     "random-graph":
         "34ecd6c92f643596da39703f5a11cfdb73b397efd91d85c99e056a326ede96c4",
@@ -181,6 +214,17 @@ def test_off_standard_chart_digest(tmp_path, name):
                      "--point", point])
     assert code == 0
     assert _sha(out) == digest
+
+
+@pytest.mark.parametrize("verb,key", sorted(JSON_DIGESTS))
+def test_json_output_digest(corank_frames, tmp_path, verb, key):
+    if key in OFF_CHART:
+        build, point, _ = OFF_CHART[key]
+        path = _frame_file(tmp_path, build())
+    else:
+        path, point = corank_frames[int(key)], POINT
+    code, out = run([verb, "--frame", path, "--point", point, "--format", "json"])
+    assert (code, _sha(out)) == JSON_DIGESTS[verb, key]
 
 
 def test_no_transversal_chart_message(tmp_path):
