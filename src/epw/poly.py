@@ -15,6 +15,11 @@ int products under int keys.  The sums are unpacked by shift and mask,
 zero sums are dropped, and each coefficient is divided once by the
 product of the two lcms.
 
+The text form (to_text) sorts the terms once and prints each
+coefficient from its integer numerator and denominator, each monomial
+from one table of variable powers built per call; no Fraction is
+compared, negated or printed, and nothing is held between calls.
+
 MultiPoly(variables, terms) validates outside input; what this layer
 computes is built by MultiPoly._canonical.  A polynomial is true iff
 nonzero and // is the exact quotient, so zlinalg._eliminate runs on it.
@@ -285,24 +290,38 @@ class MultiPoly:
         return self.to_text()
 
     def to_text(self):
-        """Canonical text form: graded-lex order, explicit ^ and *."""
-        if not self.terms:
+        """Canonical text form: graded-lex order, explicit ^ and *.
+
+        A term is its coefficient n/d (n/d* before a monomial, n alone when
+        d = 1, nothing when n/d = 1) and its monomial; the first term
+        carries a leading -, the others + or -.  The terms are sorted once,
+        each monomial is joined from one table of the powers v, v^2, ...
+        of each variable, built for this call, and each coefficient is
+        printed from its integer numerator and denominator."""
+        terms = self.terms
+        if not terms:
             return "0"
+        powers = [[""] + [v] + ["%s^%d" % (v, k) for k in range(2, top + 1)]
+                  for v, top in zip(self.vars, map(max, zip(*terms)))]
         parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                "%s^%d" % (v, k) if k > 1 else v
-                for v, k in zip(self.vars, e) if k
-            )
-            ac = abs(c)
-            if mono:
-                body = mono if ac == 1 else "%s*%s" % (ac, mono)
+        for e in sorted(terms, key=_grlex_key, reverse=True):
+            c = terms[e]
+            n, d = c.numerator, c.denominator
+            if n < 0:
+                n, sign = -n, "-"
             else:
-                body = str(ac)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                sign = "+"
+            mono = "*".join([table[k] for table, k in zip(powers, e) if k])
+            if not mono:
+                body = "%d" % n if d == 1 else "%d/%d" % (n, d)
+            elif d == 1:
+                body = mono if n == 1 else "%d*%s" % (n, mono)
             else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+                body = "%d/%d*%s" % (n, d, mono)
+            if parts:
+                parts.append(sign + " " + body)
+            else:
+                parts.append(body if sign == "+" else "-" + body)
         return " ".join(parts)
 
 

@@ -16,10 +16,13 @@ serves as the reference:
   points come from one walker, bordered(n): the leading n-minor D and
   the bordered (n + 1)-minors, line by line in the last variable.  Of
   the first n rows and columns, the p that the last move never touches
-  lead; per line one Bareiss prefix of p steps (zlinalg._eliminate)
+  lead: the walker reads base and moves into that order once per call
+  (_permuted, by index maps), so a line's matrix is one row copy plus its
+  moves.  Per line one Bareiss prefix of p steps (zlinalg._eliminate)
   leaves their pivot P and the trailing block of bordered minors, and
   per point that block gains t P M_last and the elimination resumes
-  from P for the other n - p steps.  det_poly is the walker at n = side
+  from P for the other n - p steps; the singular-prefix and D = 0
+  fallbacks work in the original order.  det_poly is the walker at n = side
   (p = 4 on the chart pencil, the pairs containing e5), the Schur data
   of local_model at n = jdim.
   det_interpolate reads an affine PolyMatrix into a Pencil.
@@ -165,6 +168,21 @@ def det_bareiss(m: PolyMatrix) -> MultiPoly:
 def _perm_sign(order):
     """The sign of the permutation order of range(len(order))."""
     return -1 if sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2 else 1
+
+
+def _permuted(base, moves, rows, cols):
+    """base and the sparse moves [(i, j, c), ...] read into the row order
+    rows and the column order cols (permutations of range(side)): entry
+    (r, c) of the new base is base[rows[r]][cols[c]], and a move entry at
+    (i, j) goes to (position of i in rows, position of j in cols), read off
+    one index map per order."""
+    at_row, at_col = [0] * len(rows), [0] * len(cols)
+    for r, i in enumerate(rows):
+        at_row[i] = r
+    for c, j in enumerate(cols):
+        at_col[j] = c
+    return ([[base[i][j] for j in cols] for i in rows],
+            [[(at_row[i], at_col[j], c) for i, j, c in move] for move in moves])
 
 
 # ---------------------------------------------------------------------
@@ -330,13 +348,16 @@ class Pencil:
         q, qt = scaled_ints(pt)
         return self.den * q, self._matrix(qt, q)
 
+    def _check_point(self, ts):
+        if len(ts) != len(self.moves):
+            raise ValueError("pencil with %d moves at a point of %d coordinates"
+                             % (len(self.moves), len(ts)))
+
     def _matrix(self, ts, q=1):
         """The integer matrix q * base + sum_a ts[a] moves[a], for integers
         ts (one per move, ValueError otherwise) and q: at(pt)[1] at an
         integer point pt is _matrix(pt)."""
-        if len(ts) != len(self.moves):
-            raise ValueError("pencil with %d moves at a point of %d coordinates"
-                             % (len(self.moves), len(ts)))
+        self._check_point(ts)
         m = [[x * q for x in row] for row in self.base] if q != 1 else [row[:] for row in self.base]
         for t, move in zip(ts, self.moves):
             if t:
@@ -379,14 +400,18 @@ class Pencil:
         border it by one more row and column (Sylvester's identity).
 
         Of the first n rows and columns, the p of each that the last move
-        never touches are permuted to the front, once.  At the line's point
-        with t = 0, _eliminate(m0, p) leaves P, the last prefix pivot, and
-        the trailing block of bordered (p + 1)-minors.  Each is linear in
-        its corner entry with slope P, so at t that block gains t P times
-        the last move, and _eliminate(trail, n - p, prev=P) finishes the n
-        steps.  A line whose prefix is singular eliminates each point from
-        scratch.  Where the n x n block N is singular, D = 0 and each
-        bordered minor is one int_det of N bordered by its row and column.
+        never touches are permuted to the front: base and moves are read
+        into that row and column order once per call (_permuted), so a
+        line's matrix is one copy of the permuted base plus its moves.  At
+        the line's point with t = 0, _eliminate(m0, p) leaves P, the last
+        prefix pivot, and the trailing block of bordered (p + 1)-minors.
+        Each is linear in its corner entry with slope P, so at t that block
+        gains t P times the last move, and _eliminate(trail, n - p,
+        prev=P) finishes the n steps.  A line whose prefix is singular
+        eliminates each point from scratch, in the original order.  Where
+        the n x n block N is singular, D = 0 and each bordered minor is one
+        int_det of N bordered by its row and column.  A point with one
+        coordinate per move is required (ValueError otherwise).
         """
         side = len(self.base)
         last = self.moves[-1] if self.moves else []
@@ -397,15 +422,20 @@ class Pencil:
         rows = fixed_rows[:p] + [i for i in range(side) if i not in fixed_rows[:p]]
         cols = fixed_cols[:p] + [j for j in range(side) if j not in fixed_cols[:p]]
         perm = _perm_sign(rows) * _perm_sign(cols)
-        step = [(rows.index(i) - p, cols.index(j) - p, c) for i, j, c in last]
+        base, moves = _permuted(self.base, self.moves, rows, cols)
+        step = [(i - p, j - p, c) for i, j, c in moves.pop()] if moves else []
         line = sign = pivot = trail = None
 
         def oracle(pt):
             nonlocal line, sign, pivot, trail
             if pt[:-1] != line:
+                self._check_point(pt)
                 line = pt[:-1]
-                m = self._matrix(line + (0,) if pt else pt)
-                m = [[m[i][j] for j in cols] for i in rows]
+                m = [row[:] for row in base]
+                for t, move in zip(line, moves):
+                    if t:
+                        for i, j, c in move:
+                            m[i][j] += t * c
                 sign = perm * _eliminate(m, p)
                 pivot = m[p - 1][p - 1] if p else 1
                 trail = [row[p:] for row in m[p:]]

@@ -4,8 +4,9 @@ Fixed basis e1..e6; Lambda^3 V has the 20 lexicographic basis trivectors
 e_ijk (i<j<k) and carries the symplectic wedge pairing normalized by
 vol(e1^...^e6) = 1.  All signs flow from lexicographic index order.  The
 pairing is the Gram matrix PAIRING, a signed permutation (e_I pairs only
-with its complement), so pairings and the isotropy test are congruence
-products linalg.restrict_gram(PAIRING, rows).
+with its complement), so a pairing is the congruence product
+linalg.restrict_gram(PAIRING, rows), and the isotropy test reads the one
+nonzero of each PAIRING row and pairs integer-scaled rows directly.
 
 Lagrangian subspaces are stored as reduced-echelon 10x20 rational
 matrices.  Degeneracy loci, the Theta condition, sigma levels, the dual
@@ -162,7 +163,21 @@ class LagrangianFrame:
 
 
 def _isotropic(rows):
-    return not any(any(row) for row in linalg.restrict_gram(PAIRING, rows))
+    """True iff the pairing vanishes on every ordered pair of the rows.
+
+    PAIRING is a signed permutation: row I holds one nonzero s_I, in
+    column pi(I), read here at each call.  So a . PAIRING . b is
+    sum_I s_I a_I b_pi(I), one short sum per pair, on the rows scaled to
+    integers by one lcm; every ordered pair is tested, which gives the
+    verdict of restrict_gram(PAIRING, rows) for any signed-permutation
+    PAIRING.  A row whose length is not 20 raises ValueError."""
+    size = len(PAIRING)
+    _, ints = linalg.scaled_int_rows(rows)
+    if any(len(a) != size for a in ints):
+        raise ValueError("row length does not match the %dx%d form" % (size, size))
+    pairs = [next((j, s) for j, s in enumerate(prow) if s) for prow in PAIRING]
+    images = [[(j, s * x) for x, (j, s) in zip(a, pairs) if x] for a in ints]
+    return not any(sum(c * b[j] for j, c in image) for image in images for b in ints)
 
 
 def is_lagrangian(rows) -> bool:

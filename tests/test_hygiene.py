@@ -25,6 +25,8 @@
 """
 
 import ast
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,15 @@ MODULES = sorted(SRC.glob("*.py"))
 
 
 def _tree(path):
-    return ast.parse(path.read_text(), filename=str(path))
+    """The syntax tree of the module at path, parsed once per session for
+    each (path, text): a file rewritten under the same path is parsed
+    again.  The checks only read the trees they share."""
+    return _parsed(str(path), path.read_text())
+
+
+@cache
+def _parsed(name, text):
+    return ast.parse(text, filename=name)
 
 
 def _bound_names(node):
@@ -58,17 +68,18 @@ def unused_imports(path):
 
 
 def _references(tree, skip=None):
-    """Names and attribute names referenced in tree, outside the node skip."""
-    out = set()
+    """Names and attribute names referenced in tree, outside the node skip,
+    each with the number of its references."""
+    out = Counter()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         stack.extend(ast.iter_child_nodes(node))
     return out
 
@@ -110,14 +121,17 @@ def _resolved_references(tree, module):
 
 
 def unreferenced_private_functions():
+    """Private module-level functions with no reference outside their own
+    body: all their references, counted over every module in one pass,
+    are inside it."""
     trees = {path.name: _tree(path) for path in MODULES}
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
     out = []
     for name, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and node.name.startswith("_") and not node.name.startswith("__")
-                    and not any(node.name in _references(t, skip=node)
-                                for t in trees.values())):
+                    and everywhere[node.name] == _references(node)[node.name]):
                 out.append("%s:%d %s" % (name, node.lineno, node.name))
     return out
 

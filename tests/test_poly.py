@@ -1,10 +1,16 @@
 """Polynomial core: arithmetic, grading, gcd/squarefree, serialization."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+import inspect
 import random
+import textwrap
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from epw import poly
 from epw.poly import (
     MAX_VARS, MultiPoly, homogeneous_part, homogeneous_parts, squarefree_part,
     div_exact, poly_gcd, poly_from_text, poly_to_json, quadratic_form_rank,
@@ -186,6 +192,126 @@ def test_canonical_text_roundtrip():
     assert MultiPoly.zero(XY).to_text() == "0"
     f = p("3/4*x^2*y - y + 5")
     assert f.to_text() == "3/4*x^2*y - y + 5"
+
+
+# -- the text form from integer numerators ----------------------------------------
+
+def reference_to_text(f):
+    """MultiPoly.to_text on Fractions: abs, compares and str of each
+    coefficient, the route before the text was read off integers."""
+    if not f.terms:
+        return "0"
+    parts = []
+    for e, c in f.sorted_terms():
+        mono = "*".join(
+            "%s^%d" % (v, k) if k > 1 else v
+            for v, k in zip(f.vars, e) if k
+        )
+        ac = abs(c)
+        if mono:
+            body = mono if ac == 1 else "%s*%s" % (ac, mono)
+        else:
+            body = str(ac)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+TEXT_VARS = ("x", "y", "z", "t1", "t2", "t3", "t4", "t5")
+
+
+def text_coefficient(rng):
+    """±1, ±1/d, other small fractions and integers, and numerators or
+    denominators of 2^64 and more."""
+    sign, kind = rng.choice((1, -1)), rng.randrange(5)
+    if kind == 0:
+        return Fraction(sign)
+    if kind == 1:
+        return Fraction(sign, rng.randint(2, 12))
+    if kind == 2:
+        return Fraction(sign * rng.randint(2 ** 64, 2 ** 90), rng.choice((1, rng.randint(2, 2 ** 70))))
+    return Fraction(sign * rng.randint(1, 60), rng.randint(1, 8))
+
+
+@cache
+def seeded_text_polys():
+    """2000 polynomials in 0-8 variables with exponents up to 15, one in
+    twenty constant-only and one in twenty zero, with their
+    reference_to_text."""
+    rng = random.Random(2801)
+    out = []
+    for i in range(2000):
+        variables = TEXT_VARS[:rng.randint(0, MAX_VARS)]
+        terms = {}
+        if i % 20:
+            for _ in range(rng.randint(1, 8)):
+                e = tuple(rng.randint(0, 15) if rng.random() < 0.5 and i % 10 else 0
+                          for _ in variables)
+                terms[e] = text_coefficient(rng)
+        f = MultiPoly(variables, terms)
+        out.append((f, reference_to_text(f)))
+    return out
+
+
+def text_mismatches(to_text):
+    return [f for f, text in seeded_text_polys() if to_text(f) != text]
+
+
+def test_to_text_matches_the_fraction_route_on_seeded_polynomials():
+    assert text_mismatches(MultiPoly.to_text) == []
+    seen = Counter()
+    for f, _ in seeded_text_polys():
+        seen["%d variables" % len(f.vars)] += 1
+        seen["zero"] += f.is_zero()
+        seen["constant-only"] += f.degree() == 0
+        first = f.sorted_terms()[0][0] if f.terms else None
+        for e, c in f.terms.items():
+            seen["exponent 15"] += 15 in e
+            seen["unit before a monomial"] += abs(c) == 1 and any(e)
+            seen["1/d"] += c.numerator in (1, -1) and c.denominator > 1
+            seen["numerator >= 2^64"] += abs(c.numerator) >= 2 ** 64
+            seen["denominator >= 2^64"] += c.denominator >= 2 ** 64
+            seen["negative after the first"] += c < 0 and e != first
+    assert len(seen) == 9 + 8 and min(seen.values()) >= 20, seen
+
+
+TEXT_COEFFICIENTS = st.one_of(
+    st.sampled_from([1, -1]),
+    st.builds(Fraction, st.sampled_from([1, -1]), st.integers(2, 10 ** 6)),
+    st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64),
+    st.fractions(), st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(2 ** 64, 2 ** 80)))
+
+
+@st.composite
+def text_polys(draw):
+    variables = TEXT_VARS[:draw(st.sampled_from(range(MAX_VARS + 1)))]
+    top = draw(st.sampled_from((0, 15, 15, 15)))   # a quarter constant-only
+    exponent = st.tuples(*[st.integers(0, top)] * len(variables))
+    return MultiPoly(variables, draw(st.dictionaries(exponent, TEXT_COEFFICIENTS, max_size=8)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(f=text_polys())
+def test_to_text_matches_the_fraction_route_under_search(f):
+    assert f.to_text() == reference_to_text(f)
+
+
+@pytest.mark.parametrize("mutant", [
+    ('parts.append(sign + " " + body)',
+     'parts.append("+ " + ("-" if sign == "-" else "") + body)'),
+    ('body = mono if n == 1 else "%d*%s" % (n, mono)', 'body = "%d*%s" % (n, mono)'),
+], ids=["plus-minus for a negative term", "1* before a unit coefficient"])
+def test_to_text_mutants_fail_the_fraction_route(mutant):
+    """to_text with `+ -` printed for each negative term after the first,
+    and with `1*x` printed for a unit coefficient."""
+    src = textwrap.dedent(inspect.getsource(MultiPoly.to_text))
+    bad = src.replace(*mutant)
+    assert bad != src
+    ns = dict(vars(poly))
+    exec(compile(bad, "to_text_mutant", "exec"), ns)
+    assert len(text_mismatches(ns["to_text"])) > 100
 
 
 def test_json_roundtrip():

@@ -1,12 +1,14 @@
 """Determinant strategies agree with each other and with cofactor expansion."""
 
 from fractions import Fraction
+import inspect
 from math import comb, factorial, prod
 import os
 from pathlib import Path
 import random
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -748,7 +750,8 @@ def test_det_poly_walk_matches_the_reference_on_seeded_pencils(failures):
         last = pencil.moves[-1]
         p = n - max(len({i for i, _, _ in last}), len({j for _, j, _ in last}))
         before = failures[p, n]
-        assert pencil.det_poly(variables) == reference_det_poly(pencil, variables)
+        assert pencil.det_poly(variables) == reference_det_poly(pencil, variables), \
+            "walk differs from the reference"
         seen["p = 0" if p == 0 else "p = n" if p == n else "0 < p < n"] += 1
         seen["singular prefix"] += failures[p, n] > before
         seen["den > 1"] += pencil.den > 1
@@ -772,6 +775,23 @@ def test_mutant_walkers_fail_the_reference(monkeypatch, mutant):
         monkeypatch.setattr(polymat, "_perm_sign", lambda order: 1)
     pencil, variables = lines_pencil()
     assert pencil.det_poly(variables) != reference_det_poly(pencil, variables)
+
+
+def test_walker_with_move_columns_in_row_order_fails_the_seeded_pencils(monkeypatch, failures):
+    """_permuted with each move's column j placed at the position of j in
+    the row order: the seeded pencils whose moves touch rows and columns
+    apart catch it, by a walk that differs from the reference or by an
+    entry placed outside the trailing block, not by the test's count of
+    the cases it reached."""
+    src = textwrap.dedent(inspect.getsource(polymat._permuted))
+    bad = src.replace("(at_row[i], at_col[j], c)", "(at_row[i], at_row[j], c)")
+    assert bad != src
+    ns = dict(vars(polymat))
+    exec(compile(bad, "permuted_mutant", "exec"), ns)
+    monkeypatch.setattr(polymat, "_permuted", ns["_permuted"])
+    with pytest.raises((AssertionError, IndexError)) as caught:
+        test_det_poly_walk_matches_the_reference_on_seeded_pencils(failures)
+    assert caught.type is IndexError or "walk differs from the reference" in str(caught.value)
 
 
 def reference_bordered(pencil, n, pt):

@@ -1,6 +1,8 @@
 """Exterior algebra, Lagrangian frames, degeneracy and strata predicates."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 import random
 
@@ -113,6 +115,88 @@ def test_flipped_pairing_sign_rejects_a_graph_frame(monkeypatch):
     monkeypatch.setattr(wedge, "PAIRING", flipped)
     with pytest.raises(ValueError, match="not isotropic"):
         LagrangianFrame(frame.matrix)
+
+
+def test_pairing_is_a_signed_permutation():
+    """Each row and each column of PAIRING holds exactly one nonzero, ±1:
+    e_I pairs only with its complement, and antisymmetrically."""
+    pairing = wedge.PAIRING
+    assert len(pairing) == 20 and all(len(row) == 20 for row in pairing)
+    for lines in (pairing, list(zip(*pairing))):
+        assert all(sorted(map(abs, line)) == [0] * 19 + [1] for line in lines)
+    assert all(pairing[i][j] == -pairing[j][i] for i in range(20) for j in range(20))
+
+
+def reference_isotropic(rows):
+    """The pairing vanishes on the rows: every entry of the Fraction Gram
+    restrict_gram(PAIRING, rows) is zero."""
+    return not any(any(row) for row in linalg.restrict_gram(wedge.PAIRING, rows))
+
+
+@cache
+def isotropy_row_sets():
+    """Seeded row sets: graph frames at coranks 0-3, the same frames with
+    one entry perturbed, rational combinations of their rows, and sparse
+    rational rows."""
+    rng = random.Random(2804)
+
+    def rat():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    out = []
+    for s in range(80):
+        rows = random_graph_lagrangian(rng, corank=s % 4)[0].matrix
+        bumped = [row[:] for row in rows]
+        bumped[rng.randrange(10)][rng.randrange(20)] += rat() or 1
+        mixed = [[sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(20)]
+                 for coeffs in ([rat() for _ in rows] for _ in range(rng.randint(1, 4)))]
+        sparse = [[rat() if rng.random() < 0.3 else 0 for _ in range(20)]
+                  for _ in range(rng.randint(1, 3))]
+        out += [("frame", rows), ("perturbed", bumped), ("combined", mixed), ("sparse", sparse)]
+    return out
+
+
+def test_isotropy_matches_the_restrict_gram_route():
+    seen = Counter()
+    for kind, rows in isotropy_row_sets():
+        verdict = wedge._isotropic(rows)
+        assert verdict == reference_isotropic(rows), kind
+        seen[kind, verdict] += 1
+    assert not seen["frame", False] and not seen["combined", False], seen
+    assert min(seen["frame", True], seen["combined", True], seen["perturbed", False],
+               seen["sparse", True], seen["sparse", False]) >= 10, seen
+
+
+def test_isotropy_follows_any_signed_permutation_pairing(monkeypatch):
+    """Under random signed permutations pi in place of PAIRING, the verdict
+    is still that of restrict_gram, which reads the new PAIRING too: on
+    the seeded row sets, and on rational rows supported on a set S of
+    coordinates that pi carries off itself, which every such pairing
+    makes isotropic."""
+    rng = random.Random(2805)
+    sets = [rows for _, rows in isotropy_row_sets()]
+    seen = Counter()
+    for _ in range(6):
+        order = rng.sample(range(20), 20)
+        pairing = [[rng.choice((1, -1)) if j == order[i] else 0 for j in range(20)]
+                   for i in range(20)]
+        monkeypatch.setattr(wedge, "PAIRING", pairing)
+        support = set()
+        for i in rng.sample(range(20), 20):
+            if order[i] != i and order[i] not in support and i not in map(order.__getitem__, support):
+                support.add(i)
+        off = [[[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if j in support else 0
+                 for j in range(20)] for _ in range(rng.randint(1, 10))] for _ in range(10)]
+        for rows in rng.sample(sets, 20) + off:
+            verdict = wedge._isotropic(rows)
+            assert verdict == reference_isotropic(rows)
+            seen[verdict] += 1
+    assert min(seen[True], seen[False]) >= 20, seen
+
+
+def test_isotropy_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError, match="row length"):
+        wedge._isotropic([[0] * 19])
 
 
 # -- degeneracy dimensions ----------------------------------------------
